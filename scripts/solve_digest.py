@@ -1,0 +1,97 @@
+"""Print one SHA-256 of ``repr(report)`` per fixed solver case, then their total.
+
+Two checkouts whose solvers return identical reports print the same total, so
+a refactor of the solver or the kernels can be checked for byte-identical
+results by running this script on both and comparing the last line:
+
+    python scripts/solve_digest.py
+
+The cases cover the four searches (central physical, central complex,
+equilibria, rigid translation), N = 2..5, the continuum tuples (1, 1, -1/2)
+and (2, 2, 2, 2, -1), the gated empty reports (L != 0, Γ != 0, with float
+and exact strengths), and ``newton_refine`` in both regimes, converging and
+stopped at the collision guard.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from vortexcc import (  # noqa: E402
+    VorticitySet,
+    newton_refine,
+    solve_central_multistart,
+    solve_equilibria,
+    solve_rigid_translation,
+)
+
+C = np.sqrt(2) / 2
+
+
+def _v(*gammas) -> VorticitySet:
+    return VorticitySet(tuple(gammas))
+
+
+CASES = (
+    ("central physical N=2", lambda: solve_central_multistart(_v(1.0, 1.0), starts=100, seed=1)),
+    ("central physical N=3", lambda: solve_central_multistart(_v(1.0, 1.0, 1.0), starts=200, seed=0)),
+    ("central physical (1,1,-1/2)",
+     lambda: solve_central_multistart(_v(1.0, 1.0, -0.5), starts=200, seed=11)),
+    ("central physical N=4",
+     lambda: solve_central_multistart(_v(1.0, 2.0, 3.0, -1.5), starts=60, seed=2)),
+    ("central physical N=5",
+     lambda: solve_central_multistart(_v(1.0, -2.0, 3.0, 0.5, 1.5), starts=40, seed=3)),
+    ("central physical (2,2,2,2,-1)",
+     lambda: solve_central_multistart(_v(2.0, 2.0, 2.0, 2.0, -1.0), starts=40, seed=4)),
+    ("central complex N=2",
+     lambda: solve_central_multistart(_v(1.0, 1.0), regime="complex", starts=50, seed=3)),
+    ("central complex (1,1,-1/2)",
+     lambda: solve_central_multistart(_v(1.0, 1.0, -0.5), regime="complex", starts=60, seed=5)),
+    ("central complex N=4",
+     lambda: solve_central_multistart(_v(1.0, 2.0, 3.0, -1.5), regime="complex", starts=40, seed=2)),
+    ("central complex (2,2,2,2,-1)",
+     lambda: solve_central_multistart(_v(2.0, 2.0, 2.0, 2.0, -1.0), regime="complex",
+                                      starts=20, seed=6)),
+    ("equilibria (1,1,-1/2)", lambda: solve_equilibria(_v(1.0, 1.0, -0.5), starts=100, seed=0)),
+    ("equilibria exact (1,1,-1/2)",
+     lambda: solve_equilibria(_v(Fraction(1), Fraction(1), Fraction(-1, 2)), starts=40, seed=1)),
+    ("equilibria (1,1,1,-1)", lambda: solve_equilibria(_v(1.0, 1.0, 1.0, -1.0), starts=60, seed=2)),
+    ("equilibria gated L!=0", lambda: solve_equilibria(_v(1.0, 1.0, 1.0), starts=10, seed=0)),
+    ("translation (1,-1)", lambda: solve_rigid_translation(_v(1.0, -1.0), starts=20, seed=0)),
+    ("translation (1,1,-2)", lambda: solve_rigid_translation(_v(1.0, 1.0, -2.0), starts=60, seed=1)),
+    ("translation (1,-1,2,-2)",
+     lambda: solve_rigid_translation(_v(1.0, -1.0, 2.0, -2.0), starts=40, seed=2)),
+    ("translation exact (1,-3,2)",
+     lambda: solve_rigid_translation(_v(Fraction(1), Fraction(-3), Fraction(2)), starts=40, seed=3)),
+    ("translation gated G!=0",
+     lambda: solve_rigid_translation(_v(2.0, 2.0, 2.0, 2.0, -1.0), starts=5, seed=0)),
+    ("refine physical converges",
+     lambda: newton_refine(_v(1.0, 1.0), (np.array([-C, C + 1e-3], dtype=complex), 0.01))),
+    ("refine complex converges",
+     lambda: newton_refine(_v(1.0, 1.0), (np.array([-C, C + 1e-3j], dtype=complex),
+                                          np.array([-C, C], dtype=complex), 1.0 + 1e-3j),
+                           regime="complex")),
+    ("refine physical hits guard",
+     lambda: newton_refine(_v(1.0, 1.0), (np.array([0.0, 1e-11], dtype=complex), 0.0))),
+)
+
+
+def main() -> int:
+    total = hashlib.sha256()
+    for name, run in CASES:
+        digest = hashlib.sha256(repr(run()).encode()).hexdigest()
+        total.update(digest.encode())
+        print(f"{digest}  {name}")
+    print(f"{total.hexdigest()}  TOTAL")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -335,8 +335,6 @@ def _svg_solution(sol: dict, gammas: list, origin_x: float, origin_y: float, sca
     parts = []
     pts = [(origin_x + scale * p[0], origin_y - scale * p[1]) for p in sol["positions"]]
     n = len(pts)
-    sig = sol["signature"]
-    si = 0
     for j in range(n):
         for k in range(j + 1, n):
             x1, y1 = pts[j]
@@ -351,7 +349,6 @@ def _svg_solution(sol: dict, gammas: list, origin_x: float, origin_y: float, sca
                 f'<text x="{(x1 + x2) / 2:.3f}" y="{(y1 + y2) / 2:.3f}" font-size="7" '
                 f'fill="#888888">r2={r2:.4g}</text>'
             )
-            si += 1
     gmax = max(abs(g) for g in gammas) if gammas else 1.0
     for i, (x, y) in enumerate(pts):
         g = gammas[i] if i < len(gammas) else 1.0

@@ -10,6 +10,12 @@ solutions automatically come out with |Λ| = 1).
 Damping is Levenberg-style: the Newton step is computed from
 (JᵀJ + λI) δ = -JᵀF with λ adapted multiplicatively; trial steps that cross
 the collision guard are rejected.  Failures are values, not exceptions.
+
+Each of the four searches (physical, complex, equilibria, rigid
+translation) is a small :class:`_Search` spec: a start sampler, the
+residual, its Jacobian, the residual norm, the collision guard and a
+finalizer that builds the solution record.  One engine refines a start of
+any spec and one multistart driver runs every search.
 """
 
 from __future__ import annotations
@@ -21,7 +27,15 @@ from typing import Callable
 
 import numpy as np
 
-from .quantities import Invariants, VorticitySet, conjugate_positions, invariants_of
+from .quantities import (
+    Invariants,
+    VorticitySet,
+    angular_momentum,
+    conjugate_positions,
+    invariants_of,
+    is_exact_scalar,
+    total_vorticity,
+)
 from .system import (
     COLLISION_GUARD,
     complex_jacobian,
@@ -29,6 +43,7 @@ from .system import (
     physical_jacobian,
     physical_residual_vector,
     _min_gap,
+    _velocity_derivative,
     _velocity_np,
 )
 
@@ -70,6 +85,10 @@ class SolverOptions:
         for name in ("tol", "dedup_tol", "class_tol", "collapse_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"option {name} must be positive")
+        # The residual kernels raise CollisionError below COLLISION_GUARD, so a
+        # smaller guard would let that escape the engine instead of a NewtonFailure.
+        if not self.collision_guard >= COLLISION_GUARD:
+            raise ValueError(f"option collision_guard must be at least {COLLISION_GUARD:g}")
         return self
 
 
@@ -107,32 +126,38 @@ class SolveReport:
     reason: str | None = None       # set on gated empty reports
 
 
+@dataclass(frozen=True)
+class _Search:
+    """One search on real unknown vectors x, as the engine and the driver run it."""
+
+    regime: str
+    sample: Callable[[np.random.Generator], np.ndarray]  # draws one start x0
+    residual: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], np.ndarray]
+    norm: Callable[[np.ndarray], float]
+    guard: Callable[[np.ndarray], bool]  # True when x is too close to a collision
+    finalize: Callable[[np.ndarray, int], CentralConfigSolution]  # (x, iterations)
+
+
 # ---------------------------------------------------------------------------
 # Levenberg-damped Newton engine on real vectors
 # ---------------------------------------------------------------------------
 
 
-def _levenberg_newton(
-    residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    norm: Callable[[np.ndarray], float],
-    guard: Callable[[np.ndarray], bool],
-    x0: np.ndarray,
-    options: SolverOptions,
-):
-    """Returns (x, iterations) on success or NewtonFailure."""
+def _levenberg_newton(search: _Search, x0: np.ndarray, options: SolverOptions):
+    """Returns the finalized solution on success or NewtonFailure."""
     x = np.array(x0, dtype=float)
-    if guard(x):
+    if search.guard(x):
         return NewtonFailure("hit_collision_guard", 0, math.inf)
-    F = residual(x)
-    nrm = norm(F)
+    F = search.residual(x)
+    nrm = search.norm(F)
     damp = options.lm_lambda0
     dim = x.size
     eye = np.eye(dim)
     for it in range(options.max_iter):
         if nrm < options.tol:
-            return x, it
-        J = jacobian(x)
+            return search.finalize(x, it)
+        J = search.jacobian(x)
         JTJ = J.T @ J
         JTF = J.T @ F
         accepted = False
@@ -144,12 +169,12 @@ def _levenberg_newton(
                 damp *= options.lm_increase
                 continue
             xt = x + step
-            if guard(xt):
+            if search.guard(xt):
                 guard_blocked = True
                 damp *= options.lm_increase
                 continue
-            Ft = residual(xt)
-            nt = norm(Ft)
+            Ft = search.residual(xt)
+            nt = search.norm(Ft)
             if math.isfinite(nt) and nt < nrm:
                 x, F, nrm = xt, Ft, nt
                 damp = max(damp * options.lm_decrease, 1e-14)
@@ -162,132 +187,98 @@ def _levenberg_newton(
         if np.abs(x).max() > options.divergence_norm:
             return NewtonFailure("diverged", it, nrm)
     if nrm < options.tol:
-        return x, options.max_iter
+        return search.finalize(x, options.max_iter)
     return NewtonFailure("max_iterations", options.max_iter, nrm)
 
 
-def _pack_physical(positions: np.ndarray, theta: float) -> np.ndarray:
-    n = len(positions)
-    x = np.empty(2 * n + 1)
-    x[0 : 2 * n : 2] = positions.real
-    x[1 : 2 * n : 2] = positions.imag
-    x[-1] = theta
-    return x
-
-
-def _unpack_physical(x: np.ndarray) -> tuple[np.ndarray, float]:
-    n = (x.size - 1) // 2
-    return x[0 : 2 * n : 2] + 1j * x[1 : 2 * n : 2], float(x[-1])
-
-
-def _pack_complex(z: np.ndarray, w: np.ndarray, lam: complex) -> np.ndarray:
-    c = np.concatenate([z, w, [lam]])
-    out = np.empty(2 * c.size)
-    out[0::2] = c.real
-    out[1::2] = c.imag
-    return out
-
-
-def _unpack_complex(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
-    c = x[0::2] + 1j * x[1::2]
-    n = (c.size - 1) // 2
-    return c[:n], c[n : 2 * n], complex(c[-1])
-
-
-def _realify_matrix(J: np.ndarray) -> np.ndarray:
-    m, n = J.shape
-    R = np.empty((2 * m, 2 * n))
-    R[0::2, 0::2] = J.real
-    R[0::2, 1::2] = -J.imag
-    R[1::2, 0::2] = J.imag
-    R[1::2, 1::2] = J.real
-    return R
+def _multistart(search: _Search, starts: int, seed: int, opts: SolverOptions) -> SolveReport:
+    """Draw every start from one rng in turn, refine it, then deduplicate what converged."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(starts):
+        result = _levenberg_newton(search, search.sample(rng), opts)
+        if isinstance(result, CentralConfigSolution):
+            found.append(result)
+    return SolveReport(tuple(_deduplicate(found, opts)), starts, len(found), seed, search.regime)
 
 
 def _realify_vector(F: np.ndarray) -> np.ndarray:
+    """Complex entries as consecutive (Re, Im) pairs."""
     out = np.empty(2 * F.size)
     out[0::2] = F.real
     out[1::2] = F.imag
     return out
 
 
-# ---------------------------------------------------------------------------
-# Refinement per regime
-# ---------------------------------------------------------------------------
+def _complexify(x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_realify_vector`."""
+    return x[0::2] + 1j * x[1::2]
 
 
-def newton_refine(v: VorticitySet, start, regime: str = "physical",
-                  options: SolverOptions | None = None):
-    """Refine one start; returns a CentralConfigSolution or a NewtonFailure.
+def _realify_columns(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Real Jacobian of complex rows whose derivatives along x_m and y_m are dx[:, m], dy[:, m].
 
-    Physical starts are ``(positions, theta)``; complex starts are
-    ``(z, w, lam)``.
+    Rows are (Re, Im) pairs and columns (x_m, y_m) pairs.
     """
-    opts = (options or SolverOptions()).validated()
-    vf = v.as_float()
-    if regime == "physical":
-        return _refine_physical(vf, start, opts)
-    if regime == "complex":
-        return _refine_complex(vf, start, opts)
-    raise ValueError(f"unknown regime {regime!r}")
+    J = np.empty((2 * dx.shape[0], 2 * dx.shape[1]))
+    J[0::2, 0::2] = dx.real
+    J[0::2, 1::2] = dy.real
+    J[1::2, 0::2] = dx.imag
+    J[1::2, 1::2] = dy.imag
+    return J
 
 
-def _refine_physical(v: VorticitySet, start, opts: SolverOptions):
+def _modulus_norm(F: np.ndarray) -> float:
+    """Max modulus over the complex entries of a realified residual."""
+    return float(np.hypot(F[0::2], F[1::2]).max())
+
+
+# ---------------------------------------------------------------------------
+# Central-configuration searches
+# ---------------------------------------------------------------------------
+
+
+def _pack_physical(start) -> np.ndarray:
     positions, theta = start
-    pos0 = np.asarray(positions, dtype=complex)
+    return np.append(_realify_vector(np.asarray(positions, dtype=complex)), float(theta))
+
+
+def _unpack_physical(x: np.ndarray) -> tuple[np.ndarray, float]:
+    return _complexify(x[:-1]), float(x[-1])
+
+
+def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     n = v.n
 
     def residual(x):
-        pos, th = _unpack_physical(x)
-        return physical_residual_vector(v, pos, th)
+        return physical_residual_vector(v, *_unpack_physical(x))
 
-    def jac(x):
-        pos, th = _unpack_physical(x)
-        return physical_jacobian(v, pos, th)
+    def jacobian(x):
+        return physical_jacobian(v, *_unpack_physical(x))
 
     def norm(F):
         return max(np.hypot(F[0 : 2 * n : 2], F[1 : 2 * n : 2]).max(), abs(F[-1]))
 
     def guard(x):
-        pos, _ = _unpack_physical(x)
-        return _min_gap(pos) < opts.collision_guard
+        return _min_gap(_unpack_physical(x)[0]) < opts.collision_guard
 
-    result = _levenberg_newton(residual, jac, norm, guard, _pack_physical(pos0, float(theta)), opts)
-    if isinstance(result, NewtonFailure):
-        return result
-    x, iters = result
-    pos, th = _unpack_physical(x)
-    return _finalize_physical(v, pos, th, iters, opts)
+    def sample(rng):
+        return _pack_physical((_sample_disk(rng, n, opts), rng.uniform(0.0, 2.0 * np.pi)))
 
+    def finalize(x, iters):
+        pos, theta = _unpack_physical(x)
+        lam = np.exp(1j * theta)
+        # Rotate so z_12 is exactly real and positive (rotation leaves Λ fixed).
+        z12 = pos[1] - pos[0]
+        pos = pos * (abs(z12) / z12)
+        # Conjugation maps solutions to solutions; keep one canonical twin.
+        if _prefers_conjugate(pos, lam, opts):
+            pos, lam = np.conj(pos), np.conj(lam)
+        E = lam * pos - _velocity_np(np.asarray(v.gammas), np.conj(pos))
+        return _central_solution(v, "physical", pos, np.conj(pos), lam, E,
+                                 _physical_signature(pos), iters, opts)
 
-def _finalize_physical(v: VorticitySet, pos: np.ndarray, theta: float,
-                       iters: int, opts: SolverOptions) -> CentralConfigSolution:
-    lam = np.exp(1j * theta)
-    # Rotate so z_12 is exactly real and positive (rotation leaves Λ fixed).
-    z12 = pos[1] - pos[0]
-    pos = pos * (abs(z12) / z12)
-    # Conjugation maps solutions to solutions; keep one canonical twin.
-    if _prefers_conjugate(pos, lam, opts):
-        pos, lam = np.conj(pos), np.conj(lam)
-    g = np.asarray(v.gammas)
-    E = lam * pos - _velocity_np(g, np.conj(pos))
-    residual_norm = float(np.abs(E).max())
-    inv = invariants_of(v, tuple(pos), conjugate_positions(tuple(pos)), lam=complex(lam))
-    signature = _physical_signature(pos)
-    kind, flags = _classify(complex(lam), inv, opts)
-    flags += _solution_assertions(inv, opts)
-    return CentralConfigSolution(
-        regime="physical",
-        z=tuple(pos),
-        w=conjugate_positions(tuple(pos)),
-        lam=complex(lam),
-        residual_norm=residual_norm,
-        invariants=inv,
-        kind=kind,
-        signature=signature,
-        flags=flags,
-        iterations=iters,
-    )
+    return _Search("physical", sample, residual, jacobian, norm, guard, finalize)
 
 
 def _prefers_conjugate(pos: np.ndarray, lam: complex, opts: SolverOptions) -> bool:
@@ -307,22 +298,28 @@ def _physical_signature(pos: np.ndarray) -> tuple:
     return tuple(sorted(r2))
 
 
-def _refine_complex(v: VorticitySet, start, opts: SolverOptions):
-    z0, w0, lam0 = start
-    z0 = np.asarray(z0, dtype=complex)
-    w0 = np.asarray(w0, dtype=complex)
+def _pack_complex(start) -> np.ndarray:
+    z, w, lam = start
+    c = np.concatenate([np.asarray(z, dtype=complex), np.asarray(w, dtype=complex), [complex(lam)]])
+    return _realify_vector(c)
+
+
+def _unpack_complex(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
+    c = _complexify(x)
+    n = (c.size - 1) // 2
+    return c[:n], c[n : 2 * n], complex(c[-1])
+
+
+def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     n = v.n
 
     def residual(x):
-        z, w, lam = _unpack_complex(x)
-        return _realify_vector(complex_residual_vector(v, z, w, lam))
+        return _realify_vector(complex_residual_vector(v, *_unpack_complex(x)))
 
-    def jac(x):
-        z, w, lam = _unpack_complex(x)
-        return _realify_matrix(complex_jacobian(v, z, w, lam))
-
-    def norm(F):
-        return float(np.hypot(F[0::2], F[1::2]).max())
+    def jacobian(x):
+        # Holomorphic rows: the derivative along y_m is i times the one along x_m.
+        J = complex_jacobian(v, *_unpack_complex(x))
+        return _realify_columns(J, 1j * J)
 
     def guard(x):
         z, w, lam = _unpack_complex(x)
@@ -330,45 +327,23 @@ def _refine_complex(v: VorticitySet, start, opts: SolverOptions):
             return True
         return min(_min_gap(z), _min_gap(w)) < opts.collision_guard
 
-    result = _levenberg_newton(
-        residual, jac, norm, guard, _pack_complex(z0, w0, complex(lam0)), opts
-    )
-    if isinstance(result, NewtonFailure):
-        return result
-    x, iters = result
-    z, w, lam = _unpack_complex(x)
-    return _finalize_complex(v, z, w, lam, iters, opts)
+    def sample(rng):
+        z = _sample_disk(rng, n, opts)
+        w = _sample_disk(rng, n, opts)
+        return _pack_complex((z, w, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))))
 
+    def finalize(x, iters):
+        z, w, lam = _unpack_complex(x)
+        z, w = _canonical_complex_pair(z, w)
+        cand = (z, w, lam)
+        # The conjugate-free system has the symmetry (z, w, Λ) -> (conj w, conj z, 1/conj Λ).
+        twin = _canonical_complex_pair(np.conj(w), np.conj(z)) + (1.0 / np.conjugate(lam),)
+        if _complex_sort_key(*twin) < _complex_sort_key(*cand):
+            z, w, lam = twin
+        F = complex_residual_vector(v, z, w, lam)
+        return _central_solution(v, "complex", z, w, lam, F, _complex_signature(z, w), iters, opts)
 
-def _finalize_complex(v: VorticitySet, z: np.ndarray, w: np.ndarray, lam: complex,
-                      iters: int, opts: SolverOptions) -> CentralConfigSolution:
-    z, w = _canonical_complex_pair(z, w)
-    cand = (z, w, lam)
-    # The conjugate-free system has the symmetry (z, w, Λ) -> (conj w, conj z, 1/conj Λ).
-    twin = _canonical_complex_pair(np.conj(w), np.conj(z)) + (1.0 / np.conjugate(lam),)
-    if _complex_sort_key(*twin) < _complex_sort_key(*cand):
-        z, w, lam = twin
-    g = np.asarray(v.gammas)
-    F = complex_residual_vector(v, z, w, lam)
-    residual_norm = float(np.abs(F).max())
-    inv = invariants_of(v, tuple(z), tuple(w), lam=complex(lam))
-    signature = _complex_signature(z, w)
-    kind, flags = _classify(complex(lam), inv, opts)
-    flags += _solution_assertions(inv, opts)
-    if abs(abs(lam) - 1.0) > 1e-6:
-        flags += ("nonunit_lambda",)
-    return CentralConfigSolution(
-        regime="complex",
-        z=tuple(z),
-        w=tuple(w),
-        lam=complex(lam),
-        residual_norm=residual_norm,
-        invariants=inv,
-        kind=kind,
-        signature=signature,
-        flags=flags,
-        iterations=iters,
-    )
+    return _Search("complex", sample, residual, jacobian, _modulus_norm, guard, finalize)
 
 
 def _canonical_complex_pair(z: np.ndarray, w: np.ndarray):
@@ -420,6 +395,34 @@ def classify(solution: CentralConfigSolution, options: SolverOptions | None = No
     return _classify(solution.lam, solution.invariants, opts)
 
 
+def _central_solution(v: VorticitySet, regime: str, z: np.ndarray, w: np.ndarray, lam: complex,
+                      residual: np.ndarray, signature: tuple, iters: int,
+                      opts: SolverOptions) -> CentralConfigSolution:
+    """Record of a converged central search, with its kind and consistency flags.
+
+    Physical solutions have Λ = e^{iθ}, so only complex ones can be flagged
+    ``nonunit_lambda``.
+    """
+    z, w, lam = tuple(z), tuple(w), complex(lam)
+    inv = invariants_of(v, z, w, lam=lam)
+    kind, flags = _classify(lam, inv, opts)
+    flags += _solution_assertions(inv, opts)
+    if abs(abs(lam) - 1.0) > 1e-6:
+        flags += ("nonunit_lambda",)
+    return CentralConfigSolution(
+        regime=regime,
+        z=z,
+        w=w,
+        lam=lam,
+        residual_norm=float(np.abs(residual).max()),
+        invariants=inv,
+        kind=kind,
+        signature=signature,
+        flags=flags,
+        iterations=iters,
+    )
+
+
 def _solution_assertions(inv: Invariants, opts: SolverOptions) -> tuple:
     flags = []
     if abs(inv.M) > 1e-10:
@@ -431,7 +434,7 @@ def _solution_assertions(inv: Invariants, opts: SolverOptions) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Multistart driver
+# Starts, central entry points and deduplication
 # ---------------------------------------------------------------------------
 
 
@@ -443,6 +446,27 @@ def _sample_disk(rng: np.random.Generator, n: int, opts: SolverOptions) -> np.nd
         if _min_gap(pos) >= opts.start_min_gap:
             return pos
     raise RuntimeError("could not sample a well-separated start")
+
+
+def _central_search(v: VorticitySet, regime: str, opts: SolverOptions) -> _Search:
+    if regime == "physical":
+        return _physical_search(v, opts)
+    if regime == "complex":
+        return _complex_search(v, opts)
+    raise ValueError(f"unknown regime {regime!r}")
+
+
+def newton_refine(v: VorticitySet, start, regime: str = "physical",
+                  options: SolverOptions | None = None):
+    """Refine one start; returns a CentralConfigSolution or a NewtonFailure.
+
+    Physical starts are ``(positions, theta)``; complex starts are
+    ``(z, w, lam)``.
+    """
+    opts = (options or SolverOptions()).validated()
+    search = _central_search(v.as_float(), regime, opts)
+    x0 = _pack_physical(start) if regime == "physical" else _pack_complex(start)
+    return _levenberg_newton(search, x0, opts)
 
 
 def solve_central_multistart(
@@ -462,33 +486,7 @@ def solve_central_multistart(
     opts = (options or SolverOptions()).validated()
     if starts <= 0:
         raise ValueError("starts must be positive")
-    if regime not in ("physical", "complex"):
-        raise ValueError(f"unknown regime {regime!r}")
-    vf = v.as_float()
-    rng = np.random.default_rng(seed)
-    found = []
-    converged = 0
-    for _ in range(starts):
-        if regime == "physical":
-            pos = _sample_disk(rng, vf.n, opts)
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            result = _refine_physical(vf, (pos, theta), opts)
-        else:
-            z = _sample_disk(rng, vf.n, opts)
-            w = _sample_disk(rng, vf.n, opts)
-            lam = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            result = _refine_complex(vf, (z, w, lam), opts)
-        if isinstance(result, CentralConfigSolution):
-            converged += 1
-            found.append(result)
-    solutions = _deduplicate(found, opts)
-    return SolveReport(
-        solutions=tuple(solutions),
-        starts_attempted=starts,
-        starts_converged=converged,
-        seed=seed,
-        regime=regime,
-    )
+    return _multistart(_central_search(v.as_float(), regime, opts), starts, seed, opts)
 
 
 def _signatures_match(a: tuple, b: tuple, tol: float) -> bool:
@@ -538,11 +536,57 @@ def _deduplicate(found: list, opts: SolverOptions) -> list:
 
 
 def _near_zero(value, scale: float) -> bool:
-    from .quantities import is_exact_scalar
-
     if is_exact_scalar(value):
         return value == 0
     return abs(value) <= 1e-13 * max(1.0, scale)
+
+
+def _velocity_solution(v: VorticitySet, pos: np.ndarray, velocity: complex | None,
+                       iters: int) -> CentralConfigSolution:
+    """Record of a root of V_n = velocity; ``velocity=None`` marks an equilibrium."""
+    V = _velocity_np(np.asarray(v.gammas), np.conj(pos))
+    if velocity is not None:
+        V = V - velocity
+    w = conjugate_positions(tuple(pos))
+    return CentralConfigSolution(
+        regime="physical",
+        z=tuple(pos),
+        w=w,
+        lam=None,
+        residual_norm=float(np.abs(V).max()),
+        invariants=invariants_of(v, tuple(pos), w),
+        kind=KIND_EQUILIBRIUM if velocity is None else KIND_RIGID_TRANSLATION,
+        signature=_physical_signature(pos),
+        iterations=iters,
+        translation_velocity=velocity,
+    )
+
+
+def _equilibria_search(v: VorticitySet, opts: SolverOptions) -> _Search:
+    # Unknowns: (x_3, y_3, ..., x_N, y_N), size 2N-4; z_1 = 0 and z_2 = 1 are pinned.
+    g = np.asarray(v.gammas)
+    n = v.n
+
+    def assemble(x):
+        return np.concatenate([[0.0, 1.0], _complexify(x)])
+
+    def residual(x):
+        return _realify_vector(_velocity_np(g, np.conj(assemble(x))))
+
+    def jacobian(x):
+        Q = _velocity_derivative(g, np.conj(assemble(x)))[:, 2:]
+        return _realify_columns(Q, -1j * Q)
+
+    def guard(x):
+        return _min_gap(assemble(x)) < opts.collision_guard
+
+    def sample(rng):
+        return _realify_vector(_sample_disk(rng, n, opts)[2:])
+
+    def finalize(x, iters):
+        return _velocity_solution(v, assemble(x), None, iters)
+
+    return _Search("physical", sample, residual, jacobian, _modulus_norm, guard, finalize)
 
 
 def solve_equilibria(v: VorticitySet, starts: int = 200, seed: int = 0,
@@ -555,84 +599,48 @@ def solve_equilibria(v: VorticitySet, starts: int = 200, seed: int = 0,
     """
     opts = (options or SolverOptions()).validated()
     g_scale = sum(abs(float(a) * float(b)) for a, b in combinations(v.gammas, 2))
-    from .quantities import angular_momentum
-
     if not _near_zero(angular_momentum(v), g_scale):
         return SolveReport((), 0, 0, seed, "physical",
                            reason="necessary condition L=0 fails")
-    vf = v.as_float()
-    g = np.asarray(vf.gammas)
-    n = vf.n
-    rng = np.random.default_rng(seed)
+    return _multistart(_equilibria_search(v.as_float(), opts), starts, seed, opts)
+
+
+def _translation_search(v: VorticitySet, opts: SolverOptions) -> _Search:
+    # Unknowns: (ξ = z_2, x_3, y_3, ..., x_N, y_N, φ), size 2N-2; z_1 = 0.
+    g = np.asarray(v.gammas)
+    n = v.n
 
     def assemble(x):
-        pos = np.empty(n, dtype=complex)
-        pos[0] = 0.0
-        pos[1] = 1.0
-        if n > 2:
-            pos[2:] = x[0::2] + 1j * x[1::2]
-        return pos
+        return np.concatenate([[0.0, x[0]], _complexify(x[1:-1])]), float(x[-1])
 
     def residual(x):
-        pos = assemble(x)
-        V = _velocity_np(g, np.conj(pos))
-        return _realify_vector(V)
+        pos, phi = assemble(x)
+        return _realify_vector(_velocity_np(g, np.conj(pos)) - np.exp(1j * phi))
 
-    def jac(x):
-        pos = assemble(x)
-        Q = _velocity_position_derivative(g, pos)
-        cols = Q[:, 2:]
-        J = np.empty((2 * n, 2 * (n - 2)))
-        J[0::2, 0::2] = cols.real
-        J[0::2, 1::2] = (-1j * cols).real
-        J[1::2, 0::2] = cols.imag
-        J[1::2, 1::2] = (-1j * cols).imag
-        return J
-
-    def norm(F):
-        return float(np.hypot(F[0::2], F[1::2]).max())
+    def jacobian(x):
+        pos, phi = assemble(x)
+        Q = _velocity_derivative(g, np.conj(pos))
+        dphi = -1j * np.exp(1j * phi) * np.ones(n)
+        free = _realify_columns(Q[:, 2:], -1j * Q[:, 2:])
+        return np.column_stack([_realify_vector(Q[:, 1]), free, _realify_vector(dphi)])
 
     def guard(x):
-        return _min_gap(assemble(x)) < opts.collision_guard
+        return _min_gap(assemble(x)[0]) < opts.collision_guard
 
-    found = []
-    converged = 0
-    for _ in range(starts):
+    def sample(rng):
         pos = _sample_disk(rng, n, opts)
-        x0 = np.empty(2 * (n - 2))
-        x0[0::2] = pos[2:].real
-        x0[1::2] = pos[2:].imag
-        result = _levenberg_newton(residual, jac, norm, guard, x0, opts)
-        if isinstance(result, NewtonFailure):
-            continue
-        converged += 1
-        x, iters = result
-        pos = assemble(x)
-        V = _velocity_np(g, np.conj(pos))
-        inv = invariants_of(vf, tuple(pos), conjugate_positions(tuple(pos)))
-        found.append(CentralConfigSolution(
-            regime="physical",
-            z=tuple(pos),
-            w=conjugate_positions(tuple(pos)),
-            lam=None,
-            residual_norm=float(np.abs(V).max()),
-            invariants=inv,
-            kind=KIND_EQUILIBRIUM,
-            signature=_physical_signature(pos),
-            iterations=iters,
-        ))
-    return SolveReport(tuple(_deduplicate(found, opts)), starts, converged, seed, "physical")
+        return np.concatenate([[abs(pos[1]) + opts.start_min_gap], _realify_vector(pos[2:]),
+                               [rng.uniform(0.0, 2.0 * np.pi)]])
 
+    def finalize(x, iters):
+        pos, phi = assemble(x)
+        if pos[1].real < 0:
+            # Rotate by a half turn: keeps V_n = V form with V -> -V.
+            pos = -pos
+            phi += np.pi
+        return _velocity_solution(v, pos, complex(np.exp(1j * phi)), iters)
 
-def _velocity_position_derivative(g: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Q[n, m] = dV_n/dx_m (complex form); dV_n/dy_m = -i Q[n, m]."""
-    d = pos[None, :] - pos[:, None]
-    np.fill_diagonal(d, 1.0)
-    u2 = np.conj(d) ** 2
-    Q = (g[:, None] / u2).T.copy()
-    np.fill_diagonal(Q, 0.0)
-    np.fill_diagonal(Q, -Q.sum(axis=1))
-    return Q
+    return _Search("physical", sample, residual, jacobian, _modulus_norm, guard, finalize)
 
 
 def solve_rigid_translation(v: VorticitySet, starts: int = 200, seed: int = 0,
@@ -644,88 +652,8 @@ def solve_rigid_translation(v: VorticitySet, starts: int = 200, seed: int = 0,
     fixes the dilation.
     """
     opts = (options or SolverOptions()).validated()
-    from .quantities import total_vorticity
-
     g_scale = sum(abs(float(a)) for a in v.gammas)
     if not _near_zero(total_vorticity(v), g_scale):
         return SolveReport((), 0, 0, seed, "physical",
                            reason="necessary condition Γ=0 fails")
-    vf = v.as_float()
-    g = np.asarray(vf.gammas)
-    n = vf.n
-    rng = np.random.default_rng(seed)
-
-    def assemble(x):
-        # Unknowns: (ξ = z_2, x_3, y_3, ..., x_N, y_N, φ), size 2N-2.
-        pos = np.empty(n, dtype=complex)
-        pos[0] = 0.0
-        pos[1] = x[0]
-        if n > 2:
-            pos[2:] = x[1:-1:2] + 1j * x[2:-1:2]
-        return pos, float(x[-1])
-
-    def residual(x):
-        pos, phi = assemble(x)
-        V = _velocity_np(g, np.conj(pos)) - np.exp(1j * phi)
-        return _realify_vector(V)
-
-    def jac(x):
-        pos, phi = assemble(x)
-        Q = _velocity_position_derivative(g, pos)
-        J = np.empty((2 * n, 2 * n - 2))
-        J[0::2, 0] = Q[:, 1].real
-        J[1::2, 0] = Q[:, 1].imag
-        if n > 2:
-            cols = Q[:, 2:]
-            J[0::2, 1:-1:2] = cols.real
-            J[0::2, 2:-1:2] = (-1j * cols).real
-            J[1::2, 1:-1:2] = cols.imag
-            J[1::2, 2:-1:2] = (-1j * cols).imag
-        dphi = -1j * np.exp(1j * phi) * np.ones(n)
-        J[0::2, -1] = dphi.real
-        J[1::2, -1] = dphi.imag
-        return J
-
-    def norm(F):
-        return float(np.hypot(F[0::2], F[1::2]).max())
-
-    def guard(x):
-        pos, _ = assemble(x)
-        return _min_gap(pos) < opts.collision_guard
-
-    found = []
-    converged = 0
-    for _ in range(starts):
-        pos = _sample_disk(rng, n, opts)
-        x0 = np.empty(2 * n - 2)
-        x0[0] = abs(pos[1]) + opts.start_min_gap
-        if n > 2:
-            x0[1:-1:2] = pos[2:].real
-            x0[2:-1:2] = pos[2:].imag
-        x0[-1] = rng.uniform(0.0, 2.0 * np.pi)
-        result = _levenberg_newton(residual, jac, norm, guard, x0, opts)
-        if isinstance(result, NewtonFailure):
-            continue
-        x, iters = result
-        pos, phi = assemble(x)
-        if pos[1].real < 0:
-            # Rotate by a half turn: keeps V_n = V form with V -> -V.
-            pos = -pos
-            phi += np.pi
-        velocity = np.exp(1j * phi)
-        converged += 1
-        V = _velocity_np(g, np.conj(pos)) - velocity
-        inv = invariants_of(vf, tuple(pos), conjugate_positions(tuple(pos)))
-        found.append(CentralConfigSolution(
-            regime="physical",
-            z=tuple(pos),
-            w=conjugate_positions(tuple(pos)),
-            lam=None,
-            residual_norm=float(np.abs(V).max()),
-            invariants=inv,
-            kind=KIND_RIGID_TRANSLATION,
-            signature=_physical_signature(pos),
-            iterations=iters,
-            translation_velocity=complex(velocity),
-        ))
-    return SolveReport(tuple(_deduplicate(found, opts)), starts, converged, seed, "physical")
+    return _multistart(_translation_search(v.as_float(), opts), starts, seed, opts)

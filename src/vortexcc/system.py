@@ -4,14 +4,17 @@ Index convention throughout: ``z_jn = z_n - z_j`` and ``w_jn = w_n - w_j``.
 The velocity seen by vortex n is ``V_n = sum_{j != n} Γ_j / w_jn``, which in
 the physical regime (``w = conj(z)``) is the usual point-vortex field.
 
-Three residual systems are provided:
+Every system here is built from two numpy kernels: the velocity
+``_velocity_np`` and its derivative ``_velocity_derivative``,
+``Q[n, m] = dV_n/dw_m``.  On top of them:
 
 * ``stationary_residual``: the reduced central-configuration equations
   ``Λ z_n = V_n`` (translation already removed).
 * ``complex_system_residual``: the conjugate-free central system on
   independent coordinates (z, w) with reciprocal separations evaluated on
   demand, plus the rotation gauge row ``z_12 - w_12``.
-* velocity roots for equilibria / rigid translation live in ``solver``.
+* velocity roots for equilibria / rigid translation live in ``solver``,
+  which uses the same two kernels.
 
 Analytic Jacobians for the first two are exported together with the packed
 numpy forms the solver consumes.
@@ -117,71 +120,6 @@ class ComplexConfiguration:
         }
 
 
-def _check_pairs(points: Sequence[complex], coordinate: str) -> None:
-    n = len(points)
-    for j in range(n):
-        for k in range(j + 1, n):
-            if abs(points[k] - points[j]) < COLLISION_GUARD:
-                raise CollisionError(j + 1, k + 1, coordinate)
-
-
-def velocity_field(v: VorticitySet, z: Sequence, w: Sequence) -> list:
-    """V_n = sum_{j != n} Γ_j / w_jn for each n.
-
-    Physical callers pass ``w = conjugate_positions(z)``.
-    """
-    zs = [complex(p) for p in z]
-    ws = [complex(p) for p in w]
-    if len(zs) != v.n or len(ws) != v.n:
-        raise ValueError("positions must match the vorticity count")
-    _check_pairs(zs, "z")
-    _check_pairs(ws, "w")
-    out = []
-    for n in range(v.n):
-        acc = 0j
-        for j in range(v.n):
-            if j != n:
-                acc += v.gammas[j] / (ws[n] - ws[j])
-        out.append(acc)
-    return out
-
-
-def stationary_residual(v: VorticitySet, z, w, lam) -> ResidualVector:
-    """Entries Λ z_n - V_n; the zero vector exactly on central configurations."""
-    V = velocity_field(v, z, w)
-    lam = complex(lam)
-    return ResidualVector(tuple(lam * complex(p) - V_n for p, V_n in zip(z, V)))
-
-
-def complex_system_residual(conf: ComplexConfiguration, v: VorticitySet) -> ResidualVector:
-    """2N+1 entries: Λ z_n - Σ Γ_j/w_jn, Λ^{-1} w_n - Σ Γ_j/z_jn, z_12 - w_12."""
-    if conf.n != v.n:
-        raise ValueError("configuration size must match the vorticity count")
-    _check_pairs(conf.z, "z")
-    _check_pairs(conf.w, "w")
-    lam = conf.lam
-    a_rows = [
-        lam * conf.z[n]
-        - sum(v.gammas[j] / (conf.w[n] - conf.w[j]) for j in range(v.n) if j != n)
-        for n in range(v.n)
-    ]
-    b_rows = [
-        conf.w[n] / lam
-        - sum(v.gammas[j] / (conf.z[n] - conf.z[j]) for j in range(v.n) if j != n)
-        for n in range(v.n)
-    ]
-    return ResidualVector(tuple(a_rows) + tuple(b_rows) + (conf.gauge_defect,))
-
-
-# ---------------------------------------------------------------------------
-# Packed numpy forms.  Layouts:
-#   physical:  unknowns u = (x_1, y_1, ..., x_N, y_N, θ) with Λ = e^{iθ};
-#              rows (Re E_1, Im E_1, ..., Re E_N, Im E_N, Im z_12).
-#   complex:   unknowns (z_1..z_N, w_1..w_N, Λ) as complex variables;
-#              rows (A_1..A_N, B_1..B_N, z_12 - w_12), all holomorphic.
-# ---------------------------------------------------------------------------
-
-
 def _pair_diffs(p: np.ndarray) -> np.ndarray:
     """D[j, n] = p_n - p_j with a harmless 1 on the diagonal."""
     d = p[None, :] - p[:, None]
@@ -202,13 +140,69 @@ def _velocity_np(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
     return (g[:, None] * inv).sum(axis=0)
 
 
+def _velocity_derivative(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
+    """Q[n, m] = dV_n/dw_m: Γ_m / w_mn² off the diagonal, minus the row sum on it."""
+    Q = (g[:, None] / _pair_diffs(wpos) ** 2).T.copy()
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return Q
+
+
+def _check_separated(p: np.ndarray, coordinate: str) -> None:
+    """Raise CollisionError naming the first pair, in index order, closer than the guard."""
+    if _min_gap(p) < COLLISION_GUARD:
+        d = np.abs(p[None, :] - p[:, None])
+        np.fill_diagonal(d, np.inf)
+        j, k = np.argwhere(d < COLLISION_GUARD)[0]
+        raise CollisionError(int(j) + 1, int(k) + 1, coordinate)
+
+
+def _velocities(v: VorticitySet, z, w) -> tuple[np.ndarray, np.ndarray]:
+    """(z, V) as numpy arrays after the size and collision checks on z and w."""
+    zs = np.array([complex(p) for p in z], dtype=complex)
+    ws = np.array([complex(p) for p in w], dtype=complex)
+    if len(zs) != v.n or len(ws) != v.n:
+        raise ValueError("positions must match the vorticity count")
+    _check_separated(zs, "z")
+    _check_separated(ws, "w")
+    return zs, _velocity_np(np.asarray(v.as_float().gammas), ws)
+
+
+def velocity_field(v: VorticitySet, z: Sequence, w: Sequence) -> list:
+    """V_n = sum_{j != n} Γ_j / w_jn for each n.
+
+    Physical callers pass ``w = conjugate_positions(z)``.
+    """
+    return _velocities(v, z, w)[1].tolist()
+
+
+def stationary_residual(v: VorticitySet, z, w, lam) -> ResidualVector:
+    """Entries Λ z_n - V_n; the zero vector exactly on central configurations."""
+    zs, V = _velocities(v, z, w)
+    return ResidualVector(tuple((complex(lam) * zs - V).tolist()))
+
+
+def complex_system_residual(conf: ComplexConfiguration, v: VorticitySet) -> ResidualVector:
+    """2N+1 entries: Λ z_n - Σ Γ_j/w_jn, Λ^{-1} w_n - Σ Γ_j/z_jn, z_12 - w_12."""
+    if conf.n != v.n:
+        raise ValueError("configuration size must match the vorticity count")
+    return ResidualVector(tuple(complex_residual_vector(v, conf.z, conf.w, conf.lam).tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Packed numpy forms.  Layouts:
+#   physical:  unknowns u = (x_1, y_1, ..., x_N, y_N, θ) with Λ = e^{iθ};
+#              rows (Re E_1, Im E_1, ..., Re E_N, Im E_N, Im z_12).
+#   complex:   unknowns (z_1..z_N, w_1..w_N, Λ) as complex variables;
+#              rows (A_1..A_N, B_1..B_N, z_12 - w_12), all holomorphic.
+# ---------------------------------------------------------------------------
+
+
 def physical_residual_vector(v: VorticitySet, positions, theta: float) -> np.ndarray:
     """Real residual of the physical central system, length 2N+1."""
     g = np.asarray(v.as_float().gammas)
     pos = np.asarray(positions, dtype=complex)
-    if _min_gap(pos) < COLLISION_GUARD:
-        j, k = _closest_pair(pos)
-        raise CollisionError(j, k, "z")
+    _check_separated(pos, "z")
     V = _velocity_np(g, np.conj(pos))
     E = np.exp(1j * theta) * pos - V
     n = len(g)
@@ -219,24 +213,13 @@ def physical_residual_vector(v: VorticitySet, positions, theta: float) -> np.nda
     return F
 
 
-def _closest_pair(pos: np.ndarray) -> tuple[int, int]:
-    d = np.abs(pos[None, :] - pos[:, None])
-    np.fill_diagonal(d, np.inf)
-    j, k = np.unravel_index(np.argmin(d), d.shape)
-    return (min(j, k) + 1, max(j, k) + 1)
-
-
 def physical_jacobian(v: VorticitySet, positions, theta: float) -> np.ndarray:
     """Analytic Jacobian of :func:`physical_residual_vector` (real, square)."""
     g = np.asarray(v.as_float().gammas)
     pos = np.asarray(positions, dtype=complex)
     n = len(g)
-    dz = _pair_diffs(pos)
-    u2 = np.conj(dz) ** 2
-    # Q[n, m] = dV_n/dx_m in complex form; dV_n/dy_m = -i Q[n, m].
-    Q = (g[:, None] / u2).T.copy()
-    np.fill_diagonal(Q, 0.0)
-    np.fill_diagonal(Q, -Q.sum(axis=1))
+    # V depends on w = conj(z): dV_n/dx_m = Q[n, m], dV_n/dy_m = -i Q[n, m].
+    Q = _velocity_derivative(g, np.conj(pos))
     lam = np.exp(1j * theta)
     A = lam * np.eye(n) - Q          # dE/dx
     B = 1j * lam * np.eye(n) + 1j * Q  # dE/dy
@@ -258,10 +241,8 @@ def complex_residual_vector(v: VorticitySet, z, w, lam: complex) -> np.ndarray:
     g = np.asarray(v.as_float().gammas)
     zs = np.asarray(z, dtype=complex)
     ws = np.asarray(w, dtype=complex)
-    for pts, name in ((zs, "z"), (ws, "w")):
-        if _min_gap(pts) < COLLISION_GUARD:
-            j, k = _closest_pair(pts)
-            raise CollisionError(j, k, name)
+    _check_separated(zs, "z")
+    _check_separated(ws, "w")
     A = lam * zs - _velocity_np(g, ws)
     B = ws / lam - _velocity_np(g, zs)
     gauge = (zs[1] - zs[0]) - (ws[1] - ws[0])
@@ -274,20 +255,11 @@ def complex_jacobian(v: VorticitySet, z, w, lam: complex) -> np.ndarray:
     zs = np.asarray(z, dtype=complex)
     ws = np.asarray(w, dtype=complex)
     n = len(g)
-
-    def deriv_block(pts: np.ndarray) -> np.ndarray:
-        # d/dp_m of -sum_j Γ_j/(p_n - p_j): diagonal gets +sum, off-diagonal -Γ_m/p_mn^2
-        d2 = _pair_diffs(pts) ** 2
-        R = (-(g[:, None] / d2)).T.copy()
-        np.fill_diagonal(R, 0.0)
-        np.fill_diagonal(R, -R.sum(axis=1))
-        return R
-
     J = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
     J[:n, :n] = lam * np.eye(n)
-    J[:n, n : 2 * n] = deriv_block(ws)
+    J[:n, n : 2 * n] = -_velocity_derivative(g, ws)
     J[:n, -1] = zs
-    J[n : 2 * n, :n] = deriv_block(zs)
+    J[n : 2 * n, :n] = -_velocity_derivative(g, zs)
     J[n : 2 * n, n : 2 * n] = np.eye(n) / lam
     J[n : 2 * n, -1] = -ws / lam**2
     J[-1, 0] = -1.0

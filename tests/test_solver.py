@@ -166,6 +166,10 @@ def test_solve_rejects_bad_arguments():
         solve_central_multistart(TWO, regime="imaginary")
     with pytest.raises(ValueError):
         SolverOptions(tol=-1.0).validated()
+    # Below COLLISION_GUARD the kernels raise, which would escape newton_refine.
+    for guard in (1e-12, 0.0):
+        with pytest.raises(ValueError, match="collision_guard"):
+            SolverOptions(collision_guard=guard).validated()
 
 
 def test_complex_regime_contains_embedded_physical():
