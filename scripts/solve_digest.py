@@ -1,10 +1,15 @@
 """Print one SHA-256 of ``repr(report)`` per fixed solver case, then their total.
 
-Two checkouts whose solvers return identical reports print the same total, so
-a refactor of the solver or the kernels can be checked for byte-identical
-results by running this script on both and comparing the last line:
+Two checkouts whose solvers return identical reports print the same totals,
+so a refactor of the solver or the kernels can be checked for byte-identical
+results by running this script on both and comparing the TOTAL lines:
 
     python scripts/solve_digest.py
+
+The first TOTAL covers the quick cases below.  The benchmark-sized cases
+after it run 1000 starts each: they fill and refill every lane of the
+stacked Newton engine and give the deduplication scan long lists of kept
+solutions.  The last line, TOTAL ALL, covers every case.
 
 The cases cover the four searches (central physical, central complex,
 equilibria, rigid translation), N = 2..5, the continuum tuples (1, 1, -1/2)
@@ -83,13 +88,32 @@ CASES = (
 )
 
 
-def main() -> int:
-    total = hashlib.sha256()
-    for name, run in CASES:
+LARGE_CASES = (
+    ("central physical N=5, 1000 starts",
+     lambda: solve_central_multistart(_v(1.0, -2.0, 3.0, 0.5, 1.5), starts=1000, seed=7)),
+    ("central complex N=4, 1000 starts",
+     lambda: solve_central_multistart(_v(1.0, 2.0, 3.0, -1.5), regime="complex",
+                                      starts=1000, seed=7)),
+    ("central physical (1,1,-1/2), 1000 starts",
+     lambda: solve_central_multistart(_v(1.0, 1.0, -0.5), starts=1000, seed=7)),
+    ("equilibria (1,1,-1/2), 1000 starts",
+     lambda: solve_equilibria(_v(1.0, 1.0, -0.5), starts=1000, seed=7)),
+)
+
+
+def _digest_cases(cases, total) -> None:
+    for name, run in cases:
         digest = hashlib.sha256(repr(run()).encode()).hexdigest()
         total.update(digest.encode())
         print(f"{digest}  {name}")
+
+
+def main() -> int:
+    total = hashlib.sha256()
+    _digest_cases(CASES, total)
     print(f"{total.hexdigest()}  TOTAL")
+    _digest_cases(LARGE_CASES, total)
+    print(f"{total.hexdigest()}  TOTAL ALL")
     return 0
 
 

@@ -14,16 +14,19 @@ the collision guard are rejected.  Failures are values, not exceptions.
 Each of the four searches (physical, complex, equilibria, rigid
 translation) is a small :class:`_Search` spec: a start sampler, the
 residual, its Jacobian, the residual norm, the collision guard and a
-finalizer that builds the solution record.  One engine refines a start of
-any spec and one multistart driver runs every search.
+finalizer that builds the solution record.  One engine refines the starts
+of any spec and one multistart loop, ``_multistart``, runs every search.
+The engine runs up to ``_LANES`` starts in lockstep on stacked arrays, each
+with its own damping.  Every start takes the steps it would take alone, so
+reports do not depend on how many run together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable
+from itertools import combinations, islice
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,11 +41,11 @@ from .quantities import (
 )
 from .system import (
     COLLISION_GUARD,
-    complex_jacobian,
-    complex_residual_vector,
-    physical_jacobian,
-    physical_residual_vector,
+    _complex_jacobian,
+    _complex_residual,
     _min_gap,
+    _physical_jacobian,
+    _physical_residual,
     _velocity_derivative,
     _velocity_np,
 )
@@ -128,109 +131,193 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class _Search:
-    """One search on real unknown vectors x, as the engine and the driver run it."""
+    """One search on real unknown vectors, as the engine and ``_multistart`` run it.
+
+    ``residual``, ``jacobian``, ``norm`` and ``guard`` take stacks: one
+    unknown vector x per row of an (S, d) array, one residual per row of an
+    (S, m) array.
+    """
 
     regime: str
-    sample: Callable[[np.random.Generator], np.ndarray]  # draws one start x0
-    residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    norm: Callable[[np.ndarray], float]
-    guard: Callable[[np.ndarray], bool]  # True when x is too close to a collision
-    finalize: Callable[[np.ndarray, int], CentralConfigSolution]  # (x, iterations)
+    sample: Callable[[np.random.Generator], np.ndarray]  # draws one start x0, shape (d,)
+    residual: Callable[[np.ndarray], np.ndarray]  # (S, d) -> (S, m)
+    jacobian: Callable[[np.ndarray], np.ndarray]  # (S, d) -> (S, m, d)
+    norm: Callable[[np.ndarray], np.ndarray]      # (S, m) -> (S,)
+    guard: Callable[[np.ndarray], np.ndarray]     # (S, d) -> (S,), True when too close to a collision
+    finalize: Callable[[np.ndarray, int], CentralConfigSolution]  # (one x, iterations)
 
 
 # ---------------------------------------------------------------------------
-# Levenberg-damped Newton engine on real vectors
+# Levenberg-damped Newton engine on stacks of real vectors
 # ---------------------------------------------------------------------------
 
+# Most starts in flight at once.  It bounds the memory of the stacked
+# Jacobians and solves; results do not depend on it.
+_LANES = 128
 
-def _levenberg_newton(search: _Search, x0: np.ndarray, options: SolverOptions):
-    """Returns the finalized solution on success or NewtonFailure."""
-    x = np.array(x0, dtype=float)
-    if search.guard(x):
-        return NewtonFailure("hit_collision_guard", 0, math.inf)
-    F = search.residual(x)
-    nrm = search.norm(F)
-    damp = options.lm_lambda0
-    dim = x.size
-    eye = np.eye(dim)
-    for it in range(options.max_iter):
-        if nrm < options.tol:
-            return search.finalize(x, it)
-        J = search.jacobian(x)
-        JTJ = J.T @ J
-        JTF = J.T @ F
-        accepted = False
-        guard_blocked = False
-        while damp <= options.lm_lambda_max:
-            try:
-                step = np.linalg.solve(JTJ + damp * eye, -JTF)
-            except np.linalg.LinAlgError:
-                damp *= options.lm_increase
-                continue
-            xt = x + step
-            if search.guard(xt):
-                guard_blocked = True
-                damp *= options.lm_increase
-                continue
-            Ft = search.residual(xt)
-            nt = search.norm(Ft)
-            if math.isfinite(nt) and nt < nrm:
-                x, F, nrm = xt, Ft, nt
-                damp = max(damp * options.lm_decrease, 1e-14)
-                accepted = True
+
+def _levenberg_newton(search: _Search, starts: Iterable[np.ndarray], options: SolverOptions,
+                      lanes: int = _LANES) -> list:
+    """Refine every start; returns, in start order, each finalized solution or NewtonFailure.
+
+    Up to ``lanes`` starts are in flight, one per lane.  Each round, every
+    lane makes one damped trial step with its own damping λ; a lane whose
+    start has finished takes the next start.  A start follows exactly the
+    schedule it would follow alone: at the top of each iteration it converges,
+    runs out of iterations or takes a Jacobian; then it tries steps with
+    growing λ until one lowers the residual norm, or λ passes its maximum.
+    """
+    pending = iter(starts)
+    results: list = []
+    owner = np.full(lanes, -1)          # index of the lane's start in results, -1 when free
+    nrm = np.zeros(lanes)
+    damp = np.zeros(lanes)
+    iters = np.zeros(lanes, dtype=int)
+    blocked = np.zeros(lanes, dtype=bool)   # a trial of this iteration crossed the guard
+    fresh = np.zeros(lanes, dtype=bool)     # at the top of an iteration
+    x = F = jtj = jtf = None                # sized from the first start
+    more = True
+
+    def finish(lane, result):
+        results[owner[lane]] = result
+        owner[lane] = -1
+
+    def fail(lane, reason):
+        finish(lane, NewtonFailure(reason, int(iters[lane]), float(nrm[lane])))
+
+    while True:
+        # Free lanes take the next starts, in drawing order.
+        free = np.flatnonzero(owner < 0)
+        while more and free.size:
+            x0 = np.array(list(islice(pending, free.size)), dtype=float)
+            more = len(x0) == free.size
+            if not len(x0):
                 break
-            damp *= options.lm_increase
-        if not accepted:
-            reason = "hit_collision_guard" if guard_blocked else "diverged"
-            return NewtonFailure(reason, it, nrm)
-        if np.abs(x).max() > options.divergence_norm:
-            return NewtonFailure("diverged", it, nrm)
-    if nrm < options.tol:
-        return search.finalize(x, options.max_iter)
-    return NewtonFailure("max_iterations", options.max_iter, nrm)
+            first = len(results)
+            # Starts inside the guard fail at once; the others overwrite this on finishing.
+            results.extend(NewtonFailure("hit_collision_guard", 0, math.inf) for _ in x0)
+            ok = np.flatnonzero(~search.guard(x0))
+            if not ok.size:
+                continue
+            F0 = search.residual(x0[ok])
+            if x is None:
+                x = np.zeros((lanes, x0.shape[1]))
+                F = np.zeros((lanes, F0.shape[1]))
+                jtj = np.zeros((lanes, x0.shape[1], x0.shape[1]))
+                jtf = np.zeros((lanes, x0.shape[1]))
+            new, free = free[: ok.size], free[ok.size :]
+            owner[new] = first + ok
+            x[new], F[new], nrm[new] = x0[ok], F0, search.norm(F0)
+            damp[new], iters[new], fresh[new] = options.lm_lambda0, 0, True
+        if not (owner >= 0).any():
+            return results
+
+        # Lanes at the top of an iteration converge, run out of iterations or
+        # take a Jacobian.  A negative max_iter runs no iteration, and a start
+        # that converged at once is labelled with it.
+        top = np.flatnonzero((owner >= 0) & fresh)
+        converged = nrm[top] < options.tol
+        for lane in top[converged]:
+            finish(lane, search.finalize(x[lane].copy(), int(min(iters[lane], options.max_iter))))
+        for lane in top[~converged & (iters[top] >= options.max_iter)]:
+            finish(lane, NewtonFailure("max_iterations", options.max_iter, float(nrm[lane])))
+        top = top[owner[top] >= 0]
+        if top.size:
+            J = search.jacobian(x[top])
+            JT = J.transpose(0, 2, 1)
+            jtj[top] = JT @ J
+            jtf[top] = (JT @ F[top][:, :, None])[:, :, 0]
+            blocked[top] = fresh[top] = False
+
+        # Every lane inside an iteration makes one damped trial step.
+        run = np.flatnonzero((owner >= 0) & ~fresh)
+        for lane in run[damp[run] > options.lm_lambda_max]:
+            fail(lane, "hit_collision_guard" if blocked[lane] else "diverged")
+        run = run[owner[run] >= 0]
+        if not run.size:
+            continue
+        step, solved = _damped_steps(jtj[run], jtf[run], damp[run])
+        damp[run[~solved]] *= options.lm_increase
+        xt = x[run[solved]] + step[solved]
+        run = run[solved]
+        hit = search.guard(xt)
+        blocked[run[hit]] = True
+        damp[run[hit]] *= options.lm_increase
+        xt, run = xt[~hit], run[~hit]
+        if not run.size:
+            continue
+        Ft = search.residual(xt)
+        nt = search.norm(Ft)
+        better = np.isfinite(nt) & (nt < nrm[run])
+        damp[run[~better]] *= options.lm_increase
+        run = run[better]
+        x[run], F[run], nrm[run] = xt[better], Ft[better], nt[better]
+        damp[run] = np.maximum(damp[run] * options.lm_decrease, 1e-14)
+        far = np.abs(x[run]).max(axis=1) > options.divergence_norm
+        for lane in run[far]:
+            fail(lane, "diverged")
+        iters[run[~far]] += 1
+        fresh[run[~far]] = True
+
+
+def _damped_steps(jtj: np.ndarray, jtf: np.ndarray, damp: np.ndarray):
+    """Solve (JᵀJ + λI) δ = -JᵀF on every lane; returns (δ, solved).
+
+    A singular matrix makes the stacked solve raise; then each lane is solved
+    alone and only the singular ones come back unsolved.
+    """
+    a = jtj + damp[:, None, None] * np.eye(jtj.shape[-1])
+    b = -jtf
+    solved = np.ones(len(a), dtype=bool)
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], solved
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(b)
+        for k in range(len(a)):
+            try:
+                step[k] = np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return step, solved
 
 
 def _multistart(search: _Search, starts: int, seed: int, opts: SolverOptions) -> SolveReport:
-    """Draw every start from one rng in turn, refine it, then deduplicate what converged."""
+    """Draw every start from one rng in turn, refine them all, then deduplicate what converged."""
     rng = np.random.default_rng(seed)
-    found = []
-    for _ in range(starts):
-        result = _levenberg_newton(search, search.sample(rng), opts)
-        if isinstance(result, CentralConfigSolution):
-            found.append(result)
+    results = _levenberg_newton(search, (search.sample(rng) for _ in range(starts)), opts)
+    found = [r for r in results if isinstance(r, CentralConfigSolution)]
     return SolveReport(tuple(_deduplicate(found, opts)), starts, len(found), seed, search.regime)
 
 
 def _realify_vector(F: np.ndarray) -> np.ndarray:
-    """Complex entries as consecutive (Re, Im) pairs."""
-    out = np.empty(2 * F.size)
-    out[0::2] = F.real
-    out[1::2] = F.imag
+    """Complex entries as consecutive (Re, Im) pairs, along the last axis."""
+    out = np.empty(F.shape[:-1] + (2 * F.shape[-1],))
+    out[..., 0::2] = F.real
+    out[..., 1::2] = F.imag
     return out
 
 
 def _complexify(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_realify_vector`."""
-    return x[0::2] + 1j * x[1::2]
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 def _realify_columns(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Real Jacobian of complex rows whose derivatives along x_m and y_m are dx[:, m], dy[:, m].
+    """Real Jacobians of complex rows whose derivatives along x_m and y_m are dx[..., m], dy[..., m].
 
-    Rows are (Re, Im) pairs and columns (x_m, y_m) pairs.
+    Rows are (Re, Im) pairs and columns (x_m, y_m) pairs; leading axes stack.
     """
-    J = np.empty((2 * dx.shape[0], 2 * dx.shape[1]))
-    J[0::2, 0::2] = dx.real
-    J[0::2, 1::2] = dy.real
-    J[1::2, 0::2] = dx.imag
-    J[1::2, 1::2] = dy.imag
+    J = np.empty(dx.shape[:-2] + (2 * dx.shape[-2], 2 * dx.shape[-1]))
+    J[..., 0::2, 0::2] = dx.real
+    J[..., 0::2, 1::2] = dy.real
+    J[..., 1::2, 0::2] = dx.imag
+    J[..., 1::2, 1::2] = dy.imag
     return J
 
 
-def _modulus_norm(F: np.ndarray) -> float:
-    """Max modulus over the complex entries of a realified residual."""
-    return float(np.hypot(F[0::2], F[1::2]).max())
+def _modulus_norm(F: np.ndarray) -> np.ndarray:
+    """Max modulus over the complex entries of each realified residual row."""
+    return np.hypot(F[:, 0::2], F[:, 1::2]).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +330,25 @@ def _pack_physical(start) -> np.ndarray:
     return np.append(_realify_vector(np.asarray(positions, dtype=complex)), float(theta))
 
 
-def _unpack_physical(x: np.ndarray) -> tuple[np.ndarray, float]:
-    return _complexify(x[:-1]), float(x[-1])
+def _unpack_physical(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _complexify(x[..., :-1]), x[..., -1]
 
 
 def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
+    g = np.asarray(v.gammas)
     n = v.n
 
     def residual(x):
-        return physical_residual_vector(v, *_unpack_physical(x))
+        return _physical_residual(g, *_unpack_physical(x))
 
     def jacobian(x):
-        return physical_jacobian(v, *_unpack_physical(x))
+        return _physical_jacobian(g, *_unpack_physical(x))
 
     def norm(F):
-        return max(np.hypot(F[0 : 2 * n : 2], F[1 : 2 * n : 2]).max(), abs(F[-1]))
+        moduli = np.hypot(F[:, 0 : 2 * n : 2], F[:, 1 : 2 * n : 2]).max(axis=1)
+        gauge = np.abs(F[:, -1])
+        # max(moduli, gauge) as Python's max takes it, NaN included.
+        return np.where(gauge > moduli, gauge, moduli)
 
     def guard(x):
         return _min_gap(_unpack_physical(x)[0]) < opts.collision_guard
@@ -267,14 +358,14 @@ def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
 
     def finalize(x, iters):
         pos, theta = _unpack_physical(x)
-        lam = np.exp(1j * theta)
+        lam = np.exp(1j * float(theta))
         # Rotate so z_12 is exactly real and positive (rotation leaves Λ fixed).
         z12 = pos[1] - pos[0]
         pos = pos * (abs(z12) / z12)
         # Conjugation maps solutions to solutions; keep one canonical twin.
         if _prefers_conjugate(pos, lam, opts):
             pos, lam = np.conj(pos), np.conj(lam)
-        E = lam * pos - _velocity_np(np.asarray(v.gammas), np.conj(pos))
+        E = lam * pos - _velocity_np(g, np.conj(pos)[None])[0]
         return _central_solution(v, "physical", pos, np.conj(pos), lam, E,
                                  _physical_signature(pos), iters, opts)
 
@@ -304,28 +395,29 @@ def _pack_complex(start) -> np.ndarray:
     return _realify_vector(c)
 
 
-def _unpack_complex(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
+def _unpack_complex(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c = _complexify(x)
-    n = (c.size - 1) // 2
-    return c[:n], c[n : 2 * n], complex(c[-1])
+    n = (c.shape[-1] - 1) // 2
+    return c[..., :n], c[..., n : 2 * n], c[..., -1]
 
 
 def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
+    g = np.asarray(v.gammas)
     n = v.n
 
     def residual(x):
-        return _realify_vector(complex_residual_vector(v, *_unpack_complex(x)))
+        return _realify_vector(_complex_residual(g, *_unpack_complex(x)))
 
     def jacobian(x):
         # Holomorphic rows: the derivative along y_m is i times the one along x_m.
-        J = complex_jacobian(v, *_unpack_complex(x))
+        J = _complex_jacobian(g, *_unpack_complex(x))
         return _realify_columns(J, 1j * J)
 
     def guard(x):
         z, w, lam = _unpack_complex(x)
-        if abs(lam) < 1e-8:
-            return True
-        return min(_min_gap(z), _min_gap(w)) < opts.collision_guard
+        gz, gw = _min_gap(z), _min_gap(w)
+        gap = np.where(gw < gz, gw, gz)     # min(gz, gw) as Python's min takes it, NaN included
+        return (np.hypot(lam.real, lam.imag) < 1e-8) | (gap < opts.collision_guard)
 
     def sample(rng):
         z = _sample_disk(rng, n, opts)
@@ -335,12 +427,12 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     def finalize(x, iters):
         z, w, lam = _unpack_complex(x)
         z, w = _canonical_complex_pair(z, w)
-        cand = (z, w, lam)
+        lam = complex(lam)
         # The conjugate-free system has the symmetry (z, w, Λ) -> (conj w, conj z, 1/conj Λ).
         twin = _canonical_complex_pair(np.conj(w), np.conj(z)) + (1.0 / np.conjugate(lam),)
-        if _complex_sort_key(*twin) < _complex_sort_key(*cand):
+        if _complex_sort_key(*twin) < _complex_sort_key(z, w, lam):
             z, w, lam = twin
-        F = complex_residual_vector(v, z, w, lam)
+        F = _complex_residual(g, z[None], w[None], np.array([lam]))[0]
         return _central_solution(v, "complex", z, w, lam, F, _complex_signature(z, w), iters, opts)
 
     return _Search("complex", sample, residual, jacobian, _modulus_norm, guard, finalize)
@@ -443,7 +535,7 @@ def _sample_disk(rng: np.random.Generator, n: int, opts: SolverOptions) -> np.nd
         r = opts.start_radius * np.sqrt(rng.uniform(size=n))
         phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
         pos = r * np.exp(1j * phi)
-        if _min_gap(pos) >= opts.start_min_gap:
+        if _min_gap(pos[None])[0] >= opts.start_min_gap:
             return pos
     raise RuntimeError("could not sample a well-separated start")
 
@@ -466,7 +558,7 @@ def newton_refine(v: VorticitySet, start, regime: str = "physical",
     opts = (options or SolverOptions()).validated()
     search = _central_search(v.as_float(), regime, opts)
     x0 = _pack_physical(start) if regime == "physical" else _pack_complex(start)
-    return _levenberg_newton(search, x0, opts)
+    return _levenberg_newton(search, [x0], opts)[0]
 
 
 def solve_central_multistart(
@@ -489,15 +581,6 @@ def solve_central_multistart(
     return _multistart(_central_search(v.as_float(), regime, opts), starts, seed, opts)
 
 
-def _signatures_match(a: tuple, b: tuple, tol: float) -> bool:
-    fa = np.asarray(a, dtype=float).ravel()
-    fb = np.asarray(b, dtype=float).ravel()
-    if fa.size != fb.size:
-        return False
-    scale = max(1.0, float(np.abs(fa).max()))
-    return bool(np.abs(fa - fb).max() <= tol * scale)
-
-
 def _lambda_match(a: complex | None, b: complex | None, tol: float) -> bool:
     if a is None or b is None:
         return a is None and b is None
@@ -508,24 +591,35 @@ def _lambda_match(a: complex | None, b: complex | None, tol: float) -> bool:
 
 
 def _deduplicate(found: list, opts: SolverOptions) -> list:
+    """Merge solutions whose signatures and Λ agree, keeping the smaller residual.
+
+    Signatures match when they differ by at most ``dedup_tol`` times the
+    candidate's largest entry (at least 1).  All signatures of one search
+    have the same length.
+    """
+    if not found:
+        return []
+    flat = [np.asarray(s.signature, dtype=float).ravel() for s in found]
     # Sort first so the merge is independent of discovery order.
-    ordered = sorted(
-        found,
-        key=lambda s: (np.asarray(s.signature, dtype=float).ravel().tolist(),
-                       0.0 if s.lam is None else abs(s.lam.imag),
-                       s.residual_norm),
-    )
+    order = sorted(range(len(found)), key=lambda i: (
+        flat[i].tolist(),
+        0.0 if found[i].lam is None else abs(found[i].lam.imag),
+        found[i].residual_norm))
+    sigs = np.array([flat[i] for i in order])
+    bounds = opts.dedup_tol * np.maximum(1.0, np.abs(sigs).max(axis=1))
     kept: list[CentralConfigSolution] = []
-    for cand in ordered:
-        merged = False
-        for i, existing in enumerate(kept):
-            if _signatures_match(cand.signature, existing.signature, opts.dedup_tol) and \
-               _lambda_match(cand.lam, existing.lam, opts.dedup_tol):
-                if cand.residual_norm < existing.residual_norm:
-                    kept[i] = cand
-                merged = True
+    kept_sigs = np.empty_like(sigs)      # row k: the signature of kept[k]
+    for row, i in enumerate(order):
+        cand = found[i]
+        close = np.abs(kept_sigs[: len(kept)] - sigs[row]).max(axis=1) <= bounds[row]
+        for k in np.flatnonzero(close):
+            if _lambda_match(cand.lam, kept[k].lam, opts.dedup_tol):
+                if cand.residual_norm < kept[k].residual_norm:
+                    kept[k] = cand
+                    kept_sigs[k] = sigs[row]
                 break
-        if not merged:
+        else:
+            kept_sigs[len(kept)] = sigs[row]
             kept.append(cand)
     return kept
 
@@ -544,7 +638,7 @@ def _near_zero(value, scale: float) -> bool:
 def _velocity_solution(v: VorticitySet, pos: np.ndarray, velocity: complex | None,
                        iters: int) -> CentralConfigSolution:
     """Record of a root of V_n = velocity; ``velocity=None`` marks an equilibrium."""
-    V = _velocity_np(np.asarray(v.gammas), np.conj(pos))
+    V = _velocity_np(np.asarray(v.gammas), np.conj(pos)[None])[0]
     if velocity is not None:
         V = V - velocity
     w = conjugate_positions(tuple(pos))
@@ -562,29 +656,35 @@ def _velocity_solution(v: VorticitySet, pos: np.ndarray, velocity: complex | Non
     )
 
 
+def _pinned(x: np.ndarray, second) -> np.ndarray:
+    """Positions (S, N) with z_1 = 0, z_2 = ``second`` and z_3.. from the (x, y) pairs in x."""
+    pos = np.empty((len(x), x.shape[1] // 2 + 2), dtype=complex)
+    pos[:, 0] = 0.0
+    pos[:, 1] = second
+    pos[:, 2:] = _complexify(x)
+    return pos
+
+
 def _equilibria_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     # Unknowns: (x_3, y_3, ..., x_N, y_N), size 2N-4; z_1 = 0 and z_2 = 1 are pinned.
     g = np.asarray(v.gammas)
     n = v.n
 
-    def assemble(x):
-        return np.concatenate([[0.0, 1.0], _complexify(x)])
-
     def residual(x):
-        return _realify_vector(_velocity_np(g, np.conj(assemble(x))))
+        return _realify_vector(_velocity_np(g, np.conj(_pinned(x, 1.0))))
 
     def jacobian(x):
-        Q = _velocity_derivative(g, np.conj(assemble(x)))[:, 2:]
+        Q = _velocity_derivative(g, np.conj(_pinned(x, 1.0)))[:, :, 2:]
         return _realify_columns(Q, -1j * Q)
 
     def guard(x):
-        return _min_gap(assemble(x)) < opts.collision_guard
+        return _min_gap(_pinned(x, 1.0)) < opts.collision_guard
 
     def sample(rng):
         return _realify_vector(_sample_disk(rng, n, opts)[2:])
 
     def finalize(x, iters):
-        return _velocity_solution(v, assemble(x), None, iters)
+        return _velocity_solution(v, _pinned(x[None], 1.0)[0], None, iters)
 
     return _Search("physical", sample, residual, jacobian, _modulus_norm, guard, finalize)
 
@@ -598,6 +698,8 @@ def solve_equilibria(v: VorticitySet, starts: int = 200, seed: int = 0,
     second vortex can be pinned completely).
     """
     opts = (options or SolverOptions()).validated()
+    if starts <= 0:
+        raise ValueError("starts must be positive")
     g_scale = sum(abs(float(a) * float(b)) for a, b in combinations(v.gammas, 2))
     if not _near_zero(angular_momentum(v), g_scale):
         return SolveReport((), 0, 0, seed, "physical",
@@ -611,18 +713,19 @@ def _translation_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     n = v.n
 
     def assemble(x):
-        return np.concatenate([[0.0, x[0]], _complexify(x[1:-1])]), float(x[-1])
+        return _pinned(x[:, 1:-1], x[:, 0]), x[:, -1]
 
     def residual(x):
         pos, phi = assemble(x)
-        return _realify_vector(_velocity_np(g, np.conj(pos)) - np.exp(1j * phi))
+        return _realify_vector(_velocity_np(g, np.conj(pos)) - np.exp(1j * phi)[:, None])
 
     def jacobian(x):
         pos, phi = assemble(x)
         Q = _velocity_derivative(g, np.conj(pos))
-        dphi = -1j * np.exp(1j * phi) * np.ones(n)
-        free = _realify_columns(Q[:, 2:], -1j * Q[:, 2:])
-        return np.column_stack([_realify_vector(Q[:, 1]), free, _realify_vector(dphi)])
+        dphi = np.broadcast_to((-1j * np.exp(1j * phi))[:, None], (len(x), n))
+        free = _realify_columns(Q[:, :, 2:], -1j * Q[:, :, 2:])
+        return np.concatenate([_realify_vector(Q[:, :, 1])[:, :, None], free,
+                               _realify_vector(dphi)[:, :, None]], axis=2)
 
     def guard(x):
         return _min_gap(assemble(x)[0]) < opts.collision_guard
@@ -633,7 +736,7 @@ def _translation_search(v: VorticitySet, opts: SolverOptions) -> _Search:
                                [rng.uniform(0.0, 2.0 * np.pi)]])
 
     def finalize(x, iters):
-        pos, phi = assemble(x)
+        pos, phi = _pinned(x[None, 1:-1], x[0])[0], float(x[-1])
         if pos[1].real < 0:
             # Rotate by a half turn: keeps V_n = V form with V -> -V.
             pos = -pos
@@ -652,6 +755,8 @@ def solve_rigid_translation(v: VorticitySet, starts: int = 200, seed: int = 0,
     fixes the dilation.
     """
     opts = (options or SolverOptions()).validated()
+    if starts <= 0:
+        raise ValueError("starts must be positive")
     g_scale = sum(abs(float(a)) for a in v.gammas)
     if not _near_zero(total_vorticity(v), g_scale):
         return SolveReport((), 0, 0, seed, "physical",

@@ -17,7 +17,8 @@ Every system here is built from two numpy kernels: the velocity
   which uses the same two kernels.
 
 Analytic Jacobians for the first two are exported together with the packed
-numpy forms the solver consumes.
+numpy forms the solver consumes.  The kernels work on stacks of
+configurations, one per row; the public functions pass a stack of one.
 """
 
 from __future__ import annotations
@@ -120,41 +121,52 @@ class ComplexConfiguration:
         }
 
 
+def _set_diagonal(a: np.ndarray, value) -> None:
+    """Write ``value`` on the diagonal of every (n, n) matrix of the stack ``a``."""
+    i = np.arange(a.shape[-1])
+    a[..., i, i] = value
+
+
 def _pair_diffs(p: np.ndarray) -> np.ndarray:
-    """D[j, n] = p_n - p_j with a harmless 1 on the diagonal."""
-    d = p[None, :] - p[:, None]
-    np.fill_diagonal(d, 1.0)
+    """D[s, j, n] = p[s, n] - p[s, j] with a harmless 1 on each diagonal."""
+    d = p[:, None, :] - p[:, :, None]
+    _set_diagonal(d, 1.0)
     return d
 
 
-def _min_gap(p: np.ndarray) -> float:
-    d = np.abs(p[None, :] - p[:, None])
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
+def _min_gap(p: np.ndarray) -> np.ndarray:
+    """Smallest pair separation of each row of p (S, n)."""
+    d = np.abs(p[:, None, :] - p[:, :, None])
+    _set_diagonal(d, np.inf)
+    return d.min(axis=(1, 2))
 
 
 def _velocity_np(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
-    d = _pair_diffs(wpos)
-    inv = 1.0 / d
-    np.fill_diagonal(inv, 0.0)
-    return (g[:, None] * inv).sum(axis=0)
+    """V[s, n] = sum_{j != n} Γ_j / w_jn for each row of wpos (S, n)."""
+    inv = 1.0 / _pair_diffs(wpos)
+    _set_diagonal(inv, 0.0)
+    return (g[:, None] * inv).sum(axis=1)
 
 
 def _velocity_derivative(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
-    """Q[n, m] = dV_n/dw_m: Γ_m / w_mn² off the diagonal, minus the row sum on it."""
-    Q = (g[:, None] / _pair_diffs(wpos) ** 2).T.copy()
-    np.fill_diagonal(Q, 0.0)
-    np.fill_diagonal(Q, -Q.sum(axis=1))
+    """Q[s, n, m] = dV_n/dw_m: Γ_m / w_mn² off the diagonal, minus the row sum on it."""
+    Q = np.swapaxes(g[:, None] / _pair_diffs(wpos) ** 2, 1, 2).copy()
+    _set_diagonal(Q, 0.0)
+    _set_diagonal(Q, -Q.sum(axis=2))
     return Q
 
 
 def _check_separated(p: np.ndarray, coordinate: str) -> None:
     """Raise CollisionError naming the first pair, in index order, closer than the guard."""
-    if _min_gap(p) < COLLISION_GUARD:
+    if _min_gap(p[None])[0] < COLLISION_GUARD:
         d = np.abs(p[None, :] - p[:, None])
         np.fill_diagonal(d, np.inf)
         j, k = np.argwhere(d < COLLISION_GUARD)[0]
         raise CollisionError(int(j) + 1, int(k) + 1, coordinate)
+
+
+def _float_gammas(v: VorticitySet) -> np.ndarray:
+    return np.asarray(v.as_float().gammas)
 
 
 def _velocities(v: VorticitySet, z, w) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +177,7 @@ def _velocities(v: VorticitySet, z, w) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("positions must match the vorticity count")
     _check_separated(zs, "z")
     _check_separated(ws, "w")
-    return zs, _velocity_np(np.asarray(v.as_float().gammas), ws)
+    return zs, _velocity_np(_float_gammas(v), ws[None])[0]
 
 
 def velocity_field(v: VorticitySet, z: Sequence, w: Sequence) -> list:
@@ -195,78 +207,111 @@ def complex_system_residual(conf: ComplexConfiguration, v: VorticitySet) -> Resi
 #              rows (Re E_1, Im E_1, ..., Re E_N, Im E_N, Im z_12).
 #   complex:   unknowns (z_1..z_N, w_1..w_N, Λ) as complex variables;
 #              rows (A_1..A_N, B_1..B_N, z_12 - w_12), all holomorphic.
+# The kernels work on stacks: each row of pos, z, w (S, N) and each entry of
+# theta, lam (S,) is one point, with no collision check.  The public
+# functions check one point and pass it as a stack of one.
 # ---------------------------------------------------------------------------
+
+
+def _physical_residual(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Rows of :func:`physical_residual_vector`, shape (S, 2N+1)."""
+    n = pos.shape[1]
+    E = np.exp(1j * theta)[:, None] * pos - _velocity_np(g, np.conj(pos))
+    F = np.empty((len(pos), 2 * n + 1))
+    F[:, 0 : 2 * n : 2] = E.real
+    F[:, 1 : 2 * n : 2] = E.imag
+    F[:, -1] = pos[:, 1].imag - pos[:, 0].imag
+    return F
+
+
+def _physical_jacobian(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Stack of :func:`physical_jacobian`, shape (S, 2N+1, 2N+1)."""
+    n = pos.shape[1]
+    # V depends on w = conj(z): dV_n/dx_m = Q[n, m], dV_n/dy_m = -i Q[n, m].
+    Q = _velocity_derivative(g, np.conj(pos))
+    lam = np.exp(1j * theta)[:, None, None]
+    eye = np.eye(n)
+    A = lam * eye - Q                # dE/dx
+    B = 1j * lam * eye + 1j * Q      # dE/dy
+    J = np.zeros((len(pos), 2 * n + 1, 2 * n + 1))
+    J[:, 0 : 2 * n : 2, 0 : 2 * n : 2] = A.real
+    J[:, 0 : 2 * n : 2, 1 : 2 * n : 2] = B.real
+    J[:, 1 : 2 * n : 2, 0 : 2 * n : 2] = A.imag
+    J[:, 1 : 2 * n : 2, 1 : 2 * n : 2] = B.imag
+    dth = (1j * lam[:, :, 0]) * pos
+    J[:, 0 : 2 * n : 2, -1] = dth.real
+    J[:, 1 : 2 * n : 2, -1] = dth.imag
+    J[:, -1, 1] = -1.0
+    J[:, -1, 3] = 1.0
+    return J
+
+
+def _complex_residual(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Rows of :func:`complex_residual_vector`, shape (S, 2N+1)."""
+    lam = lam[:, None]
+    A = lam * z - _velocity_np(g, w)
+    B = w / lam - _velocity_np(g, z)
+    gauge = (z[:, 1] - z[:, 0]) - (w[:, 1] - w[:, 0])
+    return np.concatenate([A, B, gauge[:, None]], axis=1)
+
+
+def _complex_jacobian(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Stack of :func:`complex_jacobian`, shape (S, 2N+1, 2N+1)."""
+    n = z.shape[1]
+    eye = np.eye(n)
+    # Λ² in real arithmetic: the rounding of Python's complex product, which
+    # numpy's vectorized complex multiply does not always reproduce.
+    lr, li = lam.real, lam.imag
+    lam2 = np.empty_like(lam)
+    lam2.real = lr * lr - li * li
+    lam2.imag = lr * li + li * lr
+    J = np.zeros((len(z), 2 * n + 1, 2 * n + 1), dtype=complex)
+    J[:, :n, :n] = lam[:, None, None] * eye
+    J[:, :n, n : 2 * n] = -_velocity_derivative(g, w)
+    J[:, :n, -1] = z
+    J[:, n : 2 * n, :n] = -_velocity_derivative(g, z)
+    J[:, n : 2 * n, n : 2 * n] = eye / lam[:, None, None]
+    J[:, n : 2 * n, -1] = -w / lam2[:, None]
+    J[:, -1, 0] = -1.0
+    J[:, -1, 1] = 1.0
+    J[:, -1, n] = 1.0
+    J[:, -1, n + 1] = -1.0
+    return J
+
+
+def _one_physical(v: VorticitySet, positions, theta: float):
+    return _float_gammas(v), np.asarray(positions, dtype=complex)[None], np.array([theta], dtype=float)
+
+
+def _one_complex(v: VorticitySet, z, w, lam: complex):
+    zs = np.asarray(z, dtype=complex)[None]
+    ws = np.asarray(w, dtype=complex)[None]
+    return _float_gammas(v), zs, ws, np.array([lam], dtype=complex)
 
 
 def physical_residual_vector(v: VorticitySet, positions, theta: float) -> np.ndarray:
     """Real residual of the physical central system, length 2N+1."""
-    g = np.asarray(v.as_float().gammas)
-    pos = np.asarray(positions, dtype=complex)
-    _check_separated(pos, "z")
-    V = _velocity_np(g, np.conj(pos))
-    E = np.exp(1j * theta) * pos - V
-    n = len(g)
-    F = np.empty(2 * n + 1)
-    F[0 : 2 * n : 2] = E.real
-    F[1 : 2 * n : 2] = E.imag
-    F[-1] = pos[1].imag - pos[0].imag
-    return F
+    g, pos, th = _one_physical(v, positions, theta)
+    _check_separated(pos[0], "z")
+    return _physical_residual(g, pos, th)[0]
 
 
 def physical_jacobian(v: VorticitySet, positions, theta: float) -> np.ndarray:
     """Analytic Jacobian of :func:`physical_residual_vector` (real, square)."""
-    g = np.asarray(v.as_float().gammas)
-    pos = np.asarray(positions, dtype=complex)
-    n = len(g)
-    # V depends on w = conj(z): dV_n/dx_m = Q[n, m], dV_n/dy_m = -i Q[n, m].
-    Q = _velocity_derivative(g, np.conj(pos))
-    lam = np.exp(1j * theta)
-    A = lam * np.eye(n) - Q          # dE/dx
-    B = 1j * lam * np.eye(n) + 1j * Q  # dE/dy
-    J = np.zeros((2 * n + 1, 2 * n + 1))
-    J[0 : 2 * n : 2, 0 : 2 * n : 2] = A.real
-    J[0 : 2 * n : 2, 1 : 2 * n : 2] = B.real
-    J[1 : 2 * n : 2, 0 : 2 * n : 2] = A.imag
-    J[1 : 2 * n : 2, 1 : 2 * n : 2] = B.imag
-    dth = 1j * lam * pos
-    J[0 : 2 * n : 2, -1] = dth.real
-    J[1 : 2 * n : 2, -1] = dth.imag
-    J[-1, 1] = -1.0
-    J[-1, 3] = 1.0
-    return J
+    return _physical_jacobian(*_one_physical(v, positions, theta))[0]
 
 
 def complex_residual_vector(v: VorticitySet, z, w, lam: complex) -> np.ndarray:
     """Complex residual of the conjugate-free system, length 2N+1."""
-    g = np.asarray(v.as_float().gammas)
-    zs = np.asarray(z, dtype=complex)
-    ws = np.asarray(w, dtype=complex)
-    _check_separated(zs, "z")
-    _check_separated(ws, "w")
-    A = lam * zs - _velocity_np(g, ws)
-    B = ws / lam - _velocity_np(g, zs)
-    gauge = (zs[1] - zs[0]) - (ws[1] - ws[0])
-    return np.concatenate([A, B, [gauge]])
+    g, zs, ws, lams = _one_complex(v, z, w, lam)
+    _check_separated(zs[0], "z")
+    _check_separated(ws[0], "w")
+    return _complex_residual(g, zs, ws, lams)[0]
 
 
 def complex_jacobian(v: VorticitySet, z, w, lam: complex) -> np.ndarray:
     """Holomorphic Jacobian in (z_1..z_N, w_1..w_N, Λ), square complex."""
-    g = np.asarray(v.as_float().gammas)
-    zs = np.asarray(z, dtype=complex)
-    ws = np.asarray(w, dtype=complex)
-    n = len(g)
-    J = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    J[:n, :n] = lam * np.eye(n)
-    J[:n, n : 2 * n] = -_velocity_derivative(g, ws)
-    J[:n, -1] = zs
-    J[n : 2 * n, :n] = -_velocity_derivative(g, zs)
-    J[n : 2 * n, n : 2 * n] = np.eye(n) / lam
-    J[n : 2 * n, -1] = -ws / lam**2
-    J[-1, 0] = -1.0
-    J[-1, 1] = 1.0
-    J[-1, n] = 1.0
-    J[-1, n + 1] = -1.0
-    return J
+    return _complex_jacobian(*_one_complex(v, z, w, lam))[0]
 
 
 def jacobian(kind: str, point, v: VorticitySet) -> np.ndarray:

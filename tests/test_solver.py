@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from vortexcc import solver
 from vortexcc.quantities import VorticitySet, conjugate_positions
 from vortexcc.solver import (
+    CentralConfigSolution,
     NewtonFailure,
     SolverOptions,
     classify,
@@ -170,6 +172,16 @@ def test_solve_rejects_bad_arguments():
     for guard in (1e-12, 0.0):
         with pytest.raises(ValueError, match="collision_guard"):
             SolverOptions(collision_guard=guard).validated()
+    # Every search refuses a non-positive start count, before its L or Γ gate.
+    for starts in (0, -5):
+        with pytest.raises(ValueError, match="starts must be positive"):
+            solve_equilibria(COLLAPSE, starts=starts)
+        with pytest.raises(ValueError, match="starts must be positive"):
+            solve_equilibria(THREE, starts=starts)
+        with pytest.raises(ValueError, match="starts must be positive"):
+            solve_rigid_translation(VorticitySet((1.0, 1.0, -2.0)), starts=starts)
+        with pytest.raises(ValueError, match="starts must be positive"):
+            solve_rigid_translation(THREE, starts=starts)
 
 
 def test_complex_regime_contains_embedded_physical():
@@ -221,3 +233,153 @@ def test_rigid_translation_gate_and_search():
     assert sol.signature[0] == pytest.approx(1.0, abs=1e-10)
     assert sol.translation_velocity == pytest.approx(1.0, abs=1e-10)
     assert sol.residual_norm < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The stacked engine and the deduplication scan
+# ---------------------------------------------------------------------------
+
+SEARCHES = {
+    "physical": (solver._physical_search, (1.0, 2.0, 3.0, -1.5)),
+    "complex": (solver._complex_search, (1.0, 2.0, 3.0, -1.5)),
+    "equilibria": (solver._equilibria_search, (1.0, 1.0, 1.0, -1.0)),
+    "translation": (solver._translation_search, (1.0, -1.0, 2.0, -2.0)),
+}
+# Option sets that between them end starts in every way the engine can.
+ENGINE_OPTIONS = (
+    SolverOptions(),
+    SolverOptions(max_iter=4),
+    SolverOptions(divergence_norm=2.5),
+    SolverOptions(lm_lambda_max=1e-2),
+    SolverOptions(collision_guard=0.5, lm_lambda_max=1e-2),
+)
+
+
+def _seeded_starts(name, opts, count=16, seed=3):
+    make, gammas = SEARCHES[name]
+    search = make(VorticitySet(gammas), opts)
+    rng = np.random.default_rng(seed)
+    return search, [search.sample(rng) for _ in range(count)]
+
+
+def _outcome(result):
+    if isinstance(result, CentralConfigSolution):
+        return "converged"
+    if result.reason == "hit_collision_guard":
+        return "guard at start" if result.last_norm == np.inf else "guard during run"
+    return result.reason
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_engine_results_do_not_depend_on_lane_count(name):
+    outcomes = set()
+    for opts in ENGINE_OPTIONS:
+        search, starts = _seeded_starts(name, opts)
+        runs = {lanes: solver._levenberg_newton(search, starts, opts, lanes=lanes)
+                for lanes in (1, 3, solver._LANES)}
+        assert repr(runs[1]) == repr(runs[3]) == repr(runs[solver._LANES])
+        assert len(runs[1]) == len(starts)
+        outcomes.update(_outcome(r) for r in runs[1])
+    assert outcomes == {"converged", "diverged", "max_iterations",
+                        "guard at start", "guard during run"}
+
+
+def test_engine_falls_back_to_per_lane_solves(monkeypatch):
+    search, starts = _seeded_starts("physical", SolverOptions(), count=24)
+    clean = solver._levenberg_newton(search, starts, SolverOptions())
+    real_solve = np.linalg.solve
+    raised = []
+
+    def fail_one_stacked_call(a, b):
+        if a.ndim == 3 and len(a) > 1 and not raised:
+            raised.append(len(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fail_one_stacked_call)
+    again = solver._levenberg_newton(search, starts, SolverOptions())
+    assert raised
+    # Every lane of the failed call was solved alone, to the same bits.
+    assert repr(again) == repr(clean)
+
+
+def test_engine_damps_only_singular_lanes(monkeypatch):
+    # Four iterations end most starts unconverged, so their last norm shows
+    # any change of path.
+    opts = SolverOptions(max_iter=4)
+    search, starts = _seeded_starts("physical", opts, count=24)
+    clean = solver._levenberg_newton(search, starts, opts)
+    # Allowed one trial only, a start whose first step is accepted ends at
+    # max_iterations, the others diverge.  No start of this set fails the
+    # guard at once, so the first stacked solve holds start k in lane k.
+    one_trial = SolverOptions(max_iter=1, lm_lambda_max=opts.lm_lambda0)
+    first = solver._levenberg_newton(search, starts, one_trial)
+    k = next(i for i, r in enumerate(first) if _outcome(r) == "max_iterations")
+    real_solve = np.linalg.solve
+    singular = []       # the one matrix treated as singular, by its bytes
+
+    def singular_solve(a, b):
+        stack = a if a.ndim == 3 else a[None]
+        if not singular:
+            singular.append(stack[k].tobytes())
+        if any(m.tobytes() in singular for m in stack):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    runs = [solver._levenberg_newton(search, starts, opts, lanes=lanes)
+            for lanes in (solver._LANES, 3, 1)]
+    assert repr(runs[0]) == repr(runs[1]) == repr(runs[2])
+    # Only start k, whose first step was refused, took another path.
+    assert all(_outcome(r) != "guard at start" for r in clean)
+    changed = [i for i, (a, b) in enumerate(zip(runs[0], clean)) if repr(a) != repr(b)]
+    assert changed == [k]
+
+
+def _deduplicate_loop(found, opts):
+    """The pairwise scan the vectorized one replaced, kept as its reference."""
+    def signatures_match(a, b, tol):
+        fa = np.asarray(a, dtype=float).ravel()
+        fb = np.asarray(b, dtype=float).ravel()
+        if fa.size != fb.size:
+            return False
+        scale = max(1.0, float(np.abs(fa).max()))
+        return bool(np.abs(fa - fb).max() <= tol * scale)
+
+    ordered = sorted(
+        found,
+        key=lambda s: (np.asarray(s.signature, dtype=float).ravel().tolist(),
+                       0.0 if s.lam is None else abs(s.lam.imag),
+                       s.residual_norm),
+    )
+    kept = []
+    for cand in ordered:
+        merged = False
+        for i, existing in enumerate(kept):
+            if signatures_match(cand.signature, existing.signature, opts.dedup_tol) and \
+               solver._lambda_match(cand.lam, existing.lam, opts.dedup_tol):
+                if cand.residual_norm < existing.residual_norm:
+                    kept[i] = cand
+                merged = True
+                break
+        if not merged:
+            kept.append(cand)
+    return kept
+
+
+@pytest.mark.parametrize("gammas", [(1.0, 1.0, -0.5), (1.0, -2.0, 3.0, 0.5, 1.5)])
+@pytest.mark.parametrize("regime", ["physical", "complex"])
+def test_deduplicate_matches_loop_reference(gammas, regime):
+    opts = SolverOptions()
+    search = solver._central_search(VorticitySet(gammas), regime, opts)
+    rng = np.random.default_rng(8)
+    results = solver._levenberg_newton(search, [search.sample(rng) for _ in range(300)], opts)
+    found = [r for r in results if isinstance(r, CentralConfigSolution)]
+    # The coarse tolerance makes one candidate match several kept solutions
+    # and lets a replacement change what later candidates match.
+    for tol in (opts.dedup_tol, 0.5):
+        coarse = SolverOptions(dedup_tol=tol)
+        kept = solver._deduplicate(found, coarse)
+        reference = _deduplicate_loop(found, coarse)
+        assert [id(s) for s in kept] == [id(s) for s in reference]
+        assert len(kept) > 1
