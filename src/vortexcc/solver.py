@@ -41,13 +41,14 @@ from .quantities import (
 )
 from .system import (
     COLLISION_GUARD,
-    _complex_jacobian,
     _complex_residual,
     _min_gap,
-    _physical_jacobian,
-    _physical_residual,
     _velocity_derivative,
     _velocity_np,
+    complex_jacobian,
+    complex_residual_vector,
+    physical_jacobian,
+    physical_residual_vector,
 )
 
 __all__ = [
@@ -88,8 +89,9 @@ class SolverOptions:
         for name in ("tol", "dedup_tol", "class_tol", "collapse_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"option {name} must be positive")
-        # The residual kernels raise CollisionError below COLLISION_GUARD, so a
-        # smaller guard would let that escape the engine instead of a NewtonFailure.
+        # The engine evaluates residuals only where the guard holds, and the residual
+        # functions raise CollisionError below COLLISION_GUARD; a smaller guard would
+        # let that escape the engine instead of a NewtonFailure.
         if not self.collision_guard >= COLLISION_GUARD:
             raise ValueError(f"option collision_guard must be at least {COLLISION_GUARD:g}")
         return self
@@ -339,10 +341,10 @@ def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     n = v.n
 
     def residual(x):
-        return _physical_residual(g, *_unpack_physical(x))
+        return physical_residual_vector(v, *_unpack_physical(x))
 
     def jacobian(x):
-        return _physical_jacobian(g, *_unpack_physical(x))
+        return physical_jacobian(v, *_unpack_physical(x))
 
     def norm(F):
         moduli = np.hypot(F[:, 0 : 2 * n : 2], F[:, 1 : 2 * n : 2]).max(axis=1)
@@ -406,11 +408,11 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     n = v.n
 
     def residual(x):
-        return _realify_vector(_complex_residual(g, *_unpack_complex(x)))
+        return _realify_vector(complex_residual_vector(v, *_unpack_complex(x)))
 
     def jacobian(x):
         # Holomorphic rows: the derivative along y_m is i times the one along x_m.
-        J = _complex_jacobian(g, *_unpack_complex(x))
+        J = complex_jacobian(v, *_unpack_complex(x))
         return _realify_columns(J, 1j * J)
 
     def guard(x):
@@ -558,7 +560,7 @@ def newton_refine(v: VorticitySet, start, regime: str = "physical",
     opts = (options or SolverOptions()).validated()
     search = _central_search(v.as_float(), regime, opts)
     x0 = _pack_physical(start) if regime == "physical" else _pack_complex(start)
-    return _levenberg_newton(search, [x0], opts)[0]
+    return _levenberg_newton(search, [x0], opts, lanes=1)[0]
 
 
 def solve_central_multistart(

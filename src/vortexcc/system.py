@@ -18,7 +18,7 @@ Every system here is built from two numpy kernels: the velocity
 
 Analytic Jacobians for the first two are exported together with the packed
 numpy forms the solver consumes.  The kernels work on stacks of
-configurations, one per row; the public functions pass a stack of one.
+configurations, one per row; the public functions take one point or a stack.
 """
 
 from __future__ import annotations
@@ -157,9 +157,14 @@ def _velocity_derivative(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
 
 
 def _check_separated(p: np.ndarray, coordinate: str) -> None:
-    """Raise CollisionError naming the first pair, in index order, closer than the guard."""
-    if _min_gap(p[None])[0] < COLLISION_GUARD:
-        d = np.abs(p[None, :] - p[:, None])
+    """Raise CollisionError if a row of p (S, n) has a pair closer than the guard.
+
+    The error names the first such pair, in index order, of the first such row.
+    """
+    close = _min_gap(p) < COLLISION_GUARD
+    if close.any():
+        row = p[np.argmax(close)]
+        d = np.abs(row[None, :] - row[:, None])
         np.fill_diagonal(d, np.inf)
         j, k = np.argwhere(d < COLLISION_GUARD)[0]
         raise CollisionError(int(j) + 1, int(k) + 1, coordinate)
@@ -175,8 +180,8 @@ def _velocities(v: VorticitySet, z, w) -> tuple[np.ndarray, np.ndarray]:
     ws = np.array([complex(p) for p in w], dtype=complex)
     if len(zs) != v.n or len(ws) != v.n:
         raise ValueError("positions must match the vorticity count")
-    _check_separated(zs, "z")
-    _check_separated(ws, "w")
+    _check_separated(zs[None], "z")
+    _check_separated(ws[None], "w")
     return zs, _velocity_np(_float_gammas(v), ws[None])[0]
 
 
@@ -209,7 +214,8 @@ def complex_system_residual(conf: ComplexConfiguration, v: VorticitySet) -> Resi
 #              rows (A_1..A_N, B_1..B_N, z_12 - w_12), all holomorphic.
 # The kernels work on stacks: each row of pos, z, w (S, N) and each entry of
 # theta, lam (S,) is one point, with no collision check.  The public
-# functions check one point and pass it as a stack of one.
+# functions take one point, or a stack, and check it; one point is passed to
+# the kernels as a stack of one.
 # ---------------------------------------------------------------------------
 
 
@@ -279,39 +285,52 @@ def _complex_jacobian(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarr
     return J
 
 
-def _one_physical(v: VorticitySet, positions, theta: float):
-    return _float_gammas(v), np.asarray(positions, dtype=complex)[None], np.array([theta], dtype=float)
+def _physical_args(v: VorticitySet, positions, theta):
+    pos = np.asarray(positions, dtype=complex)
+    return _float_gammas(v), pos.reshape(-1, pos.shape[-1]), np.asarray(theta, dtype=float).reshape(-1)
 
 
-def _one_complex(v: VorticitySet, z, w, lam: complex):
-    zs = np.asarray(z, dtype=complex)[None]
-    ws = np.asarray(w, dtype=complex)[None]
-    return _float_gammas(v), zs, ws, np.array([lam], dtype=complex)
+def _complex_args(v: VorticitySet, z, w, lam):
+    zs = np.asarray(z, dtype=complex)
+    ws = np.asarray(w, dtype=complex)
+    lams = np.asarray(lam, dtype=complex).reshape(-1)
+    return _float_gammas(v), zs.reshape(-1, zs.shape[-1]), ws.reshape(-1, ws.shape[-1]), lams
+
+
+def _one_or_stack(out: np.ndarray, positions) -> np.ndarray:
+    """The kernel output for a single point, or all of it for a stack of points."""
+    return out[0] if np.ndim(positions) == 1 else out
 
 
 def physical_residual_vector(v: VorticitySet, positions, theta: float) -> np.ndarray:
-    """Real residual of the physical central system, length 2N+1."""
-    g, pos, th = _one_physical(v, positions, theta)
-    _check_separated(pos[0], "z")
-    return _physical_residual(g, pos, th)[0]
+    """Real residual of the physical central system, length 2N+1.
+
+    Also takes a stack: positions (S, N) and theta (S,) give one residual per row.
+    """
+    g, pos, th = _physical_args(v, positions, theta)
+    _check_separated(pos, "z")
+    return _one_or_stack(_physical_residual(g, pos, th), positions)
 
 
 def physical_jacobian(v: VorticitySet, positions, theta: float) -> np.ndarray:
-    """Analytic Jacobian of :func:`physical_residual_vector` (real, square)."""
-    return _physical_jacobian(*_one_physical(v, positions, theta))[0]
+    """Analytic Jacobian of :func:`physical_residual_vector` (real, square); stacks as it does."""
+    return _one_or_stack(_physical_jacobian(*_physical_args(v, positions, theta)), positions)
 
 
 def complex_residual_vector(v: VorticitySet, z, w, lam: complex) -> np.ndarray:
-    """Complex residual of the conjugate-free system, length 2N+1."""
-    g, zs, ws, lams = _one_complex(v, z, w, lam)
-    _check_separated(zs[0], "z")
-    _check_separated(ws[0], "w")
-    return _complex_residual(g, zs, ws, lams)[0]
+    """Complex residual of the conjugate-free system, length 2N+1.
+
+    Also takes a stack: z, w (S, N) and lam (S,) give one residual per row.
+    """
+    g, zs, ws, lams = _complex_args(v, z, w, lam)
+    _check_separated(zs, "z")
+    _check_separated(ws, "w")
+    return _one_or_stack(_complex_residual(g, zs, ws, lams), z)
 
 
 def complex_jacobian(v: VorticitySet, z, w, lam: complex) -> np.ndarray:
-    """Holomorphic Jacobian in (z_1..z_N, w_1..w_N, Λ), square complex."""
-    return _complex_jacobian(*_one_complex(v, z, w, lam))[0]
+    """Holomorphic Jacobian in (z_1..z_N, w_1..w_N, Λ), square complex; stacks as the residual."""
+    return _one_or_stack(_complex_jacobian(*_complex_args(v, z, w, lam)), z)
 
 
 def jacobian(kind: str, point, v: VorticitySet) -> np.ndarray:

@@ -289,3 +289,33 @@ def test_two_vortex_jacobian_nonsingular_at_solution():
     v = VorticitySet((1.0, 1.0))
     J = physical_jacobian(v, np.array([-c, c], dtype=complex), 0.0)
     assert np.linalg.cond(J) < 1e3
+
+
+def test_packed_functions_take_stacks_row_by_row():
+    rng = np.random.default_rng(5)
+    v = VorticitySet((1.0, -2.0, 3.0, 0.5))
+    z = np.array([_random_point(rng, 4) for _ in range(6)])
+    w = np.array([_random_point(rng, 4) for _ in range(6)])
+    theta = rng.uniform(0, 2 * np.pi, 6)
+    lam = np.exp(1j * theta) * rng.uniform(0.5, 2.0, 6)
+    stacked = (
+        (physical_residual_vector(v, z, theta), lambda s: physical_residual_vector(v, z[s], theta[s])),
+        (physical_jacobian(v, z, theta), lambda s: physical_jacobian(v, z[s], theta[s])),
+        (complex_residual_vector(v, z, w, lam), lambda s: complex_residual_vector(v, z[s], w[s], lam[s])),
+        (complex_jacobian(v, z, w, lam), lambda s: complex_jacobian(v, z[s], w[s], lam[s])),
+    )
+    for rows, one in stacked:
+        assert len(rows) == 6
+        for s in range(6):
+            assert np.array_equal(rows[s], one(s))
+
+
+def test_stacked_residual_names_first_collision_of_first_bad_row():
+    v = VorticitySet((1.0, 1.0, 1.0))
+    z = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]], dtype=complex)
+    with pytest.raises(CollisionError) as err:
+        physical_residual_vector(v, z, np.zeros(3))
+    assert err.value.pair == (2, 3)
+    with pytest.raises(CollisionError) as err:
+        complex_residual_vector(v, z[[0]], z[[2]], np.ones(1))
+    assert (err.value.pair, err.value.coordinate) == ((1, 2), "w")
