@@ -9,7 +9,10 @@ results by running this script on both and comparing the TOTAL lines:
 The first TOTAL covers the quick cases below.  The benchmark-sized cases
 after it run 1000 starts each: they fill and refill every lane of the
 stacked Newton engine and give the deduplication scan long lists of kept
-solutions.  The last line, TOTAL ALL, covers every case.
+solutions.  TOTAL ALL covers those two groups.  The last group runs each
+search with ``start_min_gap=0.5``, where many start disks are too tight and
+are redrawn, so the start draw takes its start-by-start path; TOTAL REDRAW
+covers that group alone.
 
 The cases cover the four searches (central physical, central complex,
 equilibria, rigid translation), N = 2..5, the continuum tuples (1, 1, -1/2)
@@ -30,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from vortexcc import (  # noqa: E402
+    SolverOptions,
     VorticitySet,
     newton_refine,
     solve_central_multistart,
@@ -101,6 +105,22 @@ LARGE_CASES = (
 )
 
 
+WIDE = SolverOptions(start_min_gap=0.5)
+
+REDRAW_CASES = (
+    ("central physical N=5, start_min_gap=0.5",
+     lambda: solve_central_multistart(_v(1.0, -2.0, 3.0, 0.5, 1.5), starts=200, seed=8,
+                                      options=WIDE)),
+    ("central complex N=4, start_min_gap=0.5",
+     lambda: solve_central_multistart(_v(1.0, 2.0, 3.0, -1.5), regime="complex", starts=200,
+                                      seed=8, options=WIDE)),
+    ("equilibria (1,1,1,-1), start_min_gap=0.5",
+     lambda: solve_equilibria(_v(1.0, 1.0, 1.0, -1.0), starts=200, seed=8, options=WIDE)),
+    ("translation (1,-1,2,-2), start_min_gap=0.5",
+     lambda: solve_rigid_translation(_v(1.0, -1.0, 2.0, -2.0), starts=200, seed=8, options=WIDE)),
+)
+
+
 def _digest_cases(cases, total) -> None:
     for name, run in cases:
         digest = hashlib.sha256(repr(run()).encode()).hexdigest()
@@ -114,6 +134,9 @@ def main() -> int:
     print(f"{total.hexdigest()}  TOTAL")
     _digest_cases(LARGE_CASES, total)
     print(f"{total.hexdigest()}  TOTAL ALL")
+    redraw = hashlib.sha256()
+    _digest_cases(REDRAW_CASES, redraw)
+    print(f"{redraw.hexdigest()}  TOTAL REDRAW")
     return 0
 
 

@@ -19,6 +19,8 @@ from itertools import combinations
 from numbers import Rational
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "ExactComplex",
     "VorticitySet",
@@ -230,29 +232,87 @@ def _unwrap(z):
     return z.positions if isinstance(z, PlanarConfiguration) else tuple(z)
 
 
-def invariants_of(v: VorticitySet, z, w, lam=None) -> Invariants:
+def invariants_of(v: VorticitySet, z, w, lam=None):
     """Compute (Γ, L, M, I, S) for positions `z` with conjugate partners `w`.
 
     Works over both scalar backends.  Pass ``w = conjugate_positions(z)`` for
     the physical regime.
+
+    Also takes stacks: complex arrays z, w of shape (S, N) give a list of S
+    Invariants, and ``lam`` is then None or one entry per row.  Each equals
+    the call on that row, bit for bit and type for type.
     """
+    if isinstance(z, np.ndarray) and z.ndim == 2:
+        return _stacked_invariants(v, z, np.asarray(w), lam)
     zs, ws = _unwrap(z), _unwrap(w)
     if len(zs) != v.n or len(ws) != v.n:
         raise ValueError(
             f"length mismatch: {v.n} vorticities, {len(zs)} z-positions, {len(ws)} w-positions"
         )
-    g = v.gammas
-    gamma = total_vorticity(v)
-    L = angular_momentum(v)
+    M, M_w, I, S = _moments(v.gammas, zs, ws)
+    return Invariants(gamma=total_vorticity(v), L=angular_momentum(v), M=M, I=I, S=S, lam=lam,
+                      M_w=M_w)
+
+
+def _moments(g, zs, ws) -> tuple:
+    """(M, M_w, I, S) of strengths g and coordinates zs, ws, in one fixed order of operations."""
     M = g[0] * zs[0]
     M_w = g[0] * ws[0]
     I = g[0] * zs[0] * ws[0]
-    for j in range(1, v.n):
+    for j in range(1, len(g)):
         M = M + g[j] * zs[j]
         M_w = M_w + g[j] * ws[j]
         I = I + g[j] * zs[j] * ws[j]
     S = None
-    for j, k in combinations(range(v.n), 2):
+    for j, k in combinations(range(len(g)), 2):
         term = g[j] * g[k] * (zs[k] - zs[j]) * (ws[k] - ws[j])
         S = term if S is None else S + term
-    return Invariants(gamma=gamma, L=L, M=M, I=I, S=S, lam=lam, M_w=M_w)
+    return M, M_w, I, S
+
+
+class _Column:
+    """A column of complex values whose arithmetic rounds as numpy complex scalars do.
+
+    A real factor a enters as the complex a + 0j, and products are
+    (ar·br − ai·bi, ar·bi + ai·br) in real arithmetic; numpy's vectorized
+    complex multiply rounds differently.
+    """
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def __add__(self, other):
+        return _Column(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _Column(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Column):
+            other = _Column(float(other), 0.0)
+        return _Column(self.re * other.re - self.im * other.im,
+                       self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def values(self) -> np.ndarray:
+        out = np.empty(len(self.re), dtype=complex)
+        out.real, out.imag = self.re, self.im
+        return out
+
+
+def _stacked_invariants(v: VorticitySet, z: np.ndarray, w: np.ndarray, lams) -> list:
+    """Rows of :func:`invariants_of` on (S, N) stacks, from one pass of :func:`_moments` over columns."""
+    if z.shape != w.shape or z.shape[1] != v.n:
+        raise ValueError(
+            f"shape mismatch: {v.n} vorticities, z-positions {z.shape}, w-positions {w.shape}"
+        )
+    zs = [_Column(z.real[:, j], z.imag[:, j]) for j in range(v.n)]
+    ws = [_Column(w.real[:, j], w.imag[:, j]) for j in range(v.n)]
+    M, M_w, I, S = (c.values() for c in _moments(v.gammas, zs, ws))
+    gamma, L = total_vorticity(v), angular_momentum(v)
+    lams = [None] * len(z) if lams is None else lams
+    return [
+        Invariants(gamma=gamma, L=L, M=m, I=i, S=s, lam=lam, M_w=m_w)
+        for m, m_w, i, s, lam in zip(M, M_w, I, S, lams)
+    ]

@@ -12,21 +12,22 @@ Damping is Levenberg-style: the Newton step is computed from
 the collision guard are rejected.  Failures are values, not exceptions.
 
 Each of the four searches (physical, complex, equilibria, rigid
-translation) is a small :class:`_Search` spec: a start sampler, the
-residual, its Jacobian, the residual norm, the collision guard and a
-finalizer that builds the solution record.  One engine refines the starts
-of any spec and one multistart loop, ``_multistart``, runs every search.
-The engine runs up to ``_LANES`` starts in lockstep on stacked arrays, each
-with its own damping.  Every start takes the steps it would take alone, so
-reports do not depend on how many run together.
+translation) is a small :class:`_Search` spec: a sampler that draws all
+starts of a search as one block, the residual, its Jacobian, the residual
+norm, the collision guard and a finalizer that builds the solution records
+of all converged starts at once.  One engine refines the starts of any spec
+and one multistart loop, ``_multistart``, runs every search.  The engine
+runs up to ``_LANES`` starts in lockstep on stacked arrays, each with its
+own damping.  Every start takes the steps it would take alone, so reports
+do not depend on how many run together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Callable, Iterable
+from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .quantities import (
     Invariants,
     VorticitySet,
     angular_momentum,
-    conjugate_positions,
     invariants_of,
     is_exact_scalar,
     total_vorticity,
@@ -86,9 +86,20 @@ class SolverOptions:
     divergence_norm: float = 1e8
 
     def validated(self) -> "SolverOptions":
-        for name in ("tol", "dedup_tol", "class_tol", "collapse_tol"):
-            if getattr(self, name) <= 0:
+        # Written as `not ... > ...` so that NaN fails every check.
+        for name in ("tol", "dedup_tol", "class_tol", "collapse_tol", "lm_lambda0"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"option {name} must be positive")
+        if not self.max_iter >= 0:
+            raise ValueError("option max_iter must be non-negative")
+        # Each rejected trial multiplies λ by lm_increase until it passes
+        # lm_lambda_max; without growth that never happens and the solve never ends.
+        if not self.lm_increase > 1:
+            raise ValueError("option lm_increase must be greater than 1")
+        if not 0 < self.lm_decrease <= 1:
+            raise ValueError("option lm_decrease must lie in (0, 1]")
+        if not self.lm_lambda_max >= self.lm_lambda0:
+            raise ValueError("option lm_lambda_max must be at least lm_lambda0")
         # The engine evaluates residuals only where the guard holds, and the residual
         # functions raise CollisionError below COLLISION_GUARD; a smaller guard would
         # let that escape the engine instead of a NewtonFailure.
@@ -141,12 +152,12 @@ class _Search:
     """
 
     regime: str
-    sample: Callable[[np.random.Generator], np.ndarray]  # draws one start x0, shape (d,)
+    sample: Callable[[np.random.Generator, int], np.ndarray]  # (rng, count) -> starts (count, d)
     residual: Callable[[np.ndarray], np.ndarray]  # (S, d) -> (S, m)
     jacobian: Callable[[np.ndarray], np.ndarray]  # (S, d) -> (S, m, d)
     norm: Callable[[np.ndarray], np.ndarray]      # (S, m) -> (S,)
     guard: Callable[[np.ndarray], np.ndarray]     # (S, d) -> (S,), True when too close to a collision
-    finalize: Callable[[np.ndarray, int], CentralConfigSolution]  # (one x, iterations)
+    finalize: Callable[[np.ndarray, np.ndarray], list]  # converged (S, d), iterations (S,) -> records
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +169,9 @@ class _Search:
 _LANES = 128
 
 
-def _levenberg_newton(search: _Search, starts: Iterable[np.ndarray], options: SolverOptions,
+def _levenberg_newton(search: _Search, starts: np.ndarray, options: SolverOptions,
                       lanes: int = _LANES) -> list:
-    """Refine every start; returns, in start order, each finalized solution or NewtonFailure.
+    """Refine every row of ``starts``; returns, in start order, each solution or NewtonFailure.
 
     Up to ``lanes`` starts are in flight, one per lane.  Each round, every
     lane makes one damped trial step with its own damping λ; a lane whose
@@ -168,17 +179,23 @@ def _levenberg_newton(search: _Search, starts: Iterable[np.ndarray], options: So
     schedule it would follow alone: at the top of each iteration it converges,
     runs out of iterations or takes a Jacobian; then it tries steps with
     growing λ until one lowers the residual norm, or λ passes its maximum.
+    Converged rows are kept and finalized together, once, at the end.
     """
-    pending = iter(starts)
-    results: list = []
+    d = starts.shape[1]
+    # Starts inside the guard fail at once; the others overwrite this on finishing.
+    results: list = [NewtonFailure("hit_collision_guard", 0, math.inf)] * len(starts)
+    pending = np.flatnonzero(~search.guard(starts))
     owner = np.full(lanes, -1)          # index of the lane's start in results, -1 when free
+    x = np.zeros((lanes, d))
     nrm = np.zeros(lanes)
     damp = np.zeros(lanes)
     iters = np.zeros(lanes, dtype=int)
     blocked = np.zeros(lanes, dtype=bool)   # a trial of this iteration crossed the guard
     fresh = np.zeros(lanes, dtype=bool)     # at the top of an iteration
-    x = F = jtj = jtf = None                # sized from the first start
-    more = True
+    jtj = np.zeros((lanes, d, d))
+    jtf = np.zeros((lanes, d))
+    F = None                                # sized from the first residual
+    done: list = []                         # (start indices, rows, iterations) of converged lanes
 
     def finish(lane, result):
         results[owner[lane]] = result
@@ -190,37 +207,26 @@ def _levenberg_newton(search: _Search, starts: Iterable[np.ndarray], options: So
     while True:
         # Free lanes take the next starts, in drawing order.
         free = np.flatnonzero(owner < 0)
-        while more and free.size:
-            x0 = np.array(list(islice(pending, free.size)), dtype=float)
-            more = len(x0) == free.size
-            if not len(x0):
-                break
-            first = len(results)
-            # Starts inside the guard fail at once; the others overwrite this on finishing.
-            results.extend(NewtonFailure("hit_collision_guard", 0, math.inf) for _ in x0)
-            ok = np.flatnonzero(~search.guard(x0))
-            if not ok.size:
-                continue
-            F0 = search.residual(x0[ok])
-            if x is None:
-                x = np.zeros((lanes, x0.shape[1]))
+        if pending.size and free.size:
+            take, pending = pending[: free.size], pending[free.size :]
+            new = free[: take.size]
+            F0 = search.residual(starts[take])
+            if F is None:
                 F = np.zeros((lanes, F0.shape[1]))
-                jtj = np.zeros((lanes, x0.shape[1], x0.shape[1]))
-                jtf = np.zeros((lanes, x0.shape[1]))
-            new, free = free[: ok.size], free[ok.size :]
-            owner[new] = first + ok
-            x[new], F[new], nrm[new] = x0[ok], F0, search.norm(F0)
+            owner[new] = take
+            x[new], F[new], nrm[new] = starts[take], F0, search.norm(F0)
             damp[new], iters[new], fresh[new] = options.lm_lambda0, 0, True
         if not (owner >= 0).any():
-            return results
+            break
 
         # Lanes at the top of an iteration converge, run out of iterations or
-        # take a Jacobian.  A negative max_iter runs no iteration, and a start
-        # that converged at once is labelled with it.
+        # take a Jacobian.
         top = np.flatnonzero((owner >= 0) & fresh)
         converged = nrm[top] < options.tol
-        for lane in top[converged]:
-            finish(lane, search.finalize(x[lane].copy(), int(min(iters[lane], options.max_iter))))
+        lanes_done = top[converged]
+        if lanes_done.size:
+            done.append((owner[lanes_done], x[lanes_done], iters[lanes_done]))
+            owner[lanes_done] = -1
         for lane in top[~converged & (iters[top] >= options.max_iter)]:
             finish(lane, NewtonFailure("max_iterations", options.max_iter, float(nrm[lane])))
         top = top[owner[top] >= 0]
@@ -261,6 +267,12 @@ def _levenberg_newton(search: _Search, starts: Iterable[np.ndarray], options: So
         iters[run[~far]] += 1
         fresh[run[~far]] = True
 
+    if done:
+        index, rows, its = (np.concatenate(part) for part in zip(*done))
+        for i, solution in zip(index.tolist(), search.finalize(rows, its)):
+            results[i] = solution
+    return results
+
 
 def _damped_steps(jtj: np.ndarray, jtf: np.ndarray, damp: np.ndarray):
     """Solve (JᵀJ + λI) δ = -JᵀF on every lane; returns (δ, solved).
@@ -286,7 +298,7 @@ def _damped_steps(jtj: np.ndarray, jtf: np.ndarray, damp: np.ndarray):
 def _multistart(search: _Search, starts: int, seed: int, opts: SolverOptions) -> SolveReport:
     """Draw every start from one rng in turn, refine them all, then deduplicate what converged."""
     rng = np.random.default_rng(seed)
-    results = _levenberg_newton(search, (search.sample(rng) for _ in range(starts)), opts)
+    results = _levenberg_newton(search, search.sample(rng, starts), opts)
     found = [r for r in results if isinstance(r, CentralConfigSolution)]
     return SolveReport(tuple(_deduplicate(found, opts)), starts, len(found), seed, search.regime)
 
@@ -355,40 +367,45 @@ def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     def guard(x):
         return _min_gap(_unpack_physical(x)[0]) < opts.collision_guard
 
-    def sample(rng):
-        return _pack_physical((_sample_disk(rng, n, opts), rng.uniform(0.0, 2.0 * np.pi)))
+    def sample(rng, count):
+        pos, theta = _draw_starts(rng, count, n, 1, 1, opts)
+        return np.concatenate([_realify_vector(pos[:, 0]), theta], axis=1)
 
     def finalize(x, iters):
         pos, theta = _unpack_physical(x)
-        lam = np.exp(1j * float(theta))
+        lam = np.exp(1j * theta)
         # Rotate so z_12 is exactly real and positive (rotation leaves Λ fixed).
-        z12 = pos[1] - pos[0]
-        pos = pos * (abs(z12) / z12)
+        z12 = pos[:, 1] - pos[:, 0]
+        pos = pos * (np.hypot(z12.real, z12.imag) / z12)[:, None]
         # Conjugation maps solutions to solutions; keep one canonical twin.
-        if _prefers_conjugate(pos, lam, opts):
-            pos, lam = np.conj(pos), np.conj(lam)
-        E = lam * pos - _velocity_np(g, np.conj(pos)[None])[0]
-        return _central_solution(v, "physical", pos, np.conj(pos), lam, E,
-                                 _physical_signature(pos), iters, opts)
+        flip = _prefers_conjugate(pos, lam, opts)
+        pos = np.where(flip[:, None], np.conj(pos), pos)
+        lam = np.where(flip, np.conj(lam), lam)
+        E = lam[:, None] * pos - _velocity_np(g, np.conj(pos))
+        return _central_solutions(v, "physical", pos, np.conj(pos), lam, E,
+                                  _physical_signatures(pos), iters, opts)
 
     return _Search("physical", sample, residual, jacobian, norm, guard, finalize)
 
 
-def _prefers_conjugate(pos: np.ndarray, lam: complex, opts: SolverOptions) -> bool:
-    if lam.imag < -opts.class_tol:
-        return True
-    if lam.imag > opts.class_tol:
-        return False
-    for p in pos:
-        if abs(p.imag) > 1e-9:
-            return p.imag < 0
-    return False
+def _prefers_conjugate(pos: np.ndarray, lam: np.ndarray, opts: SolverOptions) -> np.ndarray:
+    """Per row: Im Λ < 0, or for real Λ the first clearly nonreal position lies below the axis."""
+    nonreal = np.abs(pos.imag) > 1e-9
+    first = pos.imag[np.arange(len(pos)), nonreal.argmax(axis=1)]
+    below = nonreal.any(axis=1) & (first < 0)
+    return np.where(lam.imag > opts.class_tol, False, (lam.imag < -opts.class_tol) | below)
 
 
-def _physical_signature(pos: np.ndarray) -> tuple:
-    n = len(pos)
-    r2 = [abs(pos[k] - pos[j]) ** 2 for j in range(n) for k in range(j + 1, n)]
-    return tuple(sorted(r2))
+def _physical_signatures(pos: np.ndarray) -> list:
+    """Per row, the sorted squared pair distances |z_jk|² as a tuple of np.float64.
+
+    hypot and float_power round as Python's abs and ``**`` of one numpy
+    scalar do; numpy's vectorized abs does not always.
+    """
+    j, k = np.triu_indices(pos.shape[1], 1)
+    d = pos[:, k] - pos[:, j]
+    r2 = np.sort(np.float_power(np.hypot(d.real, d.imag), 2.0), axis=1)
+    return [tuple(row) for row in r2]
 
 
 def _pack_complex(start) -> np.ndarray:
@@ -421,43 +438,62 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         gap = np.where(gw < gz, gw, gz)     # min(gz, gw) as Python's min takes it, NaN included
         return (np.hypot(lam.real, lam.imag) < 1e-8) | (gap < opts.collision_guard)
 
-    def sample(rng):
-        z = _sample_disk(rng, n, opts)
-        w = _sample_disk(rng, n, opts)
-        return _pack_complex((z, w, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))))
+    def sample(rng, count):
+        pos, theta = _draw_starts(rng, count, n, 2, 1, opts)
+        return _realify_vector(np.concatenate([pos[:, 0], pos[:, 1], np.exp(1j * theta)], axis=1))
 
     def finalize(x, iters):
         z, w, lam = _unpack_complex(x)
-        z, w = _canonical_complex_pair(z, w)
-        lam = complex(lam)
-        # The conjugate-free system has the symmetry (z, w, Λ) -> (conj w, conj z, 1/conj Λ).
-        twin = _canonical_complex_pair(np.conj(w), np.conj(z)) + (1.0 / np.conjugate(lam),)
-        if _complex_sort_key(*twin) < _complex_sort_key(z, w, lam):
-            z, w, lam = twin
-        F = _complex_residual(g, z[None], w[None], np.array([lam]))[0]
-        return _central_solution(v, "complex", z, w, lam, F, _complex_signature(z, w), iters, opts)
+        z, w = _canonical_complex_pairs(z, w)
+        # The conjugate-free system has the symmetry (z, w, Λ) -> (conj w, conj z, 1/conj Λ);
+        # keep the twin with the smaller (signature, Λ) key.
+        tz, tw = _canonical_complex_pairs(np.conj(w), np.conj(z))
+        tlam = 1.0 / np.conj(lam)
+        sig, tsig = _complex_signatures(z, w), _complex_signatures(tz, tw)
+        swap = _lexicographic_less(_complex_sort_keys(tsig, tlam), _complex_sort_keys(sig, lam))
+        z, w = np.where(swap[:, None], tz, z), np.where(swap[:, None], tw, w)
+        lam = np.where(swap, tlam, lam)
+        sig = np.where(swap[:, None, None], tsig, sig)
+        F = _complex_residual(g, z, w, lam)
+        signatures = [tuple(map(tuple, row)) for row in sig]
+        return _central_solutions(v, "complex", z, w, lam, F, signatures, iters, opts)
 
     return _Search("complex", sample, residual, jacobian, _modulus_norm, guard, finalize)
 
 
-def _canonical_complex_pair(z: np.ndarray, w: np.ndarray):
-    # (z, w) -> (-z, -w) preserves the system and the gauge; fix the sign of z_12.
-    z12 = z[1] - z[0]
-    if (z12.real, z12.imag) < (0.0, 0.0):
-        return -z, -w
-    return z, w
+def _canonical_complex_pairs(z: np.ndarray, w: np.ndarray):
+    # (z, w) -> (-z, -w) preserves the system and the gauge; per row, make
+    # (Re z_12, Im z_12) at least (0, 0) in tuple order.
+    z12 = z[:, 1] - z[:, 0]
+    neg = ((z12.real < 0) | ((z12.real == 0) & (z12.imag < 0)))[:, None]
+    return np.where(neg, -z, z), np.where(neg, -w, w)
 
 
-def _complex_signature(z: np.ndarray, w: np.ndarray) -> tuple:
-    n = len(z)
-    r2 = [
-        (z[k] - z[j]) * (w[k] - w[j]) for j in range(n) for k in range(j + 1, n)
-    ]
-    return tuple(sorted(((x.real, x.imag) for x in r2)))
+def _complex_signatures(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per row, the products z_jk·w_jk as (Re, Im) pairs sorted in tuple order, shape (S, P, 2).
+
+    The products are spelled out in real arithmetic, as one numpy complex
+    scalar product rounds; numpy's vectorized complex multiply rounds differently.
+    """
+    j, k = np.triu_indices(z.shape[1], 1)
+    a, b = z[:, k] - z[:, j], w[:, k] - w[:, j]
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    order = np.lexsort((im, re), axis=1)
+    return np.stack([np.take_along_axis(re, order, 1), np.take_along_axis(im, order, 1)], axis=2)
 
 
-def _complex_sort_key(z, w, lam):
-    return (_complex_signature(np.asarray(z), np.asarray(w)), (lam.real, lam.imag))
+def _complex_sort_keys(sig: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Rows (signature pairs..., Re Λ, Im Λ), ordered as the tuples they flatten."""
+    return np.concatenate([sig.reshape(len(sig), -1), lam.real[:, None], lam.imag[:, None]], axis=1)
+
+
+def _lexicographic_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, whether a < b as Python compares tuples of floats."""
+    differ = a != b
+    first = differ.argmax(axis=1)
+    rows = np.arange(len(a))
+    return differ.any(axis=1) & (a[rows, first] < b[rows, first])
 
 
 # ---------------------------------------------------------------------------
@@ -489,32 +525,36 @@ def classify(solution: CentralConfigSolution, options: SolverOptions | None = No
     return _classify(solution.lam, solution.invariants, opts)
 
 
-def _central_solution(v: VorticitySet, regime: str, z: np.ndarray, w: np.ndarray, lam: complex,
-                      residual: np.ndarray, signature: tuple, iters: int,
-                      opts: SolverOptions) -> CentralConfigSolution:
-    """Record of a converged central search, with its kind and consistency flags.
+def _central_solutions(v: VorticitySet, regime: str, z: np.ndarray, w: np.ndarray, lam: np.ndarray,
+                       residual: np.ndarray, signatures: list, iters: np.ndarray,
+                       opts: SolverOptions) -> list:
+    """Records of converged central solutions, one per row, with kind and consistency flags.
 
     Physical solutions have Λ = e^{iθ}, so only complex ones can be flagged
     ``nonunit_lambda``.
     """
-    z, w, lam = tuple(z), tuple(w), complex(lam)
-    inv = invariants_of(v, z, w, lam=lam)
-    kind, flags = _classify(lam, inv, opts)
-    flags += _solution_assertions(inv, opts)
-    if abs(abs(lam) - 1.0) > 1e-6:
-        flags += ("nonunit_lambda",)
-    return CentralConfigSolution(
-        regime=regime,
-        z=z,
-        w=w,
-        lam=lam,
-        residual_norm=float(np.abs(residual).max()),
-        invariants=inv,
-        kind=kind,
-        signature=signature,
-        flags=flags,
-        iterations=iters,
-    )
+    lams, iters = lam.tolist(), iters.tolist()
+    nonunit = np.abs(np.hypot(lam.real, lam.imag) - 1.0) > 1e-6
+    norms = np.abs(residual).max(axis=1).tolist()
+    records = []
+    for s, inv in enumerate(invariants_of(v, z, w, lam=lams)):
+        kind, flags = _classify(lams[s], inv, opts)
+        flags += _solution_assertions(inv, opts)
+        if nonunit[s]:
+            flags += ("nonunit_lambda",)
+        records.append(CentralConfigSolution(
+            regime=regime,
+            z=tuple(z[s]),
+            w=tuple(w[s]),
+            lam=lams[s],
+            residual_norm=norms[s],
+            invariants=inv,
+            kind=kind,
+            signature=signatures[s],
+            flags=flags,
+            iterations=iters[s],
+        ))
+    return records
 
 
 def _solution_assertions(inv: Invariants, opts: SolverOptions) -> tuple:
@@ -532,14 +572,44 @@ def _solution_assertions(inv: Invariants, opts: SolverOptions) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _disk_positions(u: np.ndarray, opts: SolverOptions) -> np.ndarray:
+    """Positions in the start disk from uniforms u (..., 2, n): radius draws, then angle draws."""
+    r = opts.start_radius * np.sqrt(u[..., 0, :])
+    phi = 2.0 * np.pi * u[..., 1, :]
+    return r * np.exp(1j * phi)
+
+
 def _sample_disk(rng: np.random.Generator, n: int, opts: SolverOptions) -> np.ndarray:
     for _ in range(10_000):
-        r = opts.start_radius * np.sqrt(rng.uniform(size=n))
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        pos = r * np.exp(1j * phi)
+        pos = _disk_positions(rng.random((2, n)), opts)
         if _min_gap(pos[None])[0] >= opts.start_min_gap:
             return pos
     raise RuntimeError("could not sample a well-separated start")
+
+
+def _draw_starts(rng: np.random.Generator, count: int, n: int, disks: int, angles: int,
+                 opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
+    """Start positions (count, disks, n) and angles in [0, 2π) (count, angles).
+
+    Drawn as a loop over the starts draws them: per start, each disk by
+    :func:`_sample_disk`, then the angles.  All starts come from one block of
+    uniforms.  A disk too tight for ``start_min_gap`` is redrawn, which shifts
+    every later draw, so if the block holds one the generator is rewound and
+    the block drawn start by start.
+    """
+    state = rng.bit_generator.state
+    u = rng.random((count, disks * 2 * n + angles))
+    pos = _disk_positions(u[:, : disks * 2 * n].reshape(count, disks, 2, n), opts)
+    if (_min_gap(pos.reshape(-1, n)) >= opts.start_min_gap).all():
+        return pos, 2.0 * np.pi * u[:, disks * 2 * n :]
+    rng.bit_generator.state = state
+    pos = np.empty((count, disks, n), dtype=complex)
+    theta = np.empty((count, angles))
+    for s in range(count):
+        for k in range(disks):
+            pos[s, k] = _sample_disk(rng, n, opts)
+        theta[s] = rng.uniform(0.0, 2.0 * np.pi, size=angles)
+    return pos, theta
 
 
 def _central_search(v: VorticitySet, regime: str, opts: SolverOptions) -> _Search:
@@ -560,7 +630,7 @@ def newton_refine(v: VorticitySet, start, regime: str = "physical",
     opts = (options or SolverOptions()).validated()
     search = _central_search(v.as_float(), regime, opts)
     x0 = _pack_physical(start) if regime == "physical" else _pack_complex(start)
-    return _levenberg_newton(search, [x0], opts, lanes=1)[0]
+    return _levenberg_newton(search, x0[None], opts, lanes=1)[0]
 
 
 def solve_central_multistart(
@@ -637,25 +707,33 @@ def _near_zero(value, scale: float) -> bool:
     return abs(value) <= 1e-13 * max(1.0, scale)
 
 
-def _velocity_solution(v: VorticitySet, pos: np.ndarray, velocity: complex | None,
-                       iters: int) -> CentralConfigSolution:
-    """Record of a root of V_n = velocity; ``velocity=None`` marks an equilibrium."""
-    V = _velocity_np(np.asarray(v.gammas), np.conj(pos)[None])[0]
+def _velocity_solutions(v: VorticitySet, pos: np.ndarray, velocity: np.ndarray | None,
+                        iters: np.ndarray) -> list:
+    """Records of roots of V_n = velocity, one per row; ``velocity=None`` marks equilibria."""
+    w = np.conj(pos)
+    V = _velocity_np(np.asarray(v.gammas), w)
     if velocity is not None:
-        V = V - velocity
-    w = conjugate_positions(tuple(pos))
-    return CentralConfigSolution(
-        regime="physical",
-        z=tuple(pos),
-        w=w,
-        lam=None,
-        residual_norm=float(np.abs(V).max()),
-        invariants=invariants_of(v, tuple(pos), w),
-        kind=KIND_EQUILIBRIUM if velocity is None else KIND_RIGID_TRANSLATION,
-        signature=_physical_signature(pos),
-        iterations=iters,
-        translation_velocity=velocity,
-    )
+        V = V - velocity[:, None]
+    kind = KIND_EQUILIBRIUM if velocity is None else KIND_RIGID_TRANSLATION
+    velocities = [None] * len(pos) if velocity is None else velocity.tolist()
+    iters = iters.tolist()
+    norms = np.abs(V).max(axis=1).tolist()
+    signatures = _physical_signatures(pos)
+    return [
+        CentralConfigSolution(
+            regime="physical",
+            z=tuple(pos[s]),
+            w=tuple(w[s]),
+            lam=None,
+            residual_norm=norms[s],
+            invariants=inv,
+            kind=kind,
+            signature=signatures[s],
+            iterations=iters[s],
+            translation_velocity=velocities[s],
+        )
+        for s, inv in enumerate(invariants_of(v, pos, w))
+    ]
 
 
 def _pinned(x: np.ndarray, second) -> np.ndarray:
@@ -682,11 +760,12 @@ def _equilibria_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     def guard(x):
         return _min_gap(_pinned(x, 1.0)) < opts.collision_guard
 
-    def sample(rng):
-        return _realify_vector(_sample_disk(rng, n, opts)[2:])
+    def sample(rng, count):
+        pos, _ = _draw_starts(rng, count, n, 1, 0, opts)
+        return _realify_vector(pos[:, 0, 2:])
 
     def finalize(x, iters):
-        return _velocity_solution(v, _pinned(x[None], 1.0)[0], None, iters)
+        return _velocity_solutions(v, _pinned(x, 1.0), None, iters)
 
     return _Search("physical", sample, residual, jacobian, _modulus_norm, guard, finalize)
 
@@ -732,18 +811,19 @@ def _translation_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     def guard(x):
         return _min_gap(assemble(x)[0]) < opts.collision_guard
 
-    def sample(rng):
-        pos = _sample_disk(rng, n, opts)
-        return np.concatenate([[abs(pos[1]) + opts.start_min_gap], _realify_vector(pos[2:]),
-                               [rng.uniform(0.0, 2.0 * np.pi)]])
+    def sample(rng, count):
+        pos, phi = _draw_starts(rng, count, n, 1, 1, opts)
+        z2 = pos[:, 0, 1]
+        xi = np.hypot(z2.real, z2.imag) + opts.start_min_gap
+        return np.concatenate([xi[:, None], _realify_vector(pos[:, 0, 2:]), phi], axis=1)
 
     def finalize(x, iters):
-        pos, phi = _pinned(x[None, 1:-1], x[0])[0], float(x[-1])
-        if pos[1].real < 0:
-            # Rotate by a half turn: keeps V_n = V form with V -> -V.
-            pos = -pos
-            phi += np.pi
-        return _velocity_solution(v, pos, complex(np.exp(1j * phi)), iters)
+        pos, phi = _pinned(x[:, 1:-1], x[:, 0]), x[:, -1]
+        # Rotate by a half turn where Re z_2 < 0: keeps V_n = V form with V -> -V.
+        half = pos[:, 1].real < 0
+        pos = np.where(half[:, None], -pos, pos)
+        phi = np.where(half, phi + np.pi, phi)
+        return _velocity_solutions(v, pos, np.exp(1j * phi), iters)
 
     return _Search("physical", sample, residual, jacobian, _modulus_norm, guard, finalize)
 

@@ -191,3 +191,37 @@ def test_exact_complex_arithmetic():
     assert complex(a) == complex(0.5, 1 / 3)
     with pytest.raises(TypeError):
         a + 0.25  # floats never mix implicitly
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_invariants_of_stack_matches_row_calls(n):
+    rng = np.random.default_rng(n)
+    gammas = rng.uniform(-2, 2, n)
+    S = 400
+    z = (rng.standard_normal((S, n)) + 1j * rng.standard_normal((S, n))) * 10 ** rng.uniform(-3, 3, (S, 1))
+    # Signed zeros, as pinned and half-turned velocity solutions carry them.
+    z[::3, 0] = 0.0
+    z[1::3, 0] = -z[1::3, 0] * 0.0
+    # Rows of signed zeros only, where every sum keeps the sign its products round to.
+    z[2::7] = -z[2::7] * 0.0
+    w_free = rng.standard_normal((S, n)) + 1j * rng.standard_normal((S, n))
+    lam_free = (rng.standard_normal(S) + 1j * rng.standard_normal(S)).tolist()
+    for v in (VorticitySet(tuple(float(g) for g in gammas)),
+              VorticitySet(tuple(Fraction(g) for g in gammas)),
+              VorticitySet(tuple(range(1, n + 1)))):
+        for w, lam in ((np.conj(z), None), (w_free, lam_free)):
+            stacked = invariants_of(v, z, w, lam=lam)
+            assert len(stacked) == S
+            for s, inv in enumerate(stacked):
+                row = invariants_of(v, z[s], w[s], lam=None if lam is None else lam[s])
+                assert repr(inv) == repr(row)
+                assert [type(getattr(inv, f)) for f in Invariants.__dataclass_fields__] == \
+                    [type(getattr(row, f)) for f in Invariants.__dataclass_fields__]
+
+
+def test_invariants_of_stack_checks_shapes():
+    z = np.array([[0.0, 1.0, 2.0j]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        invariants_of(VorticitySet((1.0, 1.0)), z, np.conj(z))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        invariants_of(VorticitySet((1.0, 1.0, 1.0)), z, np.conj(z[:, :2]))

@@ -1,10 +1,12 @@
 """Multistart search, refinement, classification, and the gated searches."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vortexcc import solver
-from vortexcc.quantities import VorticitySet, conjugate_positions
+from vortexcc.quantities import VorticitySet, conjugate_positions, invariants_of
 from vortexcc.solver import (
     CentralConfigSolution,
     NewtonFailure,
@@ -168,6 +170,13 @@ def test_solve_rejects_bad_arguments():
         solve_central_multistart(TWO, regime="imaginary")
     with pytest.raises(ValueError):
         SolverOptions(tol=-1.0).validated()
+    # Damping that cannot grow past lm_lambda_max never gives up on a start;
+    # damping that shrinks past zero or starts above its cap converges nothing.
+    for bad in (dict(lm_increase=1.0), dict(lm_increase=0.5), dict(lm_lambda0=0.0),
+                dict(lm_lambda0=-1.0), dict(lm_lambda0=float("nan")), dict(lm_decrease=0.0),
+                dict(lm_decrease=1.5), dict(lm_lambda_max=1e-6), dict(max_iter=-3)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverOptions(**bad).validated()
     # Below COLLISION_GUARD the kernels raise, which would escape newton_refine.
     for guard in (1e-12, 0.0):
         with pytest.raises(ValueError, match="collision_guard"):
@@ -259,7 +268,7 @@ def _seeded_starts(name, opts, count=16, seed=3):
     make, gammas = SEARCHES[name]
     search = make(VorticitySet(gammas), opts)
     rng = np.random.default_rng(seed)
-    return search, [search.sample(rng) for _ in range(count)]
+    return search, search.sample(rng, count)
 
 
 def _outcome(result):
@@ -373,7 +382,7 @@ def test_deduplicate_matches_loop_reference(gammas, regime):
     opts = SolverOptions()
     search = solver._central_search(VorticitySet(gammas), regime, opts)
     rng = np.random.default_rng(8)
-    results = solver._levenberg_newton(search, [search.sample(rng) for _ in range(300)], opts)
+    results = solver._levenberg_newton(search, search.sample(rng, 300), opts)
     found = [r for r in results if isinstance(r, CentralConfigSolution)]
     # The coarse tolerance makes one candidate match several kept solutions
     # and lets a replacement change what later candidates match.
@@ -383,3 +392,195 @@ def test_deduplicate_matches_loop_reference(gammas, regime):
         reference = _deduplicate_loop(found, coarse)
         assert [id(s) for s in kept] == [id(s) for s in reference]
         assert len(kept) > 1
+
+
+# ---------------------------------------------------------------------------
+# Block start draws and the stacked finalize, against per-start references
+# ---------------------------------------------------------------------------
+
+def _sample_disk_loop(rng, n, opts):
+    for _ in range(10_000):
+        r = opts.start_radius * np.sqrt(rng.uniform(size=n))
+        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        pos = r * np.exp(1j * phi)
+        if solver._min_gap(pos[None])[0] >= opts.start_min_gap:
+            return pos
+    raise RuntimeError("could not sample a well-separated start")
+
+
+def _serial_start(name, rng, n, opts):
+    """One start, drawn as the per-start samplers the block draw replaced drew it."""
+    if name == "physical":
+        return solver._pack_physical((_sample_disk_loop(rng, n, opts), rng.uniform(0.0, 2.0 * np.pi)))
+    if name == "complex":
+        z = _sample_disk_loop(rng, n, opts)
+        w = _sample_disk_loop(rng, n, opts)
+        return solver._pack_complex((z, w, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))))
+    pos = _sample_disk_loop(rng, n, opts)
+    if name == "equilibria":
+        return solver._realify_vector(pos[2:])
+    return np.concatenate([[abs(pos[1]) + opts.start_min_gap], solver._realify_vector(pos[2:]),
+                           [rng.uniform(0.0, 2.0 * np.pi)]])
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+@pytest.mark.parametrize("n", [4, 5])
+def test_block_draw_matches_serial_draw(name, n):
+    make, _ = SEARCHES[name]
+    v = VorticitySet(tuple(float(k + 1) * (-1) ** k for k in range(n)))
+    count = 64
+    rejected = {}
+    for gap in (SolverOptions().start_min_gap, 0.5):
+        opts = SolverOptions(start_min_gap=gap)
+        block_rng, serial_rng = np.random.default_rng(5), np.random.default_rng(5)
+        block = make(v, opts).sample(block_rng, count)
+        serial = np.array([_serial_start(name, serial_rng, n, opts) for _ in range(count)])
+        assert block.shape == serial.shape
+        assert block.tobytes() == serial.tobytes()
+        assert block_rng.bit_generator.state == serial_rng.bit_generator.state
+        # Without a redrawn disk the loop takes one fixed-width row of uniforms per start:
+        # 2N per disk (two for the complex search) and one per angle (none for equilibria).
+        disks, angles = {"physical": (1, 1), "complex": (2, 1),
+                         "equilibria": (1, 0), "translation": (1, 1)}[name]
+        unshifted = np.random.default_rng(5)
+        unshifted.random(count * (disks * 2 * n + angles))
+        rejected[gap] = serial_rng.bit_generator.state != unshifted.bit_generator.state
+    # The default gap draws no disk twice here; at 0.5 the redraw path runs.
+    assert rejected == {SolverOptions().start_min_gap: False, 0.5: True}
+
+
+def _prefers_conjugate_row(pos, lam, opts):
+    """(choice, branch taken) of the per-start conjugate choice."""
+    if lam.imag < -opts.class_tol:
+        return True, "lam below"
+    if lam.imag > opts.class_tol:
+        return False, "lam above"
+    for p in pos:
+        if abs(p.imag) > 1e-9:
+            return p.imag < 0, "position below" if p.imag < 0 else "position above"
+    return False, "all real"
+
+
+def _physical_signature_row(pos):
+    n = len(pos)
+    return tuple(sorted(abs(pos[k] - pos[j]) ** 2 for j in range(n) for k in range(j + 1, n)))
+
+
+def _complex_signature_row(z, w):
+    n = len(z)
+    r2 = [(z[k] - z[j]) * (w[k] - w[j]) for j in range(n) for k in range(j + 1, n)]
+    return tuple(sorted((x.real, x.imag) for x in r2))
+
+
+def _canonical_complex_pair_row(z, w):
+    z12 = z[1] - z[0]
+    if (z12.real, z12.imag) < (0.0, 0.0):
+        return -z, -w
+    return z, w
+
+
+def _central_solution_row(v, regime, z, w, lam, residual, signature, iters, opts):
+    z, w, lam = tuple(z), tuple(w), complex(lam)
+    inv = invariants_of(v, z, w, lam=lam)
+    kind, flags = solver._classify(lam, inv, opts)
+    flags += solver._solution_assertions(inv, opts)
+    if abs(abs(lam) - 1.0) > 1e-6:
+        flags += ("nonunit_lambda",)
+    return CentralConfigSolution(regime=regime, z=z, w=w, lam=lam,
+                                 residual_norm=float(np.abs(residual).max()), invariants=inv,
+                                 kind=kind, signature=signature, flags=flags, iterations=iters)
+
+
+def _velocity_solution_row(v, pos, velocity, iters):
+    V = solver._velocity_np(np.asarray(v.gammas), np.conj(pos)[None])[0]
+    if velocity is not None:
+        V = V - velocity
+    w = conjugate_positions(tuple(pos))
+    return CentralConfigSolution(
+        regime="physical", z=tuple(pos), w=w, lam=None, residual_norm=float(np.abs(V).max()),
+        invariants=invariants_of(v, tuple(pos), w),
+        kind="equilibrium" if velocity is None else "rigid_translation",
+        signature=_physical_signature_row(pos), iterations=iters, translation_velocity=velocity)
+
+
+def _finalize_row(name, v, x, iters, opts, branches):
+    """One converged row, finalized as the per-start finalizers the stacked one replaced did."""
+    g = np.asarray(v.gammas)
+    if name == "physical":
+        pos, theta = solver._unpack_physical(x)
+        lam = np.exp(1j * float(theta))
+        z12 = pos[1] - pos[0]
+        pos = pos * (abs(z12) / z12)
+        flip, branch = _prefers_conjugate_row(pos, lam, opts)
+        branches.add(branch)
+        if flip:
+            pos, lam = np.conj(pos), np.conj(lam)
+        E = lam * pos - solver._velocity_np(g, np.conj(pos)[None])[0]
+        return _central_solution_row(v, "physical", pos, np.conj(pos), lam, E,
+                                     _physical_signature_row(pos), iters, opts)
+    if name == "complex":
+        z, w, lam = solver._unpack_complex(x)
+        z, w = _canonical_complex_pair_row(z, w)
+        lam = complex(lam)
+        twin = _canonical_complex_pair_row(np.conj(w), np.conj(z)) + (1.0 / np.conjugate(lam),)
+
+        def key(z, w, lam):
+            return _complex_signature_row(z, w), (lam.real, lam.imag)
+
+        swap = key(*twin) < key(z, w, lam)
+        branches.add("twin" if swap else "kept")
+        if swap:
+            z, w, lam = twin
+        F = solver._complex_residual(g, z[None], w[None], np.array([lam]))[0]
+        return _central_solution_row(v, "complex", z, w, lam, F, _complex_signature_row(z, w),
+                                     iters, opts)
+    if name == "equilibria":
+        return _velocity_solution_row(v, solver._pinned(x[None], 1.0)[0], None, iters)
+    pos, phi = solver._pinned(x[None, 1:-1], x[0])[0], float(x[-1])
+    if pos[1].real < 0:
+        branches.add("half turn")
+        pos = -pos
+        phi += np.pi
+    return _velocity_solution_row(v, pos, complex(np.exp(1j * phi)), iters)
+
+
+FINALIZE_CASES = {
+    "physical": [(1.0, 1.0), (1.0, 1.0, -0.5), (1.0, 2.0, 3.0, -1.5), (1.0, -2.0, 3.0, 0.5, 1.5)],
+    "complex": [(1.0, 1.0), (1.0, 1.0, -0.5), (1.0, 2.0, 3.0, -1.5), (2.0, 2.0, 2.0, 2.0, -1.0)],
+    "equilibria": [(1.0, 1.0, -0.5), (1.0, 1.0, 1.0, -1.0)],
+    "translation": [(1.0, -1.0), (1.0, 1.0, -2.0), (1.0, -1.0, 2.0, -2.0)],
+}
+FINALIZE_BRANCHES = {
+    "physical": {"lam below", "lam above", "position below", "position above", "all real"},
+    "complex": {"twin", "kept"},
+    "equilibria": set(),
+    "translation": {"half turn"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_stacked_finalize_matches_row_reference(name):
+    make, _ = SEARCHES[name]
+    opts = SolverOptions()
+    branches = set()
+    for gammas in FINALIZE_CASES[name]:
+        v = VorticitySet(gammas)
+        search = make(v, opts)
+        calls = []
+
+        def finalize(x, iters):
+            calls.append((x, iters))
+            return search.finalize(x, iters)
+
+        spy = dataclasses.replace(search, finalize=finalize)
+        results = solver._levenberg_newton(spy, search.sample(np.random.default_rng(4), 60), opts)
+        # One stacked call per search, on every converged row.
+        assert len(calls) == 1
+        x, iters = calls[0]
+        found = [r for r in results if isinstance(r, CentralConfigSolution)]
+        assert len(found) == len(x) > 0
+        reference = [_finalize_row(name, v, row, int(it), opts, branches)
+                     for row, it in zip(x, iters)]
+        assert repr(search.finalize(x, iters)) == repr(reference)
+        assert sorted(map(repr, found)) == sorted(map(repr, reference))
+    assert branches == FINALIZE_BRANCHES[name]
