@@ -19,20 +19,39 @@ equilibria, rigid translation), N = 2..5, the continuum tuples (1, 1, -1/2)
 and (2, 2, 2, 2, -1), the gated empty reports (L != 0, Γ != 0, with float
 and exact strengths), and ``newton_refine`` in both regimes, converging and
 stopped at the collision guard.
+
+When a change legitimately alters the bytes (a new linear algebra path that
+rounds differently), compare solution sets instead:
+
+    python scripts/solve_digest.py --sets OUT.json
+    python scripts/solve_digest.py --compare A.json B.json
+
+``--sets`` writes, for every case above and for the solve-complex benchmark
+calls of seeds 1 and 2, rounds 0 to 2, the converged start count and each
+solution's signature, Λ and kind.  ``--compare`` matches two such files:
+per case the solution counts must agree and every solution must have a
+partner of the same kind whose signature agrees within ``dedup_tol`` and whose
+Λ agrees up to conjugation and the twin map Λ -> 1/conj Λ.  It prints the
+change in converged starts per case and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 import numpy as np  # noqa: E402
 
 from vortexcc import (  # noqa: E402
+    CentralConfigSolution,
     SolverOptions,
     VorticitySet,
     newton_refine,
@@ -121,6 +140,18 @@ REDRAW_CASES = (
 )
 
 
+def _bench_cases():
+    """The solve-complex benchmark calls of seeds 1 and 2, rounds 0 to 2, as (name, run) cases."""
+    from perfbench.inputs import round_calls
+
+    def run(call):
+        return lambda: solve_central_multistart(VorticitySet(call.gammas), regime=call.regime,
+                                                starts=call.starts, seed=call.seed)
+
+    return tuple((f"solve-complex seed {seed} round {r} slot {call.slot}", run(call))
+                 for seed in (1, 2) for r in range(3) for call in round_calls("solve-complex", seed, r))
+
+
 def _digest_cases(cases, total) -> None:
     for name, run in cases:
         digest = hashlib.sha256(repr(run()).encode()).hexdigest()
@@ -128,7 +159,92 @@ def _digest_cases(cases, total) -> None:
         print(f"{digest}  {name}")
 
 
-def main() -> int:
+def _pair(x: complex | None):
+    return None if x is None else [x.real, x.imag]
+
+
+def _solution_set(result) -> dict:
+    """Converged count and solutions of a SolveReport, or of one newton_refine result."""
+    if isinstance(result, CentralConfigSolution):
+        attempted, converged, solutions = 1, 1, (result,)
+    elif hasattr(result, "solutions"):
+        attempted, converged, solutions = (result.starts_attempted, result.starts_converged,
+                                           result.solutions)
+    else:
+        attempted, converged, solutions = 1, 0, ()
+    return {
+        "starts_attempted": attempted,
+        "starts_converged": converged,
+        "solutions": [{"signature": np.asarray(s.signature, dtype=float).ravel().tolist(),
+                       "lam": _pair(s.lam), "kind": s.kind} for s in solutions],
+    }
+
+
+def write_sets(path: str) -> int:
+    cases = CASES + LARGE_CASES + REDRAW_CASES + _bench_cases()
+    sets = {name: _solution_set(run()) for name, run in cases}
+    Path(path).write_text(json.dumps(sets, indent=1) + "\n")
+    print(f"wrote {len(sets)} cases to {path}")
+    return 0
+
+
+def _same_solution(a: dict, b: dict, tol: float) -> bool:
+    if a["kind"] != b["kind"] or len(a["signature"]) != len(b["signature"]):
+        return False
+    sa, sb = np.array(a["signature"]), np.array(b["signature"])
+    if np.abs(sa - sb).max(initial=0.0) > tol * max(1.0, np.abs(sa).max(initial=0.0)):
+        return False
+    if a["lam"] is None or b["lam"] is None:
+        return a["lam"] is None and b["lam"] is None
+    la, lb = complex(*a["lam"]), complex(*b["lam"])
+    images = [lb, lb.conjugate()] + ([1.0 / lb.conjugate(), 1.0 / lb] if lb != 0 else [])
+    return min(abs(la - m) for m in images) <= tol
+
+
+def compare_sets(path_a: str, path_b: str) -> int:
+    tol = SolverOptions().dedup_tol
+    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    bad = 0
+    attempted = moved = 0
+    for name in sorted(set(a) | set(b)):
+        if name not in a or name not in b:
+            print(f"MISSING  {name}: only in {path_a if name in a else path_b}")
+            bad += 1
+            continue
+        ca, cb = a[name], b[name]
+        left = list(cb["solutions"])
+        unmatched = 0
+        for sol in ca["solutions"]:
+            hit = next((i for i, other in enumerate(left) if _same_solution(sol, other, tol)), None)
+            if hit is None:
+                unmatched += 1
+            else:
+                left.pop(hit)
+        counts = (len(ca["solutions"]), len(cb["solutions"]))
+        delta = cb["starts_converged"] - ca["starts_converged"]
+        attempted += ca["starts_attempted"]
+        moved += abs(delta)
+        ok = counts[0] == counts[1] and not unmatched and not left
+        bad += not ok
+        print(f"{'ok' if ok else 'DIFFER'}  {name}: solutions {counts[0]} -> {counts[1]}, "
+              f"unmatched {unmatched + len(left)}, converged {ca['starts_converged']} -> "
+              f"{cb['starts_converged']} ({delta:+d})")
+    print(f"{len(set(a) | set(b)) - bad} of {len(set(a) | set(b))} cases match; converged starts "
+          f"moved by {moved} of {attempted} attempted")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--sets", metavar="OUT.json", help="write solution sets instead of digests")
+    mode.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
+                      help="match the solution sets of two --sets files")
+    args = parser.parse_args(argv)
+    if args.sets:
+        return write_sets(args.sets)
+    if args.compare:
+        return compare_sets(*args.compare)
     total = hashlib.sha256()
     _digest_cases(CASES, total)
     print(f"{total.hexdigest()}  TOTAL")

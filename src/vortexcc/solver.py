@@ -5,11 +5,13 @@ The physical regime solves the reduced central system on unknowns
 the rotation gauge Im z_12 = 0 is the one extra equation.  The complex
 regime solves the conjugate-free system on 2N+1 complex unknowns
 (z, w, Λ) with the gauge row z_12 = w_12; there Λ is a free unknown (real
-solutions automatically come out with |Λ| = 1).
+solutions automatically come out with |Λ| = 1).  The engine refines those
+complex unknowns natively, not as a realified 4N+2 real system.
 
 Damping is Levenberg-style: the Newton step is computed from
-(JᵀJ + λI) δ = -JᵀF with λ adapted multiplicatively; trial steps that cross
-the collision guard are rejected.  Failures are values, not exceptions.
+(JᴴJ + λI) δ = -JᴴF with λ adapted multiplicatively (Jᴴ = Jᵀ for the real
+searches); trial steps that cross the collision guard are rejected.
+Failures are values, not exceptions.
 
 Each of the four searches (physical, complex, equilibria, rigid
 translation) is a small :class:`_Search` spec: a sampler that draws all
@@ -87,11 +89,15 @@ class SolverOptions:
 
     def validated(self) -> "SolverOptions":
         # Written as `not ... > ...` so that NaN fails every check.
-        for name in ("tol", "dedup_tol", "class_tol", "collapse_tol", "lm_lambda0"):
+        # A start disk of radius 0 or NaN, or a NaN gap, never yields a separated
+        # start; a divergence bound of 0 fails every step, a NaN one none.
+        for name in ("tol", "dedup_tol", "class_tol", "collapse_tol", "lm_lambda0",
+                     "start_radius", "divergence_norm"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"option {name} must be positive")
-        if not self.max_iter >= 0:
-            raise ValueError("option max_iter must be non-negative")
+        for name in ("max_iter", "start_min_gap"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"option {name} must be non-negative")
         # Each rejected trial multiplies λ by lm_increase until it passes
         # lm_lambda_max; without growth that never happens and the solve never ends.
         if not self.lm_increase > 1:
@@ -144,11 +150,12 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class _Search:
-    """One search on real unknown vectors, as the engine and ``_multistart`` run it.
+    """One search, as the engine and ``_multistart`` run it.
 
     ``residual``, ``jacobian``, ``norm`` and ``guard`` take stacks: one
     unknown vector x per row of an (S, d) array, one residual per row of an
-    (S, m) array.
+    (S, m) array.  Unknowns and residuals are real, or complex with a
+    holomorphic residual; the starts' dtype sets which.
     """
 
     regime: str
@@ -161,7 +168,7 @@ class _Search:
 
 
 # ---------------------------------------------------------------------------
-# Levenberg-damped Newton engine on stacks of real vectors
+# Levenberg-damped Newton engine on stacks of real or complex vectors
 # ---------------------------------------------------------------------------
 
 # Most starts in flight at once.  It bounds the memory of the stacked
@@ -180,20 +187,22 @@ def _levenberg_newton(search: _Search, starts: np.ndarray, options: SolverOption
     runs out of iterations or takes a Jacobian; then it tries steps with
     growing λ until one lowers the residual norm, or λ passes its maximum.
     Converged rows are kept and finalized together, once, at the end.
+    Unknowns, residuals and the normal equations take the dtype of the
+    starts and residuals, real or complex.
     """
     d = starts.shape[1]
     # Starts inside the guard fail at once; the others overwrite this on finishing.
     results: list = [NewtonFailure("hit_collision_guard", 0, math.inf)] * len(starts)
     pending = np.flatnonzero(~search.guard(starts))
     owner = np.full(lanes, -1)          # index of the lane's start in results, -1 when free
-    x = np.zeros((lanes, d))
+    x = np.zeros((lanes, d), dtype=starts.dtype)
     nrm = np.zeros(lanes)
     damp = np.zeros(lanes)
     iters = np.zeros(lanes, dtype=int)
     blocked = np.zeros(lanes, dtype=bool)   # a trial of this iteration crossed the guard
     fresh = np.zeros(lanes, dtype=bool)     # at the top of an iteration
-    jtj = np.zeros((lanes, d, d))
-    jtf = np.zeros((lanes, d))
+    jtj = np.zeros((lanes, d, d), dtype=starts.dtype)
+    jtf = np.zeros((lanes, d), dtype=starts.dtype)
     F = None                                # sized from the first residual
     done: list = []                         # (start indices, rows, iterations) of converged lanes
 
@@ -212,7 +221,7 @@ def _levenberg_newton(search: _Search, starts: np.ndarray, options: SolverOption
             new = free[: take.size]
             F0 = search.residual(starts[take])
             if F is None:
-                F = np.zeros((lanes, F0.shape[1]))
+                F = np.zeros((lanes, F0.shape[1]), dtype=F0.dtype)
             owner[new] = take
             x[new], F[new], nrm[new] = starts[take], F0, search.norm(F0)
             damp[new], iters[new], fresh[new] = options.lm_lambda0, 0, True
@@ -232,9 +241,11 @@ def _levenberg_newton(search: _Search, starts: np.ndarray, options: SolverOption
         top = top[owner[top] >= 0]
         if top.size:
             J = search.jacobian(x[top])
-            JT = J.transpose(0, 2, 1)
-            jtj[top] = JT @ J
-            jtf[top] = (JT @ F[top][:, :, None])[:, :, 0]
+            JH = J.transpose(0, 2, 1)
+            if np.iscomplexobj(J):
+                JH = JH.conj()
+            jtj[top] = JH @ J
+            jtf[top] = (JH @ F[top][:, :, None])[:, :, 0]
             blocked[top] = fresh[top] = False
 
         # Every lane inside an iteration makes one damped trial step.
@@ -275,7 +286,7 @@ def _levenberg_newton(search: _Search, starts: np.ndarray, options: SolverOption
 
 
 def _damped_steps(jtj: np.ndarray, jtf: np.ndarray, damp: np.ndarray):
-    """Solve (JᵀJ + λI) δ = -JᵀF on every lane; returns (δ, solved).
+    """Solve (JᴴJ + λI) δ = -JᴴF on every lane; returns (δ, solved).
 
     A singular matrix makes the stacked solve raise; then each lane is solved
     alone and only the singular ones come back unsolved.
@@ -410,14 +421,17 @@ def _physical_signatures(pos: np.ndarray) -> list:
 
 def _pack_complex(start) -> np.ndarray:
     z, w, lam = start
-    c = np.concatenate([np.asarray(z, dtype=complex), np.asarray(w, dtype=complex), [complex(lam)]])
-    return _realify_vector(c)
+    return np.concatenate([np.asarray(z, dtype=complex), np.asarray(w, dtype=complex), [complex(lam)]])
 
 
 def _unpack_complex(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    c = _complexify(x)
-    n = (c.shape[-1] - 1) // 2
-    return c[..., :n], c[..., n : 2 * n], c[..., -1]
+    n = (x.shape[-1] - 1) // 2
+    return x[..., :n], x[..., n : 2 * n], x[..., -1]
+
+
+def _max_modulus(F: np.ndarray) -> np.ndarray:
+    """Max modulus over the entries of each complex residual row."""
+    return np.abs(F).max(axis=1)
 
 
 def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
@@ -425,12 +439,10 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     n = v.n
 
     def residual(x):
-        return _realify_vector(complex_residual_vector(v, *_unpack_complex(x)))
+        return complex_residual_vector(v, *_unpack_complex(x))
 
     def jacobian(x):
-        # Holomorphic rows: the derivative along y_m is i times the one along x_m.
-        J = complex_jacobian(v, *_unpack_complex(x))
-        return _realify_columns(J, 1j * J)
+        return complex_jacobian(v, *_unpack_complex(x))
 
     def guard(x):
         z, w, lam = _unpack_complex(x)
@@ -440,7 +452,7 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
 
     def sample(rng, count):
         pos, theta = _draw_starts(rng, count, n, 2, 1, opts)
-        return _realify_vector(np.concatenate([pos[:, 0], pos[:, 1], np.exp(1j * theta)], axis=1))
+        return np.concatenate([pos[:, 0], pos[:, 1], np.exp(1j * theta)], axis=1)
 
     def finalize(x, iters):
         z, w, lam = _unpack_complex(x)
@@ -458,7 +470,7 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         signatures = [tuple(map(tuple, row)) for row in sig]
         return _central_solutions(v, "complex", z, w, lam, F, signatures, iters, opts)
 
-    return _Search("complex", sample, residual, jacobian, _modulus_norm, guard, finalize)
+    return _Search("complex", sample, residual, jacobian, _max_modulus, guard, finalize)
 
 
 def _canonical_complex_pairs(z: np.ndarray, w: np.ndarray):

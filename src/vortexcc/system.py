@@ -141,9 +141,16 @@ def _min_gap(p: np.ndarray) -> np.ndarray:
     return d.min(axis=(1, 2))
 
 
-def _velocity_np(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
-    """V[s, n] = sum_{j != n} Γ_j / w_jn for each row of wpos (S, n)."""
-    inv = 1.0 / _pair_diffs(wpos)
+def _velocity_np(g: np.ndarray, wpos: np.ndarray, checked: str | None = None) -> np.ndarray:
+    """V[s, n] = sum_{j != n} Γ_j / w_jn for each row of wpos (S, n).
+
+    With ``checked`` set, first raise CollisionError, naming that coordinate,
+    if a row has a pair closer than the guard (see :func:`_check_separated`).
+    """
+    d = _pair_diffs(wpos)
+    if checked:
+        _check_separated(d, checked)
+    inv = 1.0 / d
     _set_diagonal(inv, 0.0)
     return (g[:, None] * inv).sum(axis=1)
 
@@ -156,17 +163,16 @@ def _velocity_derivative(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _check_separated(p: np.ndarray, coordinate: str) -> None:
-    """Raise CollisionError if a row of p (S, n) has a pair closer than the guard.
+def _check_separated(d: np.ndarray, coordinate: str) -> None:
+    """Raise CollisionError if a stack of :func:`_pair_diffs` has a pair closer than the guard.
 
-    The error names the first such pair, in index order, of the first such row.
+    Their diagonal of 1 never is.  The error names the first such pair, in
+    index order, of the first such row.
     """
-    close = _min_gap(p) < COLLISION_GUARD
+    dist = np.abs(d)
+    close = dist.min(axis=(1, 2)) < COLLISION_GUARD
     if close.any():
-        row = p[np.argmax(close)]
-        d = np.abs(row[None, :] - row[:, None])
-        np.fill_diagonal(d, np.inf)
-        j, k = np.argwhere(d < COLLISION_GUARD)[0]
+        j, k = np.argwhere(dist[np.argmax(close)] < COLLISION_GUARD)[0]
         raise CollisionError(int(j) + 1, int(k) + 1, coordinate)
 
 
@@ -180,9 +186,8 @@ def _velocities(v: VorticitySet, z, w) -> tuple[np.ndarray, np.ndarray]:
     ws = np.array([complex(p) for p in w], dtype=complex)
     if len(zs) != v.n or len(ws) != v.n:
         raise ValueError("positions must match the vorticity count")
-    _check_separated(zs[None], "z")
-    _check_separated(ws[None], "w")
-    return zs, _velocity_np(_float_gammas(v), ws[None])[0]
+    _check_separated(_pair_diffs(zs[None]), "z")
+    return zs, _velocity_np(_float_gammas(v), ws[None], checked="w")[0]
 
 
 def velocity_field(v: VorticitySet, z: Sequence, w: Sequence) -> list:
@@ -213,16 +218,18 @@ def complex_system_residual(conf: ComplexConfiguration, v: VorticitySet) -> Resi
 #   complex:   unknowns (z_1..z_N, w_1..w_N, Λ) as complex variables;
 #              rows (A_1..A_N, B_1..B_N, z_12 - w_12), all holomorphic.
 # The kernels work on stacks: each row of pos, z, w (S, N) and each entry of
-# theta, lam (S,) is one point, with no collision check.  The public
-# functions take one point, or a stack, and check it; one point is passed to
-# the kernels as a stack of one.
+# theta, lam (S,) is one point.  The residual kernels raise CollisionError
+# below the guard, checked on the pair differences the velocity kernel forms
+# anyway; the Jacobian kernels check nothing.  The public functions take one
+# point, or a stack; one point is passed to the kernels as a stack of one.
 # ---------------------------------------------------------------------------
 
 
 def _physical_residual(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Rows of :func:`physical_residual_vector`, shape (S, 2N+1)."""
     n = pos.shape[1]
-    E = np.exp(1j * theta)[:, None] * pos - _velocity_np(g, np.conj(pos))
+    # |conj z_jn| = |z_jn|, so the check on the w = conj(z) differences is the one on z.
+    E = np.exp(1j * theta)[:, None] * pos - _velocity_np(g, np.conj(pos), checked="z")
     F = np.empty((len(pos), 2 * n + 1))
     F[:, 0 : 2 * n : 2] = E.real
     F[:, 1 : 2 * n : 2] = E.imag
@@ -255,8 +262,10 @@ def _physical_jacobian(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.
 def _complex_residual(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Rows of :func:`complex_residual_vector`, shape (S, 2N+1)."""
     lam = lam[:, None]
-    A = lam * z - _velocity_np(g, w)
-    B = w / lam - _velocity_np(g, z)
+    # z first: a collision in both coordinates is reported in z.
+    Vz = _velocity_np(g, z, checked="z")
+    A = lam * z - _velocity_np(g, w, checked="w")
+    B = w / lam - Vz
     gauge = (z[:, 1] - z[:, 0]) - (w[:, 1] - w[:, 0])
     return np.concatenate([A, B, gauge[:, None]], axis=1)
 
@@ -307,9 +316,7 @@ def physical_residual_vector(v: VorticitySet, positions, theta: float) -> np.nda
 
     Also takes a stack: positions (S, N) and theta (S,) give one residual per row.
     """
-    g, pos, th = _physical_args(v, positions, theta)
-    _check_separated(pos, "z")
-    return _one_or_stack(_physical_residual(g, pos, th), positions)
+    return _one_or_stack(_physical_residual(*_physical_args(v, positions, theta)), positions)
 
 
 def physical_jacobian(v: VorticitySet, positions, theta: float) -> np.ndarray:
@@ -322,10 +329,7 @@ def complex_residual_vector(v: VorticitySet, z, w, lam: complex) -> np.ndarray:
 
     Also takes a stack: z, w (S, N) and lam (S,) give one residual per row.
     """
-    g, zs, ws, lams = _complex_args(v, z, w, lam)
-    _check_separated(zs, "z")
-    _check_separated(ws, "w")
-    return _one_or_stack(_complex_residual(g, zs, ws, lams), z)
+    return _one_or_stack(_complex_residual(*_complex_args(v, z, w, lam)), z)
 
 
 def complex_jacobian(v: VorticitySet, z, w, lam: complex) -> np.ndarray:

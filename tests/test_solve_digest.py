@@ -1,0 +1,53 @@
+"""The solution-set comparison of scripts/solve_digest.py."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "solve_digest.py"
+_spec = importlib.util.spec_from_file_location("solve_digest", SCRIPT)
+solve_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(solve_digest)
+
+
+def _write(path, cases):
+    path.write_text(json.dumps(cases))
+    return str(path)
+
+
+def _case(converged, *solutions):
+    return {"starts_attempted": 100, "starts_converged": converged,
+            "solutions": [{"signature": sig, "lam": lam, "kind": kind}
+                          for sig, lam, kind in solutions]}
+
+
+def test_compare_matches_lambda_up_to_conjugation_and_twin(tmp_path, capsys):
+    lam = complex(0.3, 0.8)
+    twin = 1.0 / lam.conjugate()
+    a = {"collapse": _case(10, ([1.0, 2.0], [lam.real, lam.imag], "collapse"),
+                           ([3.0, 4.0], [0.5, 0.1], "collapse")),
+         "equilibria": _case(5, ([2.0], None, "equilibrium"))}
+    b = {"collapse": _case(11, ([3.0, 4.0 + 1e-9], [0.5, -0.1], "collapse"),
+                           ([1.0, 2.0], [twin.real, twin.imag], "collapse")),
+         "equilibria": _case(5, ([2.0], None, "equilibrium"))}
+    assert solve_digest.main(["--compare", _write(tmp_path / "a.json", a),
+                              _write(tmp_path / "b.json", b)]) == 0
+    out = capsys.readouterr().out
+    assert "ok  collapse: solutions 2 -> 2, unmatched 0, converged 10 -> 11 (+1)" in out
+    assert "2 of 2 cases match; converged starts moved by 1 of 200 attempted" in out
+
+
+def test_compare_reports_every_kind_of_mismatch(tmp_path, capsys):
+    base = _case(10, ([1.0, 2.0], [1.0, 0.0], "relative_equilibrium"))
+    a = {"count": base, "signature": base, "lambda": base, "kind": base, "missing": base}
+    b = {"count": _case(10),
+         "signature": _case(10, ([1.0, 2.001], [1.0, 0.0], "relative_equilibrium")),
+         "lambda": _case(10, ([1.0, 2.0], [0.0, 1.0], "relative_equilibrium")),
+         "kind": _case(10, ([1.0, 2.0], [1.0, 0.0], "collapse"))}
+    assert solve_digest.main(["--compare", _write(tmp_path / "a.json", a),
+                              _write(tmp_path / "b.json", b)]) == 1
+    out = capsys.readouterr().out
+    for name in ("count", "signature", "lambda", "kind"):
+        assert f"DIFFER  {name}:" in out
+    assert "MISSING  missing" in out
+    assert "0 of 5 cases match" in out

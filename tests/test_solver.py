@@ -181,6 +181,17 @@ def test_solve_rejects_bad_arguments():
     for guard in (1e-12, 0.0):
         with pytest.raises(ValueError, match="collision_guard"):
             SolverOptions(collision_guard=guard).validated()
+    # A start disk that is a point or NaN, or a NaN gap, never yields a separated
+    # start; a divergence bound of 0 fails every start, a NaN one fails none.
+    nan = float("nan")
+    for bad in (dict(start_radius=0.0), dict(start_radius=-1.0), dict(start_radius=nan),
+                dict(start_min_gap=-1e-3), dict(start_min_gap=nan),
+                dict(divergence_norm=0.0), dict(divergence_norm=-1.0), dict(divergence_norm=nan)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            solve_central_multistart(VorticitySet((1.0, 2.0, -0.5)), starts=20, seed=0,
+                                     options=SolverOptions(**bad))
+    # Starts may touch: a zero gap stays legal.
+    assert SolverOptions(start_min_gap=0.0).validated().start_min_gap == 0.0
     # Every search refuses a non-positive start count, before its L or Γ gate.
     for starts in (0, -5):
         with pytest.raises(ValueError, match="starts must be positive"):
@@ -345,6 +356,47 @@ def test_engine_damps_only_singular_lanes(monkeypatch):
     assert changed == [k]
 
 
+def _realified(J, F):
+    """The real system of holomorphic J, F: rows and unknowns as (Re, Im) pairs."""
+    JR = np.empty((len(J), 2 * J.shape[1], 2 * J.shape[2]))
+    JR[:, 0::2, 0::2], JR[:, 0::2, 1::2] = J.real, -J.imag
+    JR[:, 1::2, 0::2], JR[:, 1::2, 1::2] = J.imag, J.real
+    FR = np.empty((len(F), 2 * F.shape[1]))
+    FR[:, 0::2], FR[:, 1::2] = F.real, F.imag
+    return JR, FR
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_native_complex_step_matches_realified_step(seed):
+    # JᴴJ + λI is the complexification of the realified JᵀJ + λI, so the
+    # complex search's step is the realified one up to rounding.
+    search, x = _seeded_starts("complex", SolverOptions(), count=24, seed=seed)
+    J, F = search.jacobian(x), search.residual(x)
+    # Lane 0: a zero column and no damping make both normal matrices singular.
+    J[0, :, 0] = 0.0
+    damp = np.geomspace(1e-3, 10.0, len(x))
+    damp[0] = 0.0
+    JH = np.conj(J.transpose(0, 2, 1))
+    step, solved = solver._damped_steps(JH @ J, (JH @ F[:, :, None])[:, :, 0], damp)
+    JR, FR = _realified(J, F)
+    JRT = JR.transpose(0, 2, 1)
+    a = JRT @ JR + damp[:, None, None] * np.eye(JR.shape[2])
+    b = -(JRT @ FR[:, :, None])[:, :, 0]
+    real_step, real_solved = solver._damped_steps(JRT @ JR, -b, damp)
+    assert not solved[0] and not real_solved[0]
+    assert solved[1:].all() and real_solved[1:].all()
+    a, b, real_step = a[1:], b[1:], real_step[1:]
+    native = np.empty_like(real_step)
+    native[:, 0::2], native[:, 1::2] = step[1:].real, step[1:].imag
+    # The native step solves the realified system to within rounding...
+    backward = np.abs((a @ native[:, :, None])[:, :, 0] - b).max(axis=1) / (
+        np.abs(a).sum(axis=2).max(axis=1) * np.abs(native).max(axis=1) + np.abs(b).max(axis=1))
+    assert (backward <= 1e-12).all()
+    # ...so the two steps differ by at most rounding amplified by the condition number.
+    forward = np.abs(native - real_step).max(axis=1) / np.abs(real_step).max(axis=1)
+    assert (forward <= 1e-14 * np.linalg.cond(a)).all()
+
+
 def _deduplicate_loop(found, opts):
     """The pairwise scan the vectorized one replaced, kept as its reference."""
     def signatures_match(a, b, tol):
@@ -415,7 +467,8 @@ def _serial_start(name, rng, n, opts):
     if name == "complex":
         z = _sample_disk_loop(rng, n, opts)
         w = _sample_disk_loop(rng, n, opts)
-        return solver._pack_complex((z, w, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))))
+        # Native complex layout (z_1..z_N, w_1..w_N, Λ).
+        return np.concatenate([z, w, [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))]])
     pos = _sample_disk_loop(rng, n, opts)
     if name == "equilibria":
         return solver._realify_vector(pos[2:])
@@ -519,7 +572,8 @@ def _finalize_row(name, v, x, iters, opts, branches):
         return _central_solution_row(v, "physical", pos, np.conj(pos), lam, E,
                                      _physical_signature_row(pos), iters, opts)
     if name == "complex":
-        z, w, lam = solver._unpack_complex(x)
+        n = (len(x) - 1) // 2
+        z, w, lam = x[:n], x[n : 2 * n], x[-1]
         z, w = _canonical_complex_pair_row(z, w)
         lam = complex(lam)
         twin = _canonical_complex_pair_row(np.conj(w), np.conj(z)) + (1.0 / np.conjugate(lam),)
