@@ -12,9 +12,11 @@ algebraic set of vorticities.  Two views of that set are implemented:
   nonzero pairwise momentum L_J.
 
 The verdict relies solely on the subset condition (sound); catalog matches
-are reported as diagnostics.  All arithmetic is exact for rational inputs;
-float inputs are evaluated against a scale-aware zero tolerance and flagged
-approximate.
+are reported as diagnostics.  Every tuple is rescaled once on entry, which
+cannot change a verdict since all the polynomials involved are homogeneous:
+rational inputs become a primitive integer vector and are decided exactly;
+float inputs are divided by max|Γ|, so a polynomial counts as zero when it
+is at most 1e-9 relative to max|Γ|^degree, and are flagged approximate.
 
 Notation: L_J = sum over unordered pairs of J of Γ_jΓ_k, L = L_{12345},
 and label permutations are tried exhaustively (all 120), which
@@ -24,10 +26,12 @@ over-approximates each diagram's own symmetry soundly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 from .exactpoly import Poly
-from .quantities import VorticitySet, total_vorticity
+from .quantities import VorticitySet
 
 __all__ = [
     "ConstraintClause",
@@ -329,9 +333,46 @@ def _require_five(v: VorticitySet) -> None:
         raise ValueError(f"the catalog applies to exactly 5 vortices, got {v.n}")
 
 
-def _zero_tolerance(v: VorticitySet) -> float:
-    top = max(abs(float(g)) for g in v.gammas)
-    return 1e-9 * max(1.0, top * top)
+# Every catalog polynomial, subset sum and pair momentum is homogeneous of
+# degree 1 or 2, so whether it vanishes does not depend on the scale of the
+# tuple.  Each tuple is therefore rescaled once, where it enters this module.
+ZERO_TOL = 1e-9        # float input: |P(Γ / max|Γ|)| <= ZERO_TOL counts as zero
+PREFILTER_BAND = 1e-8  # exact input: |P| above this in floats is exactly nonzero
+
+
+@dataclass(frozen=True)
+class _Normalized:
+    """A five-tuple rescaled once on entry; same verdict as the input.
+
+    Exact input: ``gammas`` is the primitive integer vector (denominators
+    cleared, divided by the gcd, signs kept) and ``floats`` is each entry over
+    max|entry| by int true division, correctly rounded and at most 1 in size.
+    Float input: ``gammas`` and ``floats`` are both the input over max|Γ|; an
+    entry that underflows to 0.0 is zero relative to max|Γ|.
+    """
+
+    exact: bool
+    gammas: tuple
+    floats: tuple
+
+
+def _normalized(v) -> _Normalized:
+    """Normalize a VorticitySet; :func:`verdict` passes the result on as is."""
+    if isinstance(v, _Normalized):
+        return v
+    _require_five(v)
+    if v.is_exact:
+        fractions = [Fraction(g) for g in v.gammas]
+        common = lcm(*(f.denominator for f in fractions))
+        ints = [f.numerator * (common // f.denominator) for f in fractions]
+        divisor = gcd(*ints)
+        ints = tuple(i // divisor for i in ints)
+        top = max(abs(i) for i in ints)
+        return _Normalized(True, ints, tuple(i / top for i in ints))
+    floats = tuple(float(g) for g in v.gammas)
+    top = max(abs(f) for f in floats)
+    scaled = tuple(f / top for f in floats)
+    return _Normalized(False, scaled, scaled)
 
 
 def _compile_float(poly) -> callable:
@@ -369,33 +410,35 @@ _MATCHERS = tuple(
 
 _PERMUTATIONS = tuple(permutations(range(N_VORTICES)))
 
+# Nonempty 1-based index subsets in lexicographic order.
+_SUBSETS = tuple(sorted(
+    J for r in range(1, N_VORTICES + 1) for J in combinations(range(1, N_VORTICES + 1), r)
+))
+
 
 def evaluate_diagram_constraints(v: VorticitySet) -> list:
     """All catalog matches of a 5-tuple over the 120 label permutations.
 
-    Rational inputs are decided exactly; float inputs use a scale-aware zero
-    tolerance (the caller should treat those results as approximate).
-    Matches are deduplicated up to each clause's own label symmetry.
+    Rational inputs are decided exactly; float inputs count a polynomial of
+    degree d as zero when it is at most 1e-9 relative to max|Γ|^degree (the
+    caller should treat those results as approximate).  Matches are
+    deduplicated up to each clause's own label symmetry.
     """
-    _require_five(v)
-    exact = v.is_exact
-    tol = _zero_tolerance(v)
-    values = tuple(v.gammas)
-    floats = tuple(float(g) for g in values)
-    # degree <= 2 with small integer coefficients: float error stays far
-    # below this band, so |float| > band certifies "exactly nonzero"
-    top = max(1.0, max(abs(f) for f in floats))
-    band = max(tol, 1e-8 * top * top)
+    n = _normalized(v)
+    exact = n.exact
+    values = n.gammas
     pulled_floats = tuple(
-        tuple(floats[s[i]] for i in range(N_VORTICES)) for s in _PERMUTATIONS
+        tuple(n.floats[s[i]] for i in range(N_VORTICES)) for s in _PERMUTATIONS
     )
 
     def vanishes(fast, poly, pf, sigma) -> bool:
         value = fast(pf)
-        if abs(value) > band:
-            return False
         if not exact:
-            return abs(value) <= tol
+            return abs(value) <= ZERO_TOL
+        # Entries are at most 1 and coefficients small integers, so float
+        # error stays far below the band, also where an entry underflowed.
+        if abs(value) > PREFILTER_BAND:
+            return False
         pulled = tuple(values[sigma[i]] for i in range(N_VORTICES))
         return poly.evaluate(pulled) == 0
 
@@ -432,25 +475,21 @@ def check_subset_conditions(v: VorticitySet) -> SubsetCheck:
     at least two indices.  On failure the lexicographically first violating
     subset is returned.
     """
-    _require_five(v)
-    exact = v.is_exact
-    tol = None if exact else _zero_tolerance(v)
+    n = _normalized(v)
+    exact = n.exact
 
     def vanishes(x) -> bool:
-        return x == 0 if exact else abs(float(x)) <= tol
+        return x == 0 if exact else abs(x) <= ZERO_TOL
 
-    g = v.gammas
-    subsets = []
-    for r in range(1, N_VORTICES + 1):
-        subsets.extend(combinations(range(1, N_VORTICES + 1), r))
-    for J in sorted(subsets):
+    g = n.gammas
+    for J in _SUBSETS:
         total = sum(g[j - 1] for j in J)
         if vanishes(total):
-            return SubsetCheck(False, tuple(J), "vanishing_sum")
+            return SubsetCheck(False, J, "vanishing_sum")
         if len(J) >= 2:
             momentum = sum(g[a - 1] * g[b - 1] for a, b in combinations(J, 2))
             if vanishes(momentum):
-                return SubsetCheck(False, tuple(J), "vanishing_pair_momentum")
+                return SubsetCheck(False, J, "vanishing_pair_momentum")
     return SubsetCheck(True)
 
 
@@ -460,15 +499,15 @@ def verdict(v: VorticitySet) -> ExceptionalReport:
     Certification rests on :func:`check_subset_conditions` alone; raw catalog
     matches are included for diagnostics.  Requires Γ != 0.
     """
-    _require_five(v)
-    exact = v.is_exact
-    total = total_vorticity(v)
-    if (total == 0) if exact else abs(float(total)) <= _zero_tolerance(v):
+    n = _normalized(v)
+    exact = n.exact
+    total = sum(n.gammas)
+    if (total == 0) if exact else abs(total) <= ZERO_TOL:
         raise TotalVorticityZeroError(
             "total vorticity is zero; the certification presupposes Γ != 0"
         )
-    subset_check = check_subset_conditions(v)
-    matches = tuple(evaluate_diagram_constraints(v))
+    subset_check = check_subset_conditions(n)
+    matches = tuple(evaluate_diagram_constraints(n))
     notes = []
     if not exact:
         notes.append("float input: equalities tested against a scale-aware tolerance")

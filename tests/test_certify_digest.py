@@ -1,0 +1,51 @@
+"""The inputs and totals of scripts/certify_digest.py."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "certify_digest.py"
+_spec = importlib.util.spec_from_file_location("certify_digest", SCRIPT)
+certify_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(certify_digest)
+
+
+def test_groups_hold_only_inputs_in_the_handled_range():
+    groups = certify_digest.groups()
+    assert len(groups) == 2 * len(certify_digest.CERTIFY_ROUNDS) + len(certify_digest.ORACLE_SCALES)
+    for name, tuples in groups:
+        assert tuples, name
+        kinds = {isinstance(g, float) for t in tuples for g in t}
+        assert kinds == {name.endswith("float")}, name
+        for t in tuples:
+            top = max(abs(g) for g in t)
+            if name.endswith("float"):
+                assert 1e-3 <= top <= 1e3, (name, t)
+            else:
+                assert top <= sys.float_info.max, (name, t)
+
+
+def test_oracle_digests_do_not_depend_on_scale():
+    by_scale = {name: [certify_digest.report_digest(t) for t in tuples]
+                for name, tuples in certify_digest.groups() if name.startswith("oracle")}
+    assert len(by_scale) == 3
+    first, *rest = by_scale.values()
+    assert all(digests == first for digests in rest)
+
+
+def test_exact_and_float_totals_are_separate(monkeypatch, capsys):
+    exact = ("exact", [(1, 2, 3, 5, 7), (2, 2, 2, 2, -1)])
+    floats = ("float", [(1.0, 2.0, 3.0, 5.0, 7.0)])
+
+    def totals(*groups):
+        monkeypatch.setattr(certify_digest, "groups", lambda: list(groups))
+        assert certify_digest.main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(groups) + 2
+        return {line.split("  ")[1]: line.split("  ")[0] for line in lines[-2:]}
+
+    only_exact = totals(exact)
+    both = totals(exact, floats)
+    assert set(both) == {"TOTAL EXACT", "TOTAL FLOAT"}
+    assert both["TOTAL EXACT"] == only_exact["TOTAL EXACT"]
+    assert both["TOTAL FLOAT"] != only_exact["TOTAL FLOAT"]

@@ -138,6 +138,13 @@ def test_check_pair_sum_witness(capsys):
     assert "vanishing_sum" in out
 
 
+def test_check_exact_beyond_float_range(capsys):
+    # Entries past the largest float once raised OverflowError.
+    gamma = ",".join(str(g * 10**400) for g in (1, 2, 3, 5, 7))
+    assert main(["check", "--gamma", gamma, "--exact"]) == 0
+    assert "verdict: certified_finite" in capsys.readouterr().out
+
+
 def test_check_gamma_zero_exit_4(capsys):
     assert main(["check", "--gamma", "1,-1,2,3,-5"]) == 4
 

@@ -336,3 +336,81 @@ def test_exact_path_is_reproducible():
     b = evaluate_diagram_constraints(v)
     assert a == b
     assert verdict(v) == verdict(v)
+
+
+# ---------------------------------------------------------------------------
+# Scale invariance (regressions for the two defects of raw-unit evaluation)
+# ---------------------------------------------------------------------------
+
+BASE = (1, 2, 3, 5, 7)
+FLOAT_SCALES = (-300, -12, -5, 0, 5, 12, 300)
+
+
+def test_exact_report_is_the_same_at_every_scale():
+    # Exact entries beyond the float range raised OverflowError once.
+    base = verdict(F5(*BASE))
+    for exp in (400, -400):
+        scaled = F5(*(g * Fraction(10) ** exp for g in BASE))
+        assert verdict(scaled) == base, exp
+
+
+def test_float_report_is_the_same_at_every_scale():
+    # At 1e-5 an absolute tolerance floor once made this tuple exceptional-suspect.
+    base = verdict(VorticitySet(tuple(float(g) for g in BASE)))
+    assert base.verdict == "certified_finite"
+    for k in FLOAT_SCALES:
+        scaled = VorticitySet(tuple(g * 10.0 ** k for g in BASE))
+        assert verdict(scaled) == base, k
+
+
+def test_float_total_near_zero_raises_at_every_scale():
+    nearly_balanced = (1.0, 2.0, 3.0, 5.0, -11.0 * (1 + 1e-12))
+    for k in FLOAT_SCALES:
+        with pytest.raises(TotalVorticityZeroError):
+            verdict(VorticitySet(tuple(g * 10.0 ** k for g in nearly_balanced)))
+
+
+def test_float_entry_below_relative_resolution_counts_as_zero():
+    # 1e-200 / 1e200 underflows to 0.0: that entry is zero relative to max|Γ|.
+    report = verdict(VorticitySet((1e-200, 1e200, 2.0, 3.0, 5.0)))
+    assert report.verdict == "exceptional_suspect"
+    assert report.subset_check.witness == (1,)
+
+
+def _wide_scale_tuples(rng):
+    """Exact tuples with entries from 10^-400 to 10^400, some carrying relations."""
+    big, tiny = Fraction(10) ** 400, Fraction(10) ** -400
+    tuples = [
+        (big, 1, 2 * tiny, 2, 3),                    # g1*g3 = g2*g4 across scales
+        (3 * big, -3 * big, tiny, -2 * tiny, 5),     # Γ_12 = 0
+        (tiny, -tiny, 2, -2, big),                   # two disjoint vanishing pairs
+        (tiny, tiny, Fraction(1, 3) * tiny, 1, big),
+        (big, big, big, -2 * big, tiny),
+    ]
+    for _ in range(10):
+        scales = [big, tiny] + [(big, 1, tiny)[int(rng.integers(3))] for _ in range(3)]
+        vals = []
+        while len(vals) < 5:
+            x = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+            if x != 0:
+                vals.append(x)
+        vals = [x * scales[i] for x, i in zip(vals, rng.permutation(5))]
+        if rng.integers(2):
+            vals[1] = -vals[0] if rng.integers(2) else vals[0]
+        tuples.append(tuple(vals))
+    return tuples
+
+
+def test_wide_scale_matching_agrees_with_brute_force():
+    # Divided by the largest entry, the smallest entries underflow to 0.0, so
+    # the float prefilter cannot tell their relations apart: the exact test decides.
+    rng = np.random.default_rng(41)
+    for vals in _wide_scale_tuples(rng):
+        v = VorticitySet(vals)
+        assert float(min(abs(g) for g in vals) / max(abs(g) for g in vals)) == 0.0
+        got = {(m.diagram_id, m.clause_index) for m in evaluate_diagram_constraints(v)}
+        assert got == brute_force_matched_clauses(v), vals
+        subsets = [J for r in range(1, 6) for J in combinations(vals, r)]
+        holds = all(sum(J) != 0 and (len(J) < 2 or sum(a * b for a, b in combinations(J, 2)) != 0)
+                    for J in subsets)
+        assert check_subset_conditions(v).passed == holds, vals
