@@ -14,9 +14,10 @@ algebraic set of vorticities.  Two views of that set are implemented:
 The verdict relies solely on the subset condition (sound); catalog matches
 are reported as diagnostics.  Every tuple is rescaled once on entry, which
 cannot change a verdict since all the polynomials involved are homogeneous:
-rational inputs become a primitive integer vector and are decided exactly;
-float inputs are divided by max|Γ|, so a polynomial counts as zero when it
-is at most 1e-9 relative to max|Γ|^degree, and are flagged approximate.
+rational inputs become a primitive integer vector and, every polynomial
+having integer coefficients, are decided in Python integers alone; float
+inputs are divided by max|Γ|, so a polynomial counts as zero when it is at
+most 1e-9 relative to max|Γ|^degree, and are flagged approximate.
 
 Notation: L_J = sum over unordered pairs of J of Γ_jΓ_k, L = L_{12345},
 and label permutations are tried exhaustively (all 120), which
@@ -336,8 +337,7 @@ def _require_five(v: VorticitySet) -> None:
 # Every catalog polynomial, subset sum and pair momentum is homogeneous of
 # degree 1 or 2, so whether it vanishes does not depend on the scale of the
 # tuple.  Each tuple is therefore rescaled once, where it enters this module.
-ZERO_TOL = 1e-9        # float input: |P(Γ / max|Γ|)| <= ZERO_TOL counts as zero
-PREFILTER_BAND = 1e-8  # exact input: |P| above this in floats is exactly nonzero
+ZERO_TOL = 1e-9  # float input: |P(Γ / max|Γ|)| <= ZERO_TOL counts as zero
 
 
 @dataclass(frozen=True)
@@ -345,15 +345,17 @@ class _Normalized:
     """A five-tuple rescaled once on entry; same verdict as the input.
 
     Exact input: ``gammas`` is the primitive integer vector (denominators
-    cleared, divided by the gcd, signs kept) and ``floats`` is each entry over
-    max|entry| by int true division, correctly rounded and at most 1 in size.
-    Float input: ``gammas`` and ``floats`` are both the input over max|Γ|; an
-    entry that underflows to 0.0 is zero relative to max|Γ|.
+    cleared, divided by the gcd, signs kept), on which every catalog
+    polynomial is a Python int.  Float input: ``gammas`` is the input over max|Γ|; an entry
+    that underflows to 0.0 is zero relative to max|Γ|.
     """
 
     exact: bool
     gammas: tuple
-    floats: tuple
+
+    def vanishes(self, value) -> bool:
+        """The one zero rule: exactly zero, or within ZERO_TOL for float input."""
+        return value == 0 if self.exact else abs(value) <= ZERO_TOL
 
 
 def _normalized(v) -> _Normalized:
@@ -366,23 +368,27 @@ def _normalized(v) -> _Normalized:
         common = lcm(*(f.denominator for f in fractions))
         ints = [f.numerator * (common // f.denominator) for f in fractions]
         divisor = gcd(*ints)
-        ints = tuple(i // divisor for i in ints)
-        top = max(abs(i) for i in ints)
-        return _Normalized(True, ints, tuple(i / top for i in ints))
+        return _Normalized(True, tuple(i // divisor for i in ints))
     floats = tuple(float(g) for g in v.gammas)
     top = max(abs(f) for f in floats)
-    scaled = tuple(f / top for f in floats)
-    return _Normalized(False, scaled, scaled)
+    return _Normalized(False, tuple(f / top for f in floats))
 
 
-def _compile_float(poly) -> callable:
+def _compile(poly) -> callable:
+    """Evaluator of an integer-coefficient polynomial at a tuple.
+
+    On ints it returns an int.  On floats it rounds exactly as float
+    coefficients would, since an int coefficient converts to the same float.
+    """
+    if any(coeff.denominator != 1 for _, coeff in poly.terms):
+        raise ValueError(f"catalog polynomial {poly} has a non-integer coefficient")
     items = tuple(
-        (float(coeff), tuple(i for i, e in enumerate(mono) for _ in range(e)))
+        (coeff.numerator, tuple(i for i, e in enumerate(mono) for _ in range(e)))
         for mono, coeff in poly.terms
     )
 
-    def evaluate(g: tuple) -> float:
-        total = 0.0
+    def evaluate(g: tuple):
+        total = 0
         for coeff, idx in items:
             term = coeff
             for i in idx:
@@ -393,16 +399,15 @@ def _compile_float(poly) -> callable:
     return evaluate
 
 
-# Compiled float evaluators, one per catalog polynomial; used as a sound
-# prefilter on the exact path (values far from zero in floats are exactly
-# nonzero) and as the decision procedure on the float path.
+# One compiled evaluator per catalog polynomial, beside the polynomial that
+# keys the match dedup; it decides exact and float input alike.
 _MATCHERS = tuple(
     (
         diagram,
         ci,
         cl,
-        tuple((_compile_float(p), p) for p in cl.equalities),
-        tuple((_compile_float(p), p) for p in cl.inequations),
+        tuple((_compile(p), p) for p in cl.equalities),
+        tuple((_compile(p), p) for p in cl.inequations),
     )
     for diagram in _CATALOG
     for ci, cl in enumerate(diagram.clauses)
@@ -425,30 +430,15 @@ def evaluate_diagram_constraints(v: VorticitySet) -> list:
     deduplicated up to each clause's own label symmetry.
     """
     n = _normalized(v)
-    exact = n.exact
-    values = n.gammas
-    pulled_floats = tuple(
-        tuple(n.floats[s[i]] for i in range(N_VORTICES)) for s in _PERMUTATIONS
-    )
-
-    def vanishes(fast, poly, pf, sigma) -> bool:
-        value = fast(pf)
-        if not exact:
-            return abs(value) <= ZERO_TOL
-        # Entries are at most 1 and coefficients small integers, so float
-        # error stays far below the band, also where an entry underflowed.
-        if abs(value) > PREFILTER_BAND:
-            return False
-        pulled = tuple(values[sigma[i]] for i in range(N_VORTICES))
-        return poly.evaluate(pulled) == 0
+    pulled = tuple(tuple(n.gammas[i] for i in sigma) for sigma in _PERMUTATIONS)
 
     matches = []
     seen = set()
     for diagram, ci, cl, eqs, ineqs in _MATCHERS:
-        for sigma, pf in zip(_PERMUTATIONS, pulled_floats):
-            if not all(vanishes(fast, p, pf, sigma) for fast, p in eqs):
+        for sigma, g in zip(_PERMUTATIONS, pulled):
+            if not all(n.vanishes(evaluate(g)) for evaluate, _ in eqs):
                 continue
-            if any(vanishes(fast, p, pf, sigma) for fast, p in ineqs):
+            if any(n.vanishes(evaluate(g)) for evaluate, _ in ineqs):
                 continue
             key = (
                 diagram.id,
@@ -476,19 +466,14 @@ def check_subset_conditions(v: VorticitySet) -> SubsetCheck:
     subset is returned.
     """
     n = _normalized(v)
-    exact = n.exact
-
-    def vanishes(x) -> bool:
-        return x == 0 if exact else abs(x) <= ZERO_TOL
-
     g = n.gammas
     for J in _SUBSETS:
         total = sum(g[j - 1] for j in J)
-        if vanishes(total):
+        if n.vanishes(total):
             return SubsetCheck(False, J, "vanishing_sum")
         if len(J) >= 2:
             momentum = sum(g[a - 1] * g[b - 1] for a, b in combinations(J, 2))
-            if vanishes(momentum):
+            if n.vanishes(momentum):
                 return SubsetCheck(False, J, "vanishing_pair_momentum")
     return SubsetCheck(True)
 
@@ -500,22 +485,20 @@ def verdict(v: VorticitySet) -> ExceptionalReport:
     matches are included for diagnostics.  Requires Γ != 0.
     """
     n = _normalized(v)
-    exact = n.exact
-    total = sum(n.gammas)
-    if (total == 0) if exact else abs(total) <= ZERO_TOL:
+    if n.vanishes(sum(n.gammas)):
         raise TotalVorticityZeroError(
             "total vorticity is zero; the certification presupposes Γ != 0"
         )
     subset_check = check_subset_conditions(n)
     matches = tuple(evaluate_diagram_constraints(n))
     notes = []
-    if not exact:
+    if not n.exact:
         notes.append("float input: equalities tested against a scale-aware tolerance")
     notes.append("diagram 29 lists only L=0; its Γ=0 alternative is excluded by assumption")
     return ExceptionalReport(
         verdict="certified_finite" if subset_check.passed else "exceptional_suspect",
         subset_check=subset_check,
         matches=matches,
-        approximate=not exact,
+        approximate=not n.exact,
         notes=tuple(notes),
     )

@@ -13,6 +13,7 @@ regime is represented by passing the conjugate coordinates ``w`` explicitly
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -101,7 +102,7 @@ class ExactComplex:
 
 @dataclass(frozen=True)
 class VorticitySet:
-    """Vortex strengths (Γ_1, ..., Γ_N); every strength is nonzero, N >= 2."""
+    """Vortex strengths (Γ_1, ..., Γ_N); every strength is finite and nonzero, N >= 2."""
 
     gammas: tuple
 
@@ -112,6 +113,8 @@ class VorticitySet:
         for i, g in enumerate(gs, start=1):
             if g == 0:
                 raise ValueError(f"vorticity must be nonzero (entry {i} is zero)")
+            if not is_exact_scalar(g) and not math.isfinite(g):
+                raise ValueError(f"vorticity must be finite (entry {i} is {g})")
         object.__setattr__(self, "gammas", gs)
 
     @property

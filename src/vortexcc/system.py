@@ -177,7 +177,7 @@ def _check_separated(d: np.ndarray, coordinate: str) -> None:
 
 
 def _float_gammas(v: VorticitySet) -> np.ndarray:
-    return np.asarray(v.as_float().gammas)
+    return np.array([float(g) for g in v.gammas])
 
 
 def _velocities(v: VorticitySet, z, w) -> tuple[np.ndarray, np.ndarray]:

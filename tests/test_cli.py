@@ -154,6 +154,12 @@ def test_check_wrong_count_exit_2(capsys):
     assert main(["check", "--gamma", "1,0,1,1,1"]) == 2
 
 
+def test_non_finite_strength_exit_2(capsys):
+    assert main(["check", "--gamma", "nan,1,2,3,5"]) == 2
+    assert main(["solve", "--gamma", "inf,1", "--starts", "5"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # roberts
 # ---------------------------------------------------------------------------

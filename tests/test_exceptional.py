@@ -12,9 +12,13 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from vortexcc.exactpoly import Poly
 from vortexcc.quantities import VorticitySet
 from vortexcc.exceptional import (
+    _MATCHERS,
     TotalVorticityZeroError,
+    _compile,
+    _normalized,
     catalog,
     catalog_records,
     check_subset_conditions,
@@ -402,8 +406,9 @@ def _wide_scale_tuples(rng):
 
 
 def test_wide_scale_matching_agrees_with_brute_force():
-    # Divided by the largest entry, the smallest entries underflow to 0.0, so
-    # the float prefilter cannot tell their relations apart: the exact test decides.
+    # Divided by the largest entry, the smallest entries would underflow to
+    # 0.0 in floats and their relations would blur; the primitive integer
+    # vector keeps them exact.
     rng = np.random.default_rng(41)
     for vals in _wide_scale_tuples(rng):
         v = VorticitySet(vals)
@@ -414,3 +419,16 @@ def test_wide_scale_matching_agrees_with_brute_force():
         holds = all(sum(J) != 0 and (len(J) < 2 or sum(a * b for a, b in combinations(J, 2)) != 0)
                     for J in subsets)
         assert check_subset_conditions(v).passed == holds, vals
+
+
+def test_exact_tuple_is_decided_in_python_ints():
+    n = _normalized(F5(Fraction(1, 3), Fraction(-2, 7), 5, Fraction(10) ** 400, Fraction(3, 2)))
+    assert all(type(g) is int for g in n.gammas)
+    for _, _, _, eqs, ineqs in _MATCHERS:
+        for evaluate, _ in eqs + ineqs:
+            assert type(evaluate(n.gammas)) is int
+
+
+def test_compile_rejects_non_integer_coefficients():
+    with pytest.raises(ValueError, match="non-integer"):
+        _compile(Poly.variable(0, 5) * Fraction(1, 2))

@@ -56,6 +56,13 @@ def test_vorticity_validation():
     assert not VorticitySet((0.5, 3)).is_exact
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_vorticity_rejects_non_finite(bad):
+    # NaN compares unequal to everything, so no subset sum of it would vanish.
+    with pytest.raises(ValueError, match="entry 3"):
+        VorticitySet((1.0, 2.0, bad, 3.0, 5.0))
+
+
 def test_configuration_rejects_collisions():
     with pytest.raises(ValueError, match="collision"):
         PlanarConfiguration((1 + 0j, 1 + 0j, 2j))
