@@ -154,23 +154,17 @@ def _report_csv(doc: dict) -> str:
 
 
 def _options_from_args(args) -> tuple[SolverOptions, dict]:
-    overrides = {}
-    opts = SolverOptions()
-    for flag, name in (("tol", "tol"), ("dedup_tol", "dedup_tol"), ("class_tol", "class_tol")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            if value <= 0:
-                raise CliError(2, f"--{flag.replace('_', '-')} must be positive")
-            overrides[name] = value
-    if overrides:
-        from dataclasses import replace
-
-        opts = replace(opts, **overrides)
-    return opts, overrides
+    """Solver options from the tolerance flags; the solve validates them."""
+    overrides = {
+        name: getattr(args, name)
+        for name in ("tol", "dedup_tol", "class_tol")
+        if getattr(args, name, None) is not None
+    }
+    return SolverOptions(**overrides), overrides
 
 
 def cmd_solve(args) -> int:
-    """Exit 0 on success, 2 on malformed vorticities, 1 on I/O failure."""
+    """Exit 0 on success, 2 on malformed vorticities or options, 1 on I/O failure."""
     v = parse_vorticities(args.gamma)
     opts, overrides = _options_from_args(args)
     report = solver.solve_central_multistart(

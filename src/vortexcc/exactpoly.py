@@ -1,111 +1,74 @@
-"""Sparse multivariate polynomials with exact Fraction coefficients.
+"""Sparse multivariate polynomials with integer coefficients.
 
-Just enough machinery for the vorticity constraint catalog: construction
-from variables, ring operations, evaluation over any scalar backend,
-variable relabelling under permutations, and a sign-canonical hashable form
-used to deduplicate relabelled constraint instances.
+The vorticity constraint catalog is held in this one form: it is written with
+``-`` and ``*``, printed, evaluated by :meth:`Poly.evaluate` (in Python ints on
+int input), relabelled under permutations, and brought to a sign-canonical
+hashable form used to deduplicate relabelled constraint instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = ["Poly"]
 
 
-def _clean(terms: dict) -> tuple:
-    items = [(mono, coeff) for mono, coeff in terms.items() if coeff != 0]
-    items.sort(key=lambda t: t[0], reverse=True)  # leading variable first
-    return tuple(items)
-
-
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial in a fixed number of variables, exact coefficients.
+    """Polynomial in a fixed number of variables, integer coefficients.
 
-    ``terms`` maps exponent tuples to Fraction coefficients; zero
-    coefficients are never stored, so equality and hashing are structural.
+    ``terms`` holds ``(coefficient, indices)`` pairs, ``indices`` being the
+    sorted variable indices of the monomial, one entry per factor.  Building
+    a Poly merges like terms, drops zero ones and orders them leading
+    variable first, so equality and hashing are structural; a non-integer
+    coefficient raises ValueError.
     """
 
     nvars: int
-    terms: tuple  # sorted tuple of (exponent-tuple, Fraction)
+    terms: tuple
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def constant(c, nvars: int) -> "Poly":
-        c = Fraction(c)
-        zero = (0,) * nvars
-        return Poly(nvars, _clean({zero: c}))
-
-    @staticmethod
-    def variable(index: int, nvars: int) -> "Poly":
-        if not 0 <= index < nvars:
-            raise ValueError("variable index out of range")
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return Poly(nvars, ((mono, Fraction(1)),))
-
-    # -- ring operations -----------------------------------------------------
-
-    def _binop(self, other, sign: int) -> "Poly":
-        if isinstance(other, Poly):
-            if other.nvars != self.nvars:
-                raise ValueError("variable-count mismatch")
-            acc = dict(self.terms)
-            for mono, coeff in other.terms:
-                acc[mono] = acc.get(mono, Fraction(0)) + sign * coeff
-            return Poly(self.nvars, _clean(acc))
-        return self._binop(Poly.constant(other, self.nvars), sign)
-
-    def __add__(self, other) -> "Poly":
-        return self._binop(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Poly":
-        return self._binop(other, -1)
-
-    def __rsub__(self, other) -> "Poly":
-        return Poly.constant(other, self.nvars) - self
+    def __post_init__(self):
+        acc: dict = {}
+        for coeff, idx in self.terms:
+            if not isinstance(coeff, int):
+                raise ValueError(f"non-integer coefficient {coeff!r}")
+            if not all(0 <= i < self.nvars for i in idx):
+                raise ValueError("variable index out of range")
+            idx = tuple(sorted(idx))
+            acc[idx] = acc.get(idx, 0) + coeff
+        # Leading variable first: the exponent tuples in descending order are
+        # the index tuples in ascending order, each ended by a past-the-end index.
+        terms = sorted(((c, idx) for idx, c in acc.items() if c),
+                       key=lambda t: t[1] + (self.nvars,))
+        object.__setattr__(self, "terms", tuple(terms))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, tuple((m, -c) for m, c in self.terms))
+        return Poly(self.nvars, tuple((-c, idx) for c, idx in self.terms))
 
-    def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            other = Poly.constant(other, self.nvars)
-        if other.nvars != self.nvars:
-            raise ValueError("variable-count mismatch")
-        acc: dict = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, _clean(acc))
+    def __sub__(self, other: "Poly") -> "Poly":
+        return Poly(self.nvars, self.terms + (-other).terms)
 
-    __rmul__ = __mul__
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __mul__(self, other: "Poly") -> "Poly":
+        return Poly(self.nvars, tuple(
+            (c1 * c2, i1 + i2) for c1, i1 in self.terms for c2, i2 in other.terms
+        ))
 
     def evaluate(self, values: Sequence):
-        """Evaluate at `values`; exact iff the inputs are exact scalars."""
+        """Value at `values`: an int on ints.
+
+        Each term multiplies its coefficient by its factors in index order,
+        and the terms are added from int 0, so float input rounds exactly as
+        float coefficients would.
+        """
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
-        total = None
-        for mono, coeff in self.terms:
+        total = 0
+        for coeff, idx in self.terms:
             term = coeff
-            for idx, exp in enumerate(mono):
-                for _ in range(exp):
-                    term = term * values[idx]
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
+            for i in idx:
+                term *= values[i]
+            total += term
         return total
 
     def permuted(self, sigma: Sequence[int]) -> "Poly":
@@ -116,32 +79,20 @@ class Poly:
         """
         if sorted(sigma) != list(range(self.nvars)):
             raise ValueError("sigma must be a permutation of the variables")
-        acc: dict = {}
-        for mono, coeff in self.terms:
-            new = [0] * self.nvars
-            for i, exp in enumerate(mono):
-                new[sigma[i]] += exp
-            key = tuple(new)
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        return Poly(self.nvars, _clean(acc))
+        return Poly(self.nvars, tuple((c, [sigma[i] for i in idx]) for c, idx in self.terms))
 
     def sign_canonical(self) -> "Poly":
         """Scale by ±1 so the leading coefficient is positive (p and -p collapse)."""
-        if not self.terms:
-            return self
-        if self.terms[0][1] < 0:
-            return -self
-        return self
+        return -self if self.terms and self.terms[0][0] < 0 else self
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for mono, coeff in self.terms:
+        for coeff, idx in self.terms:
             names = "*".join(
-                f"g{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mono)
-                if e
+                f"g{i + 1}" + (f"^{idx.count(i)}" if idx.count(i) > 1 else "")
+                for i in sorted(set(idx))
             )
             if not names:
                 parts.append(str(coeff))

@@ -14,8 +14,9 @@ algebraic set of vorticities.  Two views of that set are implemented:
 The verdict relies solely on the subset condition (sound); catalog matches
 are reported as diagnostics.  Every tuple is rescaled once on entry, which
 cannot change a verdict since all the polynomials involved are homogeneous:
-rational inputs become a primitive integer vector and, every polynomial
-having integer coefficients, are decided in Python integers alone; float
+rational inputs become a primitive integer vector and are decided in Python
+integers alone, since the catalog is held as integer-coefficient polynomials
+(:class:`~vortexcc.exactpoly.Poly`) evaluated by ``Poly.evaluate``; float
 inputs are divided by max|Γ|, so a polynomial counts as zero when it is at
 most 1e-9 relative to max|Γ|^degree, and are flagged approximate.
 
@@ -113,22 +114,17 @@ class ExceptionalReport:
 # ---------------------------------------------------------------------------
 
 
-def _g(i: int) -> Poly:
-    return Poly.variable(i - 1, N_VORTICES)
-
-
 def _gsum(*idx: int) -> Poly:
-    p = _g(idx[0])
-    for i in idx[1:]:
-        p = p + _g(i)
-    return p
+    """Γ_J: the sum of the strengths with 1-based indices in J."""
+    return Poly(N_VORTICES, tuple((1, (i - 1,)) for i in idx))
+
+
+_g = _gsum
 
 
 def _lsub(*idx: int) -> Poly:
-    p = Poly.constant(0, N_VORTICES)
-    for a, b in combinations(sorted(idx), 2):
-        p = p + _g(a) * _g(b)
-    return p
+    """L_J: the sum of Γ_aΓ_b over the unordered pairs of J."""
+    return Poly(N_VORTICES, tuple((1, (a - 1, b - 1)) for a, b in combinations(idx, 2)))
 
 
 def _build_catalog() -> tuple:
@@ -374,45 +370,6 @@ def _normalized(v) -> _Normalized:
     return _Normalized(False, tuple(f / top for f in floats))
 
 
-def _compile(poly) -> callable:
-    """Evaluator of an integer-coefficient polynomial at a tuple.
-
-    On ints it returns an int.  On floats it rounds exactly as float
-    coefficients would, since an int coefficient converts to the same float.
-    """
-    if any(coeff.denominator != 1 for _, coeff in poly.terms):
-        raise ValueError(f"catalog polynomial {poly} has a non-integer coefficient")
-    items = tuple(
-        (coeff.numerator, tuple(i for i, e in enumerate(mono) for _ in range(e)))
-        for mono, coeff in poly.terms
-    )
-
-    def evaluate(g: tuple):
-        total = 0
-        for coeff, idx in items:
-            term = coeff
-            for i in idx:
-                term *= g[i]
-            total += term
-        return total
-
-    return evaluate
-
-
-# One compiled evaluator per catalog polynomial, beside the polynomial that
-# keys the match dedup; it decides exact and float input alike.
-_MATCHERS = tuple(
-    (
-        diagram,
-        ci,
-        cl,
-        tuple((_compile(p), p) for p in cl.equalities),
-        tuple((_compile(p), p) for p in cl.inequations),
-    )
-    for diagram in _CATALOG
-    for ci, cl in enumerate(diagram.clauses)
-)
-
 _PERMUTATIONS = tuple(permutations(range(N_VORTICES)))
 
 # Nonempty 1-based index subsets in lexicographic order.
@@ -434,17 +391,18 @@ def evaluate_diagram_constraints(v: VorticitySet) -> list:
 
     matches = []
     seen = set()
-    for diagram, ci, cl, eqs, ineqs in _MATCHERS:
+    clauses = ((d, ci, cl) for d in _CATALOG for ci, cl in enumerate(d.clauses))
+    for diagram, ci, cl in clauses:
         for sigma, g in zip(_PERMUTATIONS, pulled):
-            if not all(n.vanishes(evaluate(g)) for evaluate, _ in eqs):
+            if not all(n.vanishes(p.evaluate(g)) for p in cl.equalities):
                 continue
-            if any(n.vanishes(evaluate(g)) for evaluate, _ in ineqs):
+            if any(n.vanishes(p.evaluate(g)) for p in cl.inequations):
                 continue
             key = (
                 diagram.id,
                 ci,
-                frozenset(p.permuted(sigma).sign_canonical() for _, p in eqs),
-                frozenset(p.permuted(sigma).sign_canonical() for _, p in ineqs),
+                frozenset(p.permuted(sigma).sign_canonical() for p in cl.equalities),
+                frozenset(p.permuted(sigma).sign_canonical() for p in cl.inequations),
             )
             if key in seen:
                 continue

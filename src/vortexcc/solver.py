@@ -27,7 +27,7 @@ do not depend on how many run together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Callable
 
@@ -88,6 +88,11 @@ class SolverOptions:
     divergence_norm: float = 1e8
 
     def validated(self) -> "SolverOptions":
+        # Written as `not ... < inf` so that NaN fails it too.  An infinite tol
+        # converges every start; an infinite lm_lambda_max never ends a trial loop.
+        for f in fields(self):
+            if not abs(getattr(self, f.name)) < math.inf:
+                raise ValueError(f"option {f.name} must be finite")
         # Written as `not ... > ...` so that NaN fails every check.
         # A start disk of radius 0 or NaN, or a NaN gap, never yields a separated
         # start; a divergence bound of 0 fails every step, a NaN one none.
@@ -714,9 +719,10 @@ def _deduplicate(found: list, opts: SolverOptions) -> list:
 
 
 def _near_zero(value, scale: float) -> bool:
+    """Zero test for the L and Γ gates: exact, or relative to `scale`."""
     if is_exact_scalar(value):
         return value == 0
-    return abs(value) <= 1e-13 * max(1.0, scale)
+    return abs(value) <= 1e-13 * scale
 
 
 def _velocity_solutions(v: VorticitySet, pos: np.ndarray, velocity: np.ndarray | None,

@@ -84,6 +84,9 @@ def test_solve_rejects_zero_vorticity(capsys):
 
 def test_solve_rejects_bad_tolerance(capsys):
     assert main(["solve", "--gamma", "1,1", "--tol", "-1"]) == 2
+    # An infinite tolerance would report every random start as a solution.
+    assert main(["solve", "--gamma", "1,1,1", "--starts", "20", "--tol", "inf"]) == 2
+    assert "option tol must be finite" in capsys.readouterr().err
 
 
 def test_solve_unwritable_out(tmp_path):

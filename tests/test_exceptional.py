@@ -6,6 +6,8 @@ polynomial objects and symmetry deduplication.  The two must agree on the
 set of matched (diagram, clause) pairs.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -15,9 +17,7 @@ import pytest
 from vortexcc.exactpoly import Poly
 from vortexcc.quantities import VorticitySet
 from vortexcc.exceptional import (
-    _MATCHERS,
     TotalVorticityZeroError,
-    _compile,
     _normalized,
     catalog,
     catalog_records,
@@ -421,14 +421,33 @@ def test_wide_scale_matching_agrees_with_brute_force():
         assert check_subset_conditions(v).passed == holds, vals
 
 
+CATALOG_POLYS = [p for d in catalog() for cl in d.clauses for p in cl.equalities + cl.inequations]
+
+
 def test_exact_tuple_is_decided_in_python_ints():
     n = _normalized(F5(Fraction(1, 3), Fraction(-2, 7), 5, Fraction(10) ** 400, Fraction(3, 2)))
     assert all(type(g) is int for g in n.gammas)
-    for _, _, _, eqs, ineqs in _MATCHERS:
-        for evaluate, _ in eqs + ineqs:
-            assert type(evaluate(n.gammas)) is int
+    for p in CATALOG_POLYS:
+        assert type(p.evaluate(n.gammas)) is int
 
 
-def test_compile_rejects_non_integer_coefficients():
-    with pytest.raises(ValueError, match="non-integer"):
-        _compile(Poly.variable(0, 5) * Fraction(1, 2))
+def test_poly_rejects_non_integer_coefficients():
+    for coeff in (Fraction(1, 2), Fraction(2), 0.5, 2.0):
+        with pytest.raises(ValueError, match="non-integer"):
+            Poly(5, ((coeff, (0,)),))
+
+
+def test_permuted_evaluates_at_the_pulled_back_tuple():
+    rng = np.random.default_rng(7)
+    x = tuple(int(a) for a in rng.integers(-50, 51, size=5))
+    assert len(CATALOG_POLYS) == 63
+    for p in CATALOG_POLYS:
+        for sigma in permutations(range(5)):
+            pulled = tuple(x[i] for i in sigma)
+            assert p.permuted(sigma).evaluate(x) == p.evaluate(pulled), (str(p), sigma)
+
+
+def test_catalog_records_bytes_are_pinned():
+    text = json.dumps(catalog_records(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "63cdb192232681170e7700541ef5d5b1d27f43e0dec715960dbc2328b59092cc"

@@ -190,6 +190,15 @@ def test_solve_rejects_bad_arguments():
         with pytest.raises(ValueError, match=next(iter(bad))):
             solve_central_multistart(VorticitySet((1.0, 2.0, -0.5)), starts=20, seed=0,
                                      options=SolverOptions(**bad))
+    # An infinite tol converges every start; an infinite lm_lambda_max never
+    # ends a trial loop.  Every option must be finite, and NaN fails that too.
+    inf = float("inf")
+    for bad in (dict(tol=inf), dict(lm_lambda_max=inf), dict(dedup_tol=inf),
+                dict(class_tol=-inf), dict(collision_guard=inf), dict(lm_increase=inf),
+                dict(start_min_gap=inf), dict(divergence_norm=inf), dict(max_iter=inf),
+                dict(collapse_tol=nan)):
+        with pytest.raises(ValueError, match=f"option {next(iter(bad))} must be finite"):
+            SolverOptions(**bad).validated()
     # Starts may touch: a zero gap stays legal.
     assert SolverOptions(start_min_gap=0.0).validated().start_min_gap == 0.0
     # Every search refuses a non-positive start count, before its L or Γ gate.
@@ -225,6 +234,16 @@ def test_equilibria_gate_and_search():
     rep = solve_equilibria(VorticitySet((1.0, -1.0)), starts=5, seed=0)
     assert rep.reason == "necessary condition L=0 fails"  # L = -1
 
+    # L = -1e-14 is far from zero relative to the strengths; the gate must
+    # not depend on their scale.
+    rep = solve_equilibria(VorticitySet(tuple(1e-7 * g for g in (1, 1, -1))), starts=5)
+    assert rep.reason == "necessary condition L=0 fails"
+    assert rep.starts_attempted == 0
+    for scale in (1e-7, 1.0, 1e7):
+        rep = solve_equilibria(VorticitySet(tuple(scale * g for g in (1, 1, -0.5))), starts=5)
+        assert rep.reason is None, scale
+        assert rep.starts_attempted == 5
+
     # L = 0 for (1, 1, -1/2); hand oracle: z = (0, 1, 1/2) is an equilibrium
     rep = solve_equilibria(COLLAPSE, starts=100, seed=0)
     assert rep.reason is None
@@ -243,6 +262,9 @@ def test_rigid_translation_gate_and_search():
 
     rep = solve_rigid_translation(VorticitySet((2.0, 2.0, 2.0, 2.0, -1.0)), starts=5, seed=0)
     assert rep.reason == "necessary condition Γ=0 fails"
+    rep = solve_rigid_translation(VorticitySet(tuple(1e-14 * g for g in (1, 2, -2))), starts=5)
+    assert rep.reason == "necessary condition Γ=0 fails"  # Γ = 1e-14, nonzero at any scale
+    assert rep.starts_attempted == 0
 
     # hand oracle: the pair (1, -1) at (0, d) translates with V = 1/conj(d)
     rep = solve_rigid_translation(VorticitySet((1.0, -1.0)), starts=20, seed=0)
