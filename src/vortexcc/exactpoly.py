@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials with integer coefficients.
 
 The vorticity constraint catalog is held in this one form: it is written with
-``-`` and ``*``, printed, evaluated by :meth:`Poly.evaluate` (in Python ints on
-int input), relabelled under permutations, and brought to a sign-canonical
-hashable form used to deduplicate relabelled constraint instances.
+``-`` and ``*``, printed, and evaluated by :meth:`Poly.evaluate` (in Python
+ints on int input).  :meth:`Poly.permuted` and :meth:`Poly.sign_canonical`
+define a relabelled constraint up to sign; the catalog builds the same terms
+from index tuples when it deduplicates matches.
 """
 
 from __future__ import annotations

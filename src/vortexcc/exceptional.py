@@ -20,17 +20,27 @@ integers alone, since the catalog is held as integer-coefficient polynomials
 inputs are divided by max|Γ|, so a polynomial counts as zero when it is at
 most 1e-9 relative to max|Γ|^degree, and are flagged approximate.
 
-Notation: L_J = sum over unordered pairs of J of Γ_jΓ_k, L = L_{12345},
-and label permutations are tried exhaustively (all 120), which
+Each tuple gets one subset table, shared by both views: its 31 subset sums
+Γ_J and 26 pair momenta L_J, each tested once for zero.  The table decides
+every clause polynomial that is a pure Γ_J or L_J under every relabelling,
+and ``Poly.evaluate`` runs only for the others.  30 of the 33 clauses have a
+pure equality, their anchor, and are tried only under the relabellings that
+send the anchor's subset onto a vanishing entry of the table; the other
+three are tried under all 120.  A relabelling is skipped only when the
+table shows that its anchor is nonzero, so the search stays exhaustive; it
 over-approximates each diagram's own symmetry soundly.
+
+Notation: L_J = sum over unordered pairs of J of Γ_jΓ_k, L = L_{12345}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd, lcm
+from operator import itemgetter
 
 from .exactpoly import Poly
 from .quantities import VorticitySet
@@ -335,6 +345,16 @@ def _require_five(v: VorticitySet) -> None:
 # tuple.  Each tuple is therefore rescaled once, where it enters this module.
 ZERO_TOL = 1e-9  # float input: |P(Γ / max|Γ|)| <= ZERO_TOL counts as zero
 
+# Nonempty 0-based index subsets J in lexicographic order, each with its
+# bitmask m and its pairs.  A tuple's subset table holds at index m whether
+# Γ_J vanishes and at _MOMENTUM + m whether L_J does.
+_SUBSETS = tuple(
+    (J, sum(1 << j for j in J), tuple(combinations(J, 2)))
+    for J in sorted(J for r in range(1, N_VORTICES + 1)
+                    for J in combinations(range(N_VORTICES), r))
+)
+_MOMENTUM = 1 << N_VORTICES
+
 
 @dataclass(frozen=True)
 class _Normalized:
@@ -352,6 +372,21 @@ class _Normalized:
     def vanishes(self, value) -> bool:
         """The one zero rule: exactly zero, or within ZERO_TOL for float input."""
         return value == 0 if self.exact else abs(value) <= ZERO_TOL
+
+    @cached_property
+    def zero(self) -> list:
+        """The subset table: the 31 Γ_J and 26 L_J, each tested once by :meth:`vanishes`.
+
+        Built on first use and shared by the subset check and the catalog.
+        Each sum runs in index order.
+        """
+        g = self.gammas
+        zero = [False] * (2 * _MOMENTUM)
+        for J, m, pairs in _SUBSETS:
+            zero[m] = self.vanishes(sum(g[j] for j in J))
+            if pairs:
+                zero[_MOMENTUM + m] = self.vanishes(sum(g[a] * g[b] for a, b in pairs))
+        return zero
 
 
 def _normalized(v) -> _Normalized:
@@ -371,44 +406,116 @@ def _normalized(v) -> _Normalized:
 
 
 _PERMUTATIONS = tuple(permutations(range(N_VORTICES)))
+_PULLS = tuple(itemgetter(*sigma) for sigma in _PERMUTATIONS)
+# _BIT_OF[j][k] is the bitmask of input vortex σ_k[j], σ_k = _PERMUTATIONS[k].
+_BIT_OF = tuple(tuple(1 << sigma[j] for sigma in _PERMUTATIONS) for j in range(N_VORTICES))
 
-# Nonempty 1-based index subsets in lexicographic order.
-_SUBSETS = tuple(sorted(
-    J for r in range(1, N_VORTICES + 1) for J in combinations(range(1, N_VORTICES + 1), r)
-))
+
+def _build_plans() -> tuple:
+    """Each clause split into subset-table lookups and other polynomials.
+
+    A pure Γ_J or L_J is held as its table index under each σ of
+    _PERMUTATIONS: catalog label i stands for input vortex σ[i], so Γ_J of
+    the pulled-back tuple is Γ_σ(J) of the input.  Returns the plans, one
+    (diagram id, clause index, clause, anchor, table equalities, other
+    equalities, table inequations, other inequations) per clause in catalog
+    order, and the anchors.  A clause's anchor is its first pure equality,
+    held as an index into the anchors, or None; each anchor maps a table
+    index to the ascending _PERMUTATIONS indices that send it there.
+    """
+    images: dict = {}  # (offset, J) -> table index under each σ
+    anchors: dict = {}  # anchor images -> position in the anchors
+
+    def split(polys):
+        table, other = [], []
+        for p in polys:
+            J = tuple(sorted({i for _, idx in p.terms for i in idx}))
+            if p.terms == tuple((1, (j,)) for j in J):  # Γ_J
+                offset = 0
+            elif p.terms == tuple((1, pair) for pair in combinations(J, 2)):  # L_J
+                offset = _MOMENTUM
+            else:
+                other.append(p)
+                continue
+            if (offset, J) not in images:
+                columns = [_BIT_OF[j] for j in J] + [(offset,) * len(_PERMUTATIONS)]
+                images[offset, J] = tuple(map(sum, zip(*columns)))
+            table.append(images[offset, J])
+        return tuple(table), tuple(other)
+
+    plans = []
+    for d in _CATALOG:
+        for ci, cl in enumerate(d.clauses):
+            table_eqs, poly_eqs = split(cl.equalities)
+            table_neqs, poly_neqs = split(cl.inequations)
+            anchor = anchors.setdefault(table_eqs[0], len(anchors)) if table_eqs else None
+            plans.append((d.id, ci, cl, anchor, table_eqs, poly_eqs, table_neqs, poly_neqs))
+    preimages = []
+    for anchor in anchors:
+        ks: dict = {}
+        for k, image in enumerate(anchor):
+            ks.setdefault(image, []).append(k)
+        preimages.append(ks)
+    return tuple(plans), tuple(preimages)
+
+
+_PLANS, _ANCHORS = _build_plans()
+_EVERY_SIGMA = range(len(_PERMUTATIONS))
+
+
+def _relabelled_terms(p: Poly, sigma: tuple) -> tuple:
+    """``p.permuted(sigma).sign_canonical().terms``, built from index tuples alone."""
+    terms = sorted(((c, tuple(sorted(sigma[i] for i in idx))) for c, idx in p.terms),
+                   key=lambda t: t[1] + (N_VORTICES,))
+    if terms[0][0] < 0:
+        terms = [(-c, idx) for c, idx in terms]
+    return tuple(terms)
 
 
 def evaluate_diagram_constraints(v: VorticitySet) -> list:
     """All catalog matches of a 5-tuple over the 120 label permutations.
 
-    Rational inputs are decided exactly; float inputs count a polynomial of
-    degree d as zero when it is at most 1e-9 relative to max|Γ|^degree (the
-    caller should treat those results as approximate).  Matches are
-    deduplicated up to each clause's own label symmetry.
+    Every pure Γ_J or L_J in a clause is read from the tuple's subset table,
+    which decides it once for all relabellings; only the other polynomials
+    are evaluated, by ``Poly.evaluate`` on the pulled-back tuple.  A clause
+    with a pure equality (its anchor) is tried only under the relabellings
+    that send the anchor onto a vanishing entry of the table, so a generic
+    tuple runs just diagram 5, diagram 11 and diagram 15's Λ = ±1 clause
+    over all 120.  Rational inputs are decided exactly; float inputs count a
+    polynomial of degree d as zero when it is at most 1e-9 relative to
+    max|Γ|^d (the caller should treat those results as approximate).
+    Matches come in catalog order, then permutation order, deduplicated up
+    to each clause's own label symmetry.
     """
     n = _normalized(v)
-    pulled = tuple(tuple(n.gammas[i] for i in sigma) for sigma in _PERMUTATIONS)
+    zero = n.zero
+    pulled = [pull(n.gammas) for pull in _PULLS]
+    vanishing = [sorted(k for image, ks in anchor.items() if zero[image] for k in ks)
+                 for anchor in _ANCHORS]
 
     matches = []
     seen = set()
-    clauses = ((d, ci, cl) for d in _CATALOG for ci, cl in enumerate(d.clauses))
-    for diagram, ci, cl in clauses:
-        for sigma, g in zip(_PERMUTATIONS, pulled):
-            if not all(n.vanishes(p.evaluate(g)) for p in cl.equalities):
+    for diagram_id, ci, cl, anchor, table_eqs, poly_eqs, table_neqs, poly_neqs in _PLANS:
+        for k in _EVERY_SIGMA if anchor is None else vanishing[anchor]:
+            g = pulled[k]
+            if not (all(zero[t[k]] for t in table_eqs)
+                    and all(n.vanishes(p.evaluate(g)) for p in poly_eqs)):
                 continue
-            if any(n.vanishes(p.evaluate(g)) for p in cl.inequations):
+            if (any(zero[t[k]] for t in table_neqs)
+                    or any(n.vanishes(p.evaluate(g)) for p in poly_neqs)):
                 continue
+            sigma = _PERMUTATIONS[k]
             key = (
-                diagram.id,
+                diagram_id,
                 ci,
-                frozenset(p.permuted(sigma).sign_canonical() for p in cl.equalities),
-                frozenset(p.permuted(sigma).sign_canonical() for p in cl.inequations),
+                frozenset(_relabelled_terms(p, sigma) for p in cl.equalities),
+                frozenset(_relabelled_terms(p, sigma) for p in cl.inequations),
             )
             if key in seen:
                 continue
             seen.add(key)
             matches.append(CatalogMatch(
-                diagram_id=diagram.id,
+                diagram_id=diagram_id,
                 clause_index=ci,
                 lambda_branch=cl.lambda_branch,
                 permutation=tuple(s + 1 for s in sigma),
@@ -420,19 +527,15 @@ def check_subset_conditions(v: VorticitySet) -> SubsetCheck:
     """Sufficient finiteness condition on all index subsets.
 
     Passes iff Γ_J != 0 for every nonempty J and L_J != 0 for every J with
-    at least two indices.  On failure the lexicographically first violating
-    subset is returned.
+    at least two indices, as read from the tuple's subset table.  On failure
+    the lexicographically first violating subset is returned.
     """
-    n = _normalized(v)
-    g = n.gammas
-    for J in _SUBSETS:
-        total = sum(g[j - 1] for j in J)
-        if n.vanishes(total):
-            return SubsetCheck(False, J, "vanishing_sum")
-        if len(J) >= 2:
-            momentum = sum(g[a - 1] * g[b - 1] for a, b in combinations(J, 2))
-            if n.vanishes(momentum):
-                return SubsetCheck(False, J, "vanishing_pair_momentum")
+    zero = _normalized(v).zero
+    for J, m, pairs in _SUBSETS:
+        if zero[m]:
+            return SubsetCheck(False, tuple(j + 1 for j in J), "vanishing_sum")
+        if pairs and zero[_MOMENTUM + m]:
+            return SubsetCheck(False, tuple(j + 1 for j in J), "vanishing_pair_momentum")
     return SubsetCheck(True)
 
 

@@ -114,12 +114,6 @@ class ComplexConfiguration:
         """r^2_jk = z_jk * w_jk (1-based indices)."""
         return (self.z[k - 1] - self.z[j - 1]) * (self.w[k - 1] - self.w[j - 1])
 
-    def squared_distances(self) -> dict:
-        return {
-            (j, k): self.squared_distance(j, k)
-            for j, k in combinations(range(1, self.n + 1), 2)
-        }
-
 
 def _set_diagonal(a: np.ndarray, value) -> None:
     """Write ``value`` on the diagonal of every (n, n) matrix of the stack ``a``."""

@@ -49,3 +49,13 @@ def test_exact_and_float_totals_are_separate(monkeypatch, capsys):
     assert set(both) == {"TOTAL EXACT", "TOTAL FLOAT"}
     assert both["TOTAL EXACT"] == only_exact["TOTAL EXACT"]
     assert both["TOTAL FLOAT"] != only_exact["TOTAL FLOAT"]
+
+
+def test_totals_are_pinned(capsys):
+    # Any change to a report of these inputs changes a total.
+    assert certify_digest.main() == 0
+    totals = dict(reversed(line.split("  ")) for line in capsys.readouterr().out.splitlines()[-2:])
+    assert totals == {
+        "TOTAL EXACT": "5e0f7cb70c2d7269834c1a6cc29c83fba6d78273d28a3d1c8539f0801d898e23",
+        "TOTAL FLOAT": "4ef00bb6633744ad5821eba5ebd55656cf3cb8363d4dec7989b9065380e04378",
+    }

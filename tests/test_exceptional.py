@@ -17,8 +17,10 @@ import pytest
 from vortexcc.exactpoly import Poly
 from vortexcc.quantities import VorticitySet
 from vortexcc.exceptional import (
+    CatalogMatch,
     TotalVorticityZeroError,
     _normalized,
+    _relabelled_terms,
     catalog,
     catalog_records,
     check_subset_conditions,
@@ -451,3 +453,121 @@ def test_catalog_records_bytes_are_pinned():
     text = json.dumps(catalog_records(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "63cdb192232681170e7700541ef5d5b1d27f43e0dec715960dbc2328b59092cc"
+
+
+# ---------------------------------------------------------------------------
+# Subset table and anchors against the all-120 loop
+# ---------------------------------------------------------------------------
+
+
+def reference_matches(v: VorticitySet) -> list:
+    """Every clause under every relabelling, each polynomial evaluated, keys from Poly.permuted."""
+    n = _normalized(v)
+    matches, seen = [], set()
+    for d in catalog():
+        for ci, cl in enumerate(d.clauses):
+            for sigma in permutations(range(5)):
+                g = tuple(n.gammas[i] for i in sigma)
+                if not all(n.vanishes(p.evaluate(g)) for p in cl.equalities):
+                    continue
+                if any(n.vanishes(p.evaluate(g)) for p in cl.inequations):
+                    continue
+                key = (d.id, ci,
+                       frozenset(p.permuted(sigma).sign_canonical() for p in cl.equalities),
+                       frozenset(p.permuted(sigma).sign_canonical() for p in cl.inequations))
+                if key not in seen:
+                    seen.add(key)
+                    matches.append(CatalogMatch(d.id, ci, cl.lambda_branch,
+                                                tuple(s + 1 for s in sigma)))
+    return matches
+
+
+def _plant(family, a, b, c, d, e):
+    """Five strengths carrying the family's relation, in catalog label order."""
+    if family == "sum2":
+        return (a, -a, b, c, d)
+    if family == "sum3":
+        return (a, b, -(a + b), c, d)
+    if family == "sum4":
+        return (a, b, c, -(a + b + c), d)
+    if family == "two_pairs":
+        return (a, -a, b, -b, c)
+    if family == "sum2_and_sum3":       # Γ = 0: diagram 3's Γ_12 != 0 must rule out Γ_345 = 0
+        return (a, -a, b, c, -(b + c))
+    if family == "momentum3":
+        return (a, b, -a * b / (a + b), c, d)
+    if family == "momentum4":
+        return (a, b, c, -(a * b + a * c + b * c) / (a + b + c), d)
+    if family == "momentum5":
+        pairs = a * b + a * c + a * d + b * c + b * d + c * d
+        return (a, b, c, d, -pairs / (a + b + c + d))
+    if family == "products":            # diagram 5: g1*g3 = g2*g4
+        return (a, b, c, a * c / b, d)
+    if family == "diagram11":           # g2 = g3 and Γ_14 = g5
+        return (a, b, b, c, a + c)
+    if family == "diagram15":           # g1 = Γ_23 = Γ_45 (the Λ = ±1 clause)
+        return (b + c, b, c, d, b + c - d)
+    if family == "sum3_fourfold":       # Γ_J = 0 on four triples, so one anchor
+        return (a, a, b, -(a + b), -(a + b))  # vanishes under several images
+    raise ValueError(family)
+
+
+# Family -> a diagram that its relation matches (a lone Γ_ij = 0 is in no clause).
+PLANTED_FAMILIES = {
+    "sum2": None, "sum3": 7, "sum4": 22, "two_pairs": 4, "sum2_and_sum3": 7, "sum3_fourfold": 7,
+    "momentum3": 6, "momentum4": 21, "momentum5": 29,
+    "products": 5, "diagram11": 11, "diagram15": 15,
+}
+
+
+def _planted_tuples(family, rng, count=3):
+    out = []
+    while len(out) < count:
+        draw = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(5)]
+        try:
+            vals = _plant(family, *draw)
+        except ZeroDivisionError:
+            continue
+        if all(vals):
+            out.append(tuple(vals[i] for i in rng.permutation(5)))
+    return out
+
+
+@pytest.mark.parametrize("family", PLANTED_FAMILIES)
+def test_table_matching_equals_the_all_120_loop(family):
+    rng = np.random.default_rng(list(PLANTED_FAMILIES).index(family) + 71)
+    for vals in _planted_tuples(family, rng):
+        exact = reference_matches(F5(*vals))
+        if PLANTED_FAMILIES[family] is not None:
+            assert PLANTED_FAMILIES[family] in {m.diagram_id for m in exact}, vals
+        for copy in (F5(*vals),
+                     VorticitySet(tuple(float(g) for g in vals)),
+                     VorticitySet(tuple(g * Fraction(10) ** 100 for g in vals)),
+                     VorticitySet(tuple(g * Fraction(10) ** -100 for g in vals))):
+            assert evaluate_diagram_constraints(copy) == reference_matches(copy) == exact, vals
+
+
+def test_relabelled_terms_equal_the_permuted_sign_canonical_polynomial():
+    assert len(CATALOG_POLYS) == 63
+    for p in CATALOG_POLYS:
+        for sigma in permutations(range(5)):
+            assert _relabelled_terms(p, sigma) == p.permuted(sigma).sign_canonical().terms, \
+                (str(p), sigma)
+
+
+def test_generic_tuple_evaluates_only_the_three_anchorless_clauses(monkeypatch):
+    anchorless = {id(p) for d in catalog() for ci, cl in enumerate(d.clauses)
+                  if (d.id, ci) in {(5, 0), (11, 0), (15, 0)}
+                  for p in cl.equalities + cl.inequations}
+    evaluated = []
+    original = Poly.evaluate
+
+    def recording(self, values):
+        evaluated.append(id(self))
+        return original(self, values)
+
+    monkeypatch.setattr(Poly, "evaluate", recording)
+    v = F5(1, 2, 3, 5, 7)
+    assert check_subset_conditions(v).passed
+    assert evaluate_diagram_constraints(v) == []
+    assert evaluated and set(evaluated) <= anchorless
