@@ -8,7 +8,8 @@ results by running this script on both and comparing the TOTAL lines:
 
 The first TOTAL covers the quick cases below.  The benchmark-sized cases
 after it run 1000 starts each: they fill and refill every lane of the
-stacked Newton engine and give the deduplication scan long lists of kept
+stacked Newton engine (the script refuses to run if the engine gets as many
+lanes as that) and give the deduplication scan long lists of kept
 solutions.  TOTAL ALL covers those two groups.  The last group runs each
 search with ``start_min_gap=0.5``, where many start disks are too tight and
 are redrawn, so the start draw takes its start-by-start path; TOTAL REDRAW
@@ -58,6 +59,7 @@ from vortexcc import (  # noqa: E402
     solve_central_multistart,
     solve_equilibria,
     solve_rigid_translation,
+    solver,
 )
 
 C = np.sqrt(2) / 2
@@ -111,16 +113,20 @@ CASES = (
 )
 
 
+# Starts of each benchmark-sized case.  They must outnumber the engine's
+# lanes, or no lane is ever refilled; ``main`` refuses to run otherwise.
+LARGE_STARTS = 1000
+
 LARGE_CASES = (
     ("central physical N=5, 1000 starts",
-     lambda: solve_central_multistart(_v(1.0, -2.0, 3.0, 0.5, 1.5), starts=1000, seed=7)),
+     lambda: solve_central_multistart(_v(1.0, -2.0, 3.0, 0.5, 1.5), starts=LARGE_STARTS, seed=7)),
     ("central complex N=4, 1000 starts",
      lambda: solve_central_multistart(_v(1.0, 2.0, 3.0, -1.5), regime="complex",
-                                      starts=1000, seed=7)),
+                                      starts=LARGE_STARTS, seed=7)),
     ("central physical (1,1,-1/2), 1000 starts",
-     lambda: solve_central_multistart(_v(1.0, 1.0, -0.5), starts=1000, seed=7)),
+     lambda: solve_central_multistart(_v(1.0, 1.0, -0.5), starts=LARGE_STARTS, seed=7)),
     ("equilibria (1,1,-1/2), 1000 starts",
-     lambda: solve_equilibria(_v(1.0, 1.0, -0.5), starts=1000, seed=7)),
+     lambda: solve_equilibria(_v(1.0, 1.0, -0.5), starts=LARGE_STARTS, seed=7)),
 )
 
 
@@ -241,10 +247,14 @@ def main(argv=None) -> int:
     mode.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
                       help="match the solution sets of two --sets files")
     args = parser.parse_args(argv)
-    if args.sets:
-        return write_sets(args.sets)
     if args.compare:
         return compare_sets(*args.compare)
+    if LARGE_STARTS <= solver._LANES:
+        sys.exit(f"solve_digest: the benchmark-sized cases run {LARGE_STARTS} starts, no more "
+                 f"than the engine's {solver._LANES} lanes, so TOTAL ALL no longer covers "
+                 f"refill; raise LARGE_STARTS")
+    if args.sets:
+        return write_sets(args.sets)
     total = hashlib.sha256()
     _digest_cases(CASES, total)
     print(f"{total.hexdigest()}  TOTAL")

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "solve_digest.py"
 _spec = importlib.util.spec_from_file_location("solve_digest", SCRIPT)
 solve_digest = importlib.util.module_from_spec(_spec)
@@ -51,3 +53,13 @@ def test_compare_reports_every_kind_of_mismatch(tmp_path, capsys):
         assert f"DIFFER  {name}:" in out
     assert "MISSING  missing" in out
     assert "0 of 5 cases match" in out
+
+
+def test_large_cases_refill_every_lane():
+    assert solve_digest.LARGE_STARTS > solve_digest.solver._LANES
+
+
+def test_refuses_to_digest_when_large_cases_fit_in_the_lanes(monkeypatch):
+    monkeypatch.setattr(solve_digest, "LARGE_STARTS", solve_digest.solver._LANES)
+    with pytest.raises(SystemExit, match="no longer covers refill"):
+        solve_digest.main([])

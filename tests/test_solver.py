@@ -66,6 +66,22 @@ def test_three_vortex_families(three_vortex_report):
         assert sol.kind == "relative_equilibrium"
 
 
+@pytest.mark.parametrize("lanes", [128, solver._LANES])
+def test_identical_vortices_collinear_solution_sits_at_hermite_zeros(monkeypatch, lanes):
+    # Stieltjes: x_n = Σ_{j≠n} 1/(x_n − x_j) holds at the zeros of H_N, so
+    # N identical vortices there form the one collinear equilibrium, Λ = 1.
+    monkeypatch.setattr(solver, "_LANES", lanes)
+    for n in range(3, 9):
+        rep = solve_central_multistart(VorticitySet((1.0,) * n), starts=1000, seed=0)
+        collinear = [s for s in rep.solutions if np.abs(np.imag(s.z)).max() < 1e-9]
+        assert len(collinear) == 1, n
+        sol = collinear[0]
+        assert abs(sol.lam - 1.0) < 1e-10
+        x = np.polynomial.hermite.hermroots([0] * n + [1])
+        j, k = np.triu_indices(n, 1)
+        assert np.abs(np.array(sol.signature) - np.sort((x[k] - x[j]) ** 2)).max() < 1e-10, n
+
+
 def test_collapse_solutions_found(collapse_report):
     rep = collapse_report
     strong = [s for s in rep.solutions
@@ -324,6 +340,15 @@ def test_engine_results_do_not_depend_on_lane_count(name):
         outcomes.update(_outcome(r) for r in runs[1])
     assert outcomes == {"converged", "diverged", "max_iterations",
                         "guard at start", "guard during run"}
+
+
+@pytest.mark.parametrize("name", ["physical", "complex"])
+def test_engine_refills_a_full_pool_without_changing_results(name):
+    # More starts than the default pool, so every pool size here refills lanes.
+    search, starts = _seeded_starts(name, SolverOptions(), count=solver._LANES + 100)
+    runs = [repr(solver._levenberg_newton(search, starts, SolverOptions(), lanes=lanes))
+            for lanes in (7, 128, solver._LANES)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_engine_falls_back_to_per_lane_solves(monkeypatch):
