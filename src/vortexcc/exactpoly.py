@@ -3,8 +3,9 @@
 The vorticity constraint catalog is held in this one form: it is written with
 ``-`` and ``*``, printed, and evaluated by :meth:`Poly.evaluate` (in Python
 ints on int input).  :meth:`Poly.permuted` and :meth:`Poly.sign_canonical`
-define a relabelled constraint up to sign; the catalog builds the same terms
-from index tuples when it deduplicates matches.
+define a relabelled constraint up to sign.  The catalog deduplicates matches
+by each clause's label classes, the relabellings that give the same terms,
+and builds each clause's classes once, on its first match, from index tuples.
 """
 
 from __future__ import annotations

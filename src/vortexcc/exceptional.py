@@ -28,7 +28,8 @@ pure equality, their anchor, and are tried only under the relabellings that
 send the anchor's subset onto a vanishing entry of the table; the other
 three are tried under all 120.  A relabelling is skipped only when the
 table shows that its anchor is nonzero, so the search stays exhaustive; it
-over-approximates each diagram's own symmetry soundly.
+over-approximates each diagram's own symmetry soundly.  Matches are
+deduplicated by each clause's label classes, built once on its first match.
 
 Notation: L_J = sum over unordered pairs of J of Γ_jΓ_k, L = L_{12345}.
 """
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, permutations
 from math import gcd, lcm
 from operator import itemgetter
@@ -472,6 +473,25 @@ def _relabelled_terms(p: Poly, sigma: tuple) -> tuple:
     return tuple(terms)
 
 
+@cache
+def _label_classes(plan: tuple) -> tuple:
+    """One clause's label class of each σ of _PERMUTATIONS, as small ints.
+
+    σ and σ′ share a class exactly when they relabel the clause's equalities,
+    and its inequations, to the same polynomials up to sign: the classes are
+    the cosets of the clause's label stabilizer.  Built on the clause's first
+    match, not at import.
+    """
+    cl = plan[2]
+    classes: dict = {}
+    return tuple(
+        classes.setdefault((frozenset(_relabelled_terms(p, sigma) for p in cl.equalities),
+                            frozenset(_relabelled_terms(p, sigma) for p in cl.inequations)),
+                           len(classes))
+        for sigma in _PERMUTATIONS
+    )
+
+
 def evaluate_diagram_constraints(v: VorticitySet) -> list:
     """All catalog matches of a 5-tuple over the 120 label permutations.
 
@@ -485,7 +505,9 @@ def evaluate_diagram_constraints(v: VorticitySet) -> list:
     polynomial of degree d as zero when it is at most 1e-9 relative to
     max|Γ|^d (the caller should treat those results as approximate).
     Matches come in catalog order, then permutation order, deduplicated up
-    to each clause's own label symmetry.
+    to each clause's own label symmetry: a match is reported only for the
+    first σ of its label class (:func:`_label_classes`, each clause's table
+    built once, on its first match).
     """
     n = _normalized(v)
     zero = n.zero
@@ -494,8 +516,9 @@ def evaluate_diagram_constraints(v: VorticitySet) -> list:
                  for anchor in _ANCHORS]
 
     matches = []
-    seen = set()
-    for diagram_id, ci, cl, anchor, table_eqs, poly_eqs, table_neqs, poly_neqs in _PLANS:
+    for plan in _PLANS:
+        diagram_id, ci, cl, anchor, table_eqs, poly_eqs, table_neqs, poly_neqs = plan
+        classes, seen = None, set()  # the label classes matched so far
         for k in _EVERY_SIGMA if anchor is None else vanishing[anchor]:
             g = pulled[k]
             if not (all(zero[t[k]] for t in table_eqs)
@@ -504,21 +527,16 @@ def evaluate_diagram_constraints(v: VorticitySet) -> list:
             if (any(zero[t[k]] for t in table_neqs)
                     or any(n.vanishes(p.evaluate(g)) for p in poly_neqs)):
                 continue
-            sigma = _PERMUTATIONS[k]
-            key = (
-                diagram_id,
-                ci,
-                frozenset(_relabelled_terms(p, sigma) for p in cl.equalities),
-                frozenset(_relabelled_terms(p, sigma) for p in cl.inequations),
-            )
-            if key in seen:
+            if classes is None:  # once per clause: hashing the plan costs microseconds
+                classes = _label_classes(plan)
+            if classes[k] in seen:
                 continue
-            seen.add(key)
+            seen.add(classes[k])
             matches.append(CatalogMatch(
                 diagram_id=diagram_id,
                 clause_index=ci,
                 lambda_branch=cl.lambda_branch,
-                permutation=tuple(s + 1 for s in sigma),
+                permutation=tuple(s + 1 for s in _PERMUTATIONS[k]),
             ))
     return matches
 

@@ -8,6 +8,7 @@ set of matched (diagram, clause) pairs.
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -19,6 +20,9 @@ from vortexcc.quantities import VorticitySet
 from vortexcc.exceptional import (
     CatalogMatch,
     TotalVorticityZeroError,
+    _PERMUTATIONS,
+    _PLANS,
+    _label_classes,
     _normalized,
     _relabelled_terms,
     catalog,
@@ -215,6 +219,16 @@ def test_matches_deduplicated_up_to_clause_symmetry():
     assert all(m.diagram_id == 5 for m in ms)
     assert len(ms) == 15
     assert len({(m.diagram_id, m.clause_index, m.permutation) for m in ms}) == 15
+
+
+@pytest.mark.parametrize("vals, count, diagrams", [
+    ((1, 1, 1, 1, 2), 15, {5, 11, 15}),
+    ((2, 2, 2, 2, -1), 66, {5, 6, 9, 10, 13, 16, 19, 23, 24, 25, 26}),
+])
+def test_equal_strengths_merge_relabellings(vals, count, diagrams):
+    ms = evaluate_diagram_constraints(F5(*vals))
+    assert len(ms) == count
+    assert {m.diagram_id for m in ms} == diagrams
 
 
 def test_float_inputs_use_tolerance():
@@ -509,6 +523,10 @@ def _plant(family, a, b, c, d, e):
         return (b + c, b, c, d, b + c - d)
     if family == "sum3_fourfold":       # Γ_J = 0 on four triples, so one anchor
         return (a, a, b, -(a + b), -(a + b))  # vanishes under several images
+    if family == "equal4":              # equal strengths merge the most relabellings
+        return (a, a, a, a, b)
+    if family == "equal2_2":
+        return (a, a, b, b, c)
     raise ValueError(family)
 
 
@@ -517,6 +535,7 @@ PLANTED_FAMILIES = {
     "sum2": None, "sum3": 7, "sum4": 22, "two_pairs": 4, "sum2_and_sum3": 7, "sum3_fourfold": 7,
     "momentum3": 6, "momentum4": 21, "momentum5": 29,
     "products": 5, "diagram11": 11, "diagram15": 15,
+    "equal4": 5, "equal2_2": 5,
 }
 
 
@@ -553,6 +572,36 @@ def test_relabelled_terms_equal_the_permuted_sign_canonical_polynomial():
         for sigma in permutations(range(5)):
             assert _relabelled_terms(p, sigma) == p.permuted(sigma).sign_canonical().terms, \
                 (str(p), sigma)
+
+
+def test_label_classes_are_the_cosets_of_each_clause_stabilizer():
+    assert len(_PLANS) == 33 and _PERMUTATIONS == tuple(permutations(range(5)))
+    for plan in _PLANS:
+        cl = plan[2]
+        keys = [(frozenset(p.permuted(sigma).sign_canonical() for p in cl.equalities),
+                 frozenset(p.permuted(sigma).sign_canonical() for p in cl.inequations))
+                for sigma in _PERMUTATIONS]
+        classes = _label_classes(plan)
+        assert len(classes) == 120
+        # σ and σ′ share a class exactly when their keys are equal
+        assert len(set(zip(classes, keys))) == len(set(classes)) == len(set(keys))
+        assert set(classes) == set(range(len(set(classes))))
+        assert len(set(Counter(classes).values())) == 1, plan[:2]
+
+
+def test_label_tables_are_built_on_first_match_and_in_any_order():
+    _label_classes.cache_clear()
+    assert verdict(F5(1, 2, 3, 5, 7)).matches == ()  # the certify warm-up tuple
+    assert _label_classes.cache_info().currsize == 0
+    rng = np.random.default_rng(17)
+    planted = [F5(*vals) for family in PLANTED_FAMILIES
+               for vals in _planted_tuples(family, rng, count=1)]
+    forward = [evaluate_diagram_constraints(v) for v in planted]
+    built = _label_classes.cache_info().currsize
+    _label_classes.cache_clear()
+    backward = [evaluate_diagram_constraints(v) for v in reversed(planted)]
+    assert backward[::-1] == forward
+    assert _label_classes.cache_info().currsize == built > 0
 
 
 def test_generic_tuple_evaluates_only_the_three_anchorless_clauses(monkeypatch):
