@@ -13,7 +13,12 @@ lanes as that) and give the deduplication scan long lists of kept
 solutions.  TOTAL ALL covers those two groups.  The last group runs each
 search with ``start_min_gap=0.5``, where many start disks are too tight and
 are redrawn, so the start draw takes its start-by-start path; TOTAL REDRAW
-covers that group alone.
+covers that group alone.  The DEDUP group runs three 1000-start searches
+whose converged starts the deduplication scan mostly keeps or merges across
+many near neighbours: the Roberts continuum (2, 2, 2, 2, -1), the L = 0
+tuple (1, 1, -1/2) at ``dedup_tol=0.5``, where one candidate lies within the
+bound of several kept solutions, and four equal strengths, whose relabelled
+solutions share signatures; TOTAL DEDUP covers that group alone.
 
 The cases cover the four searches (central physical, central complex,
 equilibria, rigid translation), N = 2..5, the continuum tuples (1, 1, -1/2)
@@ -146,6 +151,17 @@ REDRAW_CASES = (
 )
 
 
+DEDUP_CASES = (
+    ("central physical (2,2,2,2,-1), 1000 starts",
+     lambda: solve_central_multistart(_v(2.0, 2.0, 2.0, 2.0, -1.0), starts=LARGE_STARTS, seed=9)),
+    ("central physical (1,1,-1/2), 1000 starts, dedup_tol=0.5",
+     lambda: solve_central_multistart(_v(1.0, 1.0, -0.5), starts=LARGE_STARTS, seed=9,
+                                      options=SolverOptions(dedup_tol=0.5))),
+    ("central physical (1,1,1,1), 1000 starts",
+     lambda: solve_central_multistart(_v(1.0, 1.0, 1.0, 1.0), starts=LARGE_STARTS, seed=9)),
+)
+
+
 def _bench_cases():
     """The solve-complex benchmark calls of seeds 1 and 2, rounds 0 to 2, as (name, run) cases."""
     from perfbench.inputs import round_calls
@@ -187,7 +203,7 @@ def _solution_set(result) -> dict:
 
 
 def write_sets(path: str) -> int:
-    cases = CASES + LARGE_CASES + REDRAW_CASES + _bench_cases()
+    cases = CASES + LARGE_CASES + REDRAW_CASES + DEDUP_CASES + _bench_cases()
     sets = {name: _solution_set(run()) for name, run in cases}
     Path(path).write_text(json.dumps(sets, indent=1) + "\n")
     print(f"wrote {len(sets)} cases to {path}")
@@ -263,6 +279,9 @@ def main(argv=None) -> int:
     redraw = hashlib.sha256()
     _digest_cases(REDRAW_CASES, redraw)
     print(f"{redraw.hexdigest()}  TOTAL REDRAW")
+    dedup = hashlib.sha256()
+    _digest_cases(DEDUP_CASES, dedup)
+    print(f"{dedup.hexdigest()}  TOTAL DEDUP")
     return 0
 
 

@@ -131,6 +131,13 @@ def _report_dict(report, gamma_echo: list, tolerances: dict) -> dict:
     }
 
 
+def _csv_number(x) -> str:
+    """A real, or a [re, im] pair as ``re±imj``, in a form float() or complex() parses."""
+    if isinstance(x, list):
+        return f"{float(x[0])!r}{float(x[1]):+}j"
+    return repr(float(x))
+
+
 def _report_csv(doc: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -146,8 +153,8 @@ def _report_csv(doc: dict) -> str:
             lam[0],
             lam[1],
             sol["residual_norm"],
-            ";".join(repr(s) for s in sol["signature"]),
-            ";".join(f"{p[0]!r}{p[1]:+}j" for p in sol["positions"]),
+            ";".join(_csv_number(s) for s in sol["signature"]),
+            ";".join(_csv_number(p) for p in sol["positions"]),
             ";".join(sol["flags"]),
         ])
     return buf.getvalue()

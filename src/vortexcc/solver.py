@@ -16,18 +16,22 @@ Failures are values, not exceptions.
 Each of the four searches (physical, complex, equilibria, rigid
 translation) is a small :class:`_Search` spec: a sampler that draws all
 starts of a search as one block, the residual, its Jacobian, the residual
-norm, the collision guard and a finalizer that builds the solution records
-of all converged starts at once.  One engine refines the starts of any spec
-and one multistart loop, ``_multistart``, runs every search.  The engine
-runs up to ``_LANES`` starts in lockstep on stacked arrays, each with its
-own damping.  Every start takes the steps it would take alone, so reports
-do not depend on how many run together.
+norm, the collision guard, a canonicalizer that puts the stack of converged
+starts in the search's gauge and twin, and a finalizer that builds solution
+records.  One engine refines the starts of any spec and one multistart loop,
+``_multistart``, runs every search: it canonicalizes the converged stack
+once, deduplicates it on arrays and finalizes only the rows it keeps.  The
+engine runs up to ``_LANES`` starts in lockstep on stacked arrays, each with
+its own damping.  Every start takes the steps it would take alone, so
+reports do not depend on how many run together.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import combinations
 from typing import Callable
 
@@ -154,13 +158,32 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
+class _Canonical:
+    """Converged rows of one search in its canonical gauge and twin, one solution per row."""
+
+    z: np.ndarray                   # (S, N) positions
+    w: np.ndarray                   # (S, N) conjugate coordinates; conj(z) but in the complex search
+    lam: np.ndarray | None          # (S,) Λ; None for equilibria and rigid translation
+    velocity: np.ndarray | None     # (S,) rigid translation velocity, else None
+    norm: np.ndarray                # (S,) largest residual modulus
+    signature: np.ndarray           # (S, P) squared distances, or (S, P, 2) products as (Re, Im)
+
+    def take(self, rows: np.ndarray) -> "_Canonical":
+        return _Canonical(*(None if a is None else a[rows]
+                            for a in (getattr(self, f.name) for f in fields(self))))
+
+
+@dataclass(frozen=True)
 class _Search:
     """One search, as the engine and ``_multistart`` run it.
 
     ``residual``, ``jacobian``, ``norm`` and ``guard`` take stacks: one
     unknown vector x per row of an (S, d) array, one residual per row of an
     (S, m) array.  Unknowns and residuals are real, or complex with a
-    holomorphic residual; the starts' dtype sets which.
+    holomorphic residual; the starts' dtype sets which.  ``canonical`` runs
+    once per search on the stack of converged rows; ``_deduplicate`` picks
+    the distinct rows from its result, and ``finalize`` builds the records
+    (invariants, kind, flags) of those rows only.
     """
 
     regime: str
@@ -169,7 +192,8 @@ class _Search:
     jacobian: Callable[[np.ndarray], np.ndarray]  # (S, d) -> (S, m, d)
     norm: Callable[[np.ndarray], np.ndarray]      # (S, m) -> (S,)
     guard: Callable[[np.ndarray], np.ndarray]     # (S, d) -> (S,), True when too close to a collision
-    finalize: Callable[[np.ndarray, np.ndarray], list]  # converged (S, d), iterations (S,) -> records
+    canonical: Callable[[np.ndarray], _Canonical]   # converged (S, d) -> canonical rows
+    finalize: Callable[[_Canonical, np.ndarray], list]  # canonical rows, iterations (S,) -> records
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +208,14 @@ class _Search:
 _LANES = 512
 
 
-def _levenberg_newton(search: _Search, starts: np.ndarray, options: SolverOptions,
-                      lanes: int | None = None) -> list:
-    """Refine every row of ``starts``; returns, in start order, each solution or NewtonFailure.
+def _refine(search: _Search, starts: np.ndarray, options: SolverOptions,
+            lanes: int | None = None) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Refine every row of ``starts``; returns (failures, index, rows, iterations).
+
+    ``failures`` holds, in start order, the NewtonFailure of each start that
+    failed and None for each start that converged.  ``index``, ``rows`` and
+    ``iterations`` stack the converged starts in start order: the start's
+    row in ``starts``, its final unknowns and its iteration count.
 
     Up to ``lanes`` starts (``_LANES`` by default) are in flight, one per
     lane; no more lanes are allocated than there are starts to run.  Each
@@ -195,8 +224,7 @@ def _levenberg_newton(search: _Search, starts: np.ndarray, options: SolverOption
     exactly the schedule it would follow alone: at the top of each iteration
     it converges, runs out of iterations or takes a Jacobian; then it tries
     steps with growing λ until one lowers the residual norm, or λ passes its
-    maximum.  Converged rows are kept and finalized together, once, at the
-    end.  Unknowns, residuals and the normal equations take the dtype of the
+    maximum.  Unknowns, residuals and the normal equations take the dtype of the
     starts and residuals, real or complex.
     """
     d = starts.shape[1]
@@ -288,9 +316,21 @@ def _levenberg_newton(search: _Search, starts: np.ndarray, options: SolverOption
         iters[run[~far]] += 1
         fresh[run[~far]] = True
 
-    if done:
-        index, rows, its = (np.concatenate(part) for part in zip(*done))
-        for i, solution in zip(index.tolist(), search.finalize(rows, its)):
+    if not done:
+        return results, np.zeros(0, dtype=int), np.zeros((0, d), dtype=starts.dtype), iters[:0]
+    index, rows, its = (np.concatenate(part) for part in zip(*done))
+    order = np.argsort(index)
+    for i in index.tolist():
+        results[i] = None
+    return results, index[order], rows[order], its[order]
+
+
+def _levenberg_newton(search: _Search, starts: np.ndarray, options: SolverOptions,
+                      lanes: int | None = None) -> list:
+    """Refine every row of ``starts``; returns, in start order, each solution or NewtonFailure."""
+    results, index, rows, iters = _refine(search, starts, options, lanes)
+    if index.size:
+        for i, solution in zip(index.tolist(), search.finalize(search.canonical(rows), iters)):
             results[i] = solution
     return results
 
@@ -320,11 +360,19 @@ def _damped_steps(a: np.ndarray, jtf: np.ndarray, damp: np.ndarray):
 
 
 def _multistart(search: _Search, starts: int, seed: int, opts: SolverOptions) -> SolveReport:
-    """Draw every start from one rng in turn, refine them all, then deduplicate what converged."""
+    """Draw every start from one rng in turn and refine them all; report the distinct converged rows.
+
+    The converged stack is canonicalized once and deduplicated; only the
+    rows dedup keeps are finalized, in kept order.
+    """
     rng = np.random.default_rng(seed)
-    results = _levenberg_newton(search, search.sample(rng, starts), opts)
-    found = [r for r in results if isinstance(r, CentralConfigSolution)]
-    return SolveReport(tuple(_deduplicate(found, opts)), starts, len(found), seed, search.regime)
+    _, index, rows, iters = _refine(search, search.sample(rng, starts), opts)
+    solutions = []
+    if index.size:
+        canonical = search.canonical(rows)
+        kept = _deduplicate(canonical, opts)
+        solutions = search.finalize(canonical.take(kept), iters[kept])
+    return SolveReport(tuple(solutions), starts, index.size, seed, search.regime)
 
 
 def _realify_vector(F: np.ndarray) -> np.ndarray:
@@ -395,7 +443,7 @@ def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         pos, theta = _draw_starts(rng, count, n, 1, 1, opts)
         return np.concatenate([_realify_vector(pos[:, 0]), theta], axis=1)
 
-    def finalize(x, iters):
+    def canonical(x):
         pos, theta = _unpack_physical(x)
         lam = np.exp(1j * theta)
         # Rotate so z_12 is exactly real and positive (rotation leaves Λ fixed).
@@ -406,10 +454,11 @@ def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         pos = np.where(flip[:, None], np.conj(pos), pos)
         lam = np.where(flip, np.conj(lam), lam)
         E = lam[:, None] * pos - _velocity_np(g, np.conj(pos))
-        return _central_solutions(v, "physical", pos, np.conj(pos), lam, E,
-                                  _physical_signatures(pos), iters, opts)
+        return _Canonical(pos, np.conj(pos), lam, None, np.abs(E).max(axis=1),
+                          _physical_signatures(pos))
 
-    return _Search("physical", sample, residual, jacobian, norm, guard, finalize)
+    return _Search("physical", sample, residual, jacobian, norm, guard, canonical,
+                   partial(_central_solutions, v, "physical", opts=opts))
 
 
 def _prefers_conjugate(pos: np.ndarray, lam: np.ndarray, opts: SolverOptions) -> np.ndarray:
@@ -420,16 +469,15 @@ def _prefers_conjugate(pos: np.ndarray, lam: np.ndarray, opts: SolverOptions) ->
     return np.where(lam.imag > opts.class_tol, False, (lam.imag < -opts.class_tol) | below)
 
 
-def _physical_signatures(pos: np.ndarray) -> list:
-    """Per row, the sorted squared pair distances |z_jk|² as a tuple of np.float64.
+def _physical_signatures(pos: np.ndarray) -> np.ndarray:
+    """Per row, the sorted squared pair distances |z_jk|², shape (S, P).
 
     hypot and float_power round as Python's abs and ``**`` of one numpy
     scalar do; numpy's vectorized abs does not always.
     """
     j, k = np.triu_indices(pos.shape[1], 1)
     d = pos[:, k] - pos[:, j]
-    r2 = np.sort(np.float_power(np.hypot(d.real, d.imag), 2.0), axis=1)
-    return [tuple(row) for row in r2]
+    return np.sort(np.float_power(np.hypot(d.real, d.imag), 2.0), axis=1)
 
 
 def _pack_complex(start) -> np.ndarray:
@@ -467,7 +515,7 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         pos, theta = _draw_starts(rng, count, n, 2, 1, opts)
         return np.concatenate([pos[:, 0], pos[:, 1], np.exp(1j * theta)], axis=1)
 
-    def finalize(x, iters):
+    def canonical(x):
         z, w, lam = _unpack_complex(x)
         z, w = _canonical_complex_pairs(z, w)
         # The conjugate-free system has the symmetry (z, w, Λ) -> (conj w, conj z, 1/conj Λ);
@@ -480,10 +528,10 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         lam = np.where(swap, tlam, lam)
         sig = np.where(swap[:, None, None], tsig, sig)
         F = _complex_residual(g, z, w, lam)
-        signatures = [tuple(map(tuple, row)) for row in sig]
-        return _central_solutions(v, "complex", z, w, lam, F, signatures, iters, opts)
+        return _Canonical(z, w, lam, None, np.abs(F).max(axis=1), sig)
 
-    return _Search("complex", sample, residual, jacobian, _max_modulus, guard, finalize)
+    return _Search("complex", sample, residual, jacobian, _max_modulus, guard, canonical,
+                   partial(_central_solutions, v, "complex", opts=opts))
 
 
 def _canonical_complex_pairs(z: np.ndarray, w: np.ndarray):
@@ -550,27 +598,33 @@ def classify(solution: CentralConfigSolution, options: SolverOptions | None = No
     return _classify(solution.lam, solution.invariants, opts)
 
 
-def _central_solutions(v: VorticitySet, regime: str, z: np.ndarray, w: np.ndarray, lam: np.ndarray,
-                       residual: np.ndarray, signatures: list, iters: np.ndarray,
+def _signature_tuples(signature: np.ndarray) -> list:
+    """Per row, the record signature: a tuple of np.float64, or of (Re, Im) tuples."""
+    if signature.ndim == 2:
+        return [tuple(row) for row in signature]
+    return [tuple(map(tuple, row)) for row in signature]
+
+
+def _central_solutions(v: VorticitySet, regime: str, c: _Canonical, iters: np.ndarray,
                        opts: SolverOptions) -> list:
     """Records of converged central solutions, one per row, with kind and consistency flags.
 
     Physical solutions have Λ = e^{iθ}, so only complex ones can be flagged
     ``nonunit_lambda``.
     """
-    lams, iters = lam.tolist(), iters.tolist()
-    nonunit = np.abs(np.hypot(lam.real, lam.imag) - 1.0) > 1e-6
-    norms = np.abs(residual).max(axis=1).tolist()
+    lams, iters, norms = c.lam.tolist(), iters.tolist(), c.norm.tolist()
+    nonunit = np.abs(np.hypot(c.lam.real, c.lam.imag) - 1.0) > 1e-6
+    signatures = _signature_tuples(c.signature)
     records = []
-    for s, inv in enumerate(invariants_of(v, z, w, lam=lams)):
+    for s, inv in enumerate(invariants_of(v, c.z, c.w, lam=lams)):
         kind, flags = _classify(lams[s], inv, opts)
         flags += _solution_assertions(inv, opts)
         if nonunit[s]:
             flags += ("nonunit_lambda",)
         records.append(CentralConfigSolution(
             regime=regime,
-            z=tuple(z[s]),
-            w=tuple(w[s]),
+            z=tuple(c.z[s]),
+            w=tuple(c.w[s]),
             lam=lams[s],
             residual_norm=norms[s],
             invariants=inv,
@@ -687,38 +741,49 @@ def _lambda_match(a: complex | None, b: complex | None, tol: float) -> bool:
     return min(direct, mirrored, inverted) <= tol
 
 
-def _deduplicate(found: list, opts: SolverOptions) -> list:
-    """Merge solutions whose signatures and Λ agree, keeping the smaller residual.
+def _deduplicate(c: _Canonical, opts: SolverOptions) -> np.ndarray:
+    """Rows of ``c`` that stay distinct, in kept order.
 
-    Signatures match when they differ by at most ``dedup_tol`` times the
-    candidate's largest entry (at least 1).  All signatures of one search
-    have the same length.
+    Rows are sorted by (signature, |Im Λ|, residual norm), so the merge does
+    not depend on discovery order.  In turn, each row merges with the first
+    kept row, in kept order, whose signature lies within ``dedup_tol`` times
+    the candidate's largest entry (at least 1), entry by entry, and whose Λ
+    matches; it replaces that row when its residual is smaller.  A row that
+    merges with none is kept.  Sorted rows have nondecreasing first entries
+    and kept rows are earlier rows, so only kept rows at or after
+    ``searchsorted(first, first[r] - 2 * bound[r])`` can match row r; the
+    factor 2 covers the rounding of the subtraction.
     """
-    if not found:
-        return []
-    flat = [np.asarray(s.signature, dtype=float).ravel() for s in found]
-    # Sort first so the merge is independent of discovery order.
-    order = sorted(range(len(found)), key=lambda i: (
-        flat[i].tolist(),
-        0.0 if found[i].lam is None else abs(found[i].lam.imag),
-        found[i].residual_norm))
-    sigs = np.array([flat[i] for i in order])
-    bounds = opts.dedup_tol * np.maximum(1.0, np.abs(sigs).max(axis=1))
-    kept: list[CentralConfigSolution] = []
-    kept_sigs = np.empty_like(sigs)      # row k: the signature of kept[k]
-    for row, i in enumerate(order):
-        cand = found[i]
-        close = np.abs(kept_sigs[: len(kept)] - sigs[row]).max(axis=1) <= bounds[row]
-        for k in np.flatnonzero(close):
-            if _lambda_match(cand.lam, kept[k].lam, opts.dedup_tol):
-                if cand.residual_norm < kept[k].residual_norm:
-                    kept[k] = cand
-                    kept_sigs[k] = sigs[row]
+    count = len(c.norm)
+    sig = c.signature.reshape(count, -1)
+    im = np.zeros(count) if c.lam is None else np.abs(c.lam.imag)
+    order = np.lexsort(np.vstack([c.norm, im, sig[:, ::-1].T]))   # stable; last key first
+    sig = sig[order]
+    bounds = opts.dedup_tol * np.maximum(1.0, np.abs(sig).max(axis=1))
+    window = np.searchsorted(sig[:, 0], sig[:, 0] - 2.0 * bounds).tolist()
+    rows, bounds, norms = sig.tolist(), bounds.tolist(), c.norm[order].tolist()
+    lams = [None] * count if c.lam is None else c.lam[order].tolist()
+    kept: list[int] = []        # row of each kept solution, in kept order
+    held: list[int] = []        # the rows in ``kept``, ascending
+    owner: list[int] = []       # held[i] is the row of kept[owner[i]]
+    for r, cand in enumerate(rows):
+        first, bound = bisect_left(held, window[r]), bounds[r]
+        close = sorted(k for q, k in zip(held[first:], owner[first:])
+                       if all(abs(a - b) <= bound for a, b in zip(rows[q], cand)))
+        for k in close:
+            if _lambda_match(lams[r], lams[kept[k]], opts.dedup_tol):
+                if norms[r] < norms[kept[k]]:
+                    i = bisect_left(held, kept[k])
+                    del held[i], owner[i]
+                    held.append(r)          # r is the largest row so far
+                    owner.append(k)
+                    kept[k] = r
                 break
         else:
-            kept_sigs[len(kept)] = sigs[row]
-            kept.append(cand)
-    return kept
+            held.append(r)
+            owner.append(len(kept))
+            kept.append(r)
+    return order[kept]
 
 
 # ---------------------------------------------------------------------------
@@ -733,23 +798,26 @@ def _near_zero(value, scale: float) -> bool:
     return abs(value) <= 1e-13 * scale
 
 
-def _velocity_solutions(v: VorticitySet, pos: np.ndarray, velocity: np.ndarray | None,
-                        iters: np.ndarray) -> list:
-    """Records of roots of V_n = velocity, one per row; ``velocity=None`` marks equilibria."""
+def _velocity_canonical(g: np.ndarray, pos: np.ndarray, velocity: np.ndarray | None) -> _Canonical:
+    """Canonical rows of roots of V_n = velocity; ``velocity=None`` marks equilibria."""
     w = np.conj(pos)
-    V = _velocity_np(np.asarray(v.gammas), w)
+    V = _velocity_np(g, w)
     if velocity is not None:
         V = V - velocity[:, None]
-    kind = KIND_EQUILIBRIUM if velocity is None else KIND_RIGID_TRANSLATION
-    velocities = [None] * len(pos) if velocity is None else velocity.tolist()
-    iters = iters.tolist()
-    norms = np.abs(V).max(axis=1).tolist()
-    signatures = _physical_signatures(pos)
+    return _Canonical(pos, w, None, velocity, np.abs(V).max(axis=1), _physical_signatures(pos))
+
+
+def _velocity_solutions(v: VorticitySet, c: _Canonical, iters: np.ndarray) -> list:
+    """Records of roots of V_n = velocity, one per row."""
+    kind = KIND_EQUILIBRIUM if c.velocity is None else KIND_RIGID_TRANSLATION
+    velocities = [None] * len(c.z) if c.velocity is None else c.velocity.tolist()
+    iters, norms = iters.tolist(), c.norm.tolist()
+    signatures = _signature_tuples(c.signature)
     return [
         CentralConfigSolution(
             regime="physical",
-            z=tuple(pos[s]),
-            w=tuple(w[s]),
+            z=tuple(c.z[s]),
+            w=tuple(c.w[s]),
             lam=None,
             residual_norm=norms[s],
             invariants=inv,
@@ -758,7 +826,7 @@ def _velocity_solutions(v: VorticitySet, pos: np.ndarray, velocity: np.ndarray |
             iterations=iters[s],
             translation_velocity=velocities[s],
         )
-        for s, inv in enumerate(invariants_of(v, pos, w))
+        for s, inv in enumerate(invariants_of(v, c.z, c.w))
     ]
 
 
@@ -790,10 +858,11 @@ def _equilibria_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         pos, _ = _draw_starts(rng, count, n, 1, 0, opts)
         return _realify_vector(pos[:, 0, 2:])
 
-    def finalize(x, iters):
-        return _velocity_solutions(v, _pinned(x, 1.0), None, iters)
+    def canonical(x):
+        return _velocity_canonical(g, _pinned(x, 1.0), None)
 
-    return _Search("physical", sample, residual, jacobian, _modulus_norm, guard, finalize)
+    return _Search("physical", sample, residual, jacobian, _modulus_norm, guard, canonical,
+                   partial(_velocity_solutions, v))
 
 
 def solve_equilibria(v: VorticitySet, starts: int = 200, seed: int = 0,
@@ -843,15 +912,16 @@ def _translation_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         xi = np.hypot(z2.real, z2.imag) + opts.start_min_gap
         return np.concatenate([xi[:, None], _realify_vector(pos[:, 0, 2:]), phi], axis=1)
 
-    def finalize(x, iters):
+    def canonical(x):
         pos, phi = _pinned(x[:, 1:-1], x[:, 0]), x[:, -1]
         # Rotate by a half turn where Re z_2 < 0: keeps V_n = V form with V -> -V.
         half = pos[:, 1].real < 0
         pos = np.where(half[:, None], -pos, pos)
         phi = np.where(half, phi + np.pi, phi)
-        return _velocity_solutions(v, pos, np.exp(1j * phi), iters)
+        return _velocity_canonical(g, pos, np.exp(1j * phi))
 
-    return _Search("physical", sample, residual, jacobian, _modulus_norm, guard, finalize)
+    return _Search("physical", sample, residual, jacobian, _modulus_norm, guard, canonical,
+                   partial(_velocity_solutions, v))
 
 
 def solve_rigid_translation(v: VorticitySet, starts: int = 200, seed: int = 0,

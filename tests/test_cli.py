@@ -1,5 +1,6 @@
 """Exit-code contract, report schema, determinism, and the SVG renderer."""
 
+import csv
 import json
 
 import pytest
@@ -101,6 +102,25 @@ def test_solve_csv_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("index,kind,lambda_re")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("regime", ["physical", "complex"])
+def test_solve_csv_numbers_parse_and_match_json(tmp_path, regime):
+    argv = ["solve", "--gamma", "1,1,-0.5", "--regime", regime, "--starts", "40", "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "rep.json")]) == 0
+    assert main(argv + ["--format", "csv", "--out", str(tmp_path / "rep.csv")]) == 0
+    doc = json.loads((tmp_path / "rep.json").read_text())
+    with open(tmp_path / "rep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(doc["solutions"]) > 0
+    for row, sol in zip(rows, doc["solutions"]):
+        signature = row["signature"].split(";")
+        if regime == "physical":
+            assert [float(s) for s in signature] == sol["signature"]
+        else:
+            assert [complex(s) for s in signature] == [complex(*s) for s in sol["signature"]]
+        assert [complex(p) for p in row["positions"].split(";")] == \
+            [complex(*p) for p in sol["positions"]]
 
 
 def test_solve_deterministic_bytes(tmp_path):

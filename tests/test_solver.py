@@ -1,6 +1,7 @@
 """Multistart search, refinement, classification, and the gated searches."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -481,16 +482,102 @@ def test_deduplicate_matches_loop_reference(gammas, regime):
     opts = SolverOptions()
     search = solver._central_search(VorticitySet(gammas), regime, opts)
     rng = np.random.default_rng(8)
-    results = solver._levenberg_newton(search, search.sample(rng, 300), opts)
-    found = [r for r in results if isinstance(r, CentralConfigSolution)]
+    _, _, rows, iters = solver._refine(search, search.sample(rng, 300), opts)
+    canonical = search.canonical(rows)
+    found = search.finalize(canonical, iters)
     # The coarse tolerance makes one candidate match several kept solutions
     # and lets a replacement change what later candidates match.
     for tol in (opts.dedup_tol, 0.5):
         coarse = SolverOptions(dedup_tol=tol)
-        kept = solver._deduplicate(found, coarse)
+        kept = [found[i] for i in solver._deduplicate(canonical, coarse)]
         reference = _deduplicate_loop(found, coarse)
         assert [id(s) for s in kept] == [id(s) for s in reference]
         assert len(kept) > 1
+
+
+def _synthetic(signature, lam, norm):
+    """Canonical rows carrying only what dedup reads, and their records for the reference loop."""
+    signature, norm = np.asarray(signature, dtype=float), np.asarray(norm, dtype=float)
+    lam = None if lam is None else np.asarray(lam, dtype=complex)
+    z = np.zeros((len(norm), 2), dtype=complex)
+    canonical = solver._Canonical(z, z, lam, None, norm, signature)
+    lams = [None] * len(norm) if lam is None else lam.tolist()
+    records = [types.SimpleNamespace(signature=tuple(signature[i].ravel()), lam=lams[i],
+                                     residual_norm=float(norm[i])) for i in range(len(norm))]
+    return canonical, records
+
+
+def _assert_scan_matches_loop(signature, lam, norm, tol):
+    canonical, records = _synthetic(signature, lam, norm)
+    opts = SolverOptions(dedup_tol=tol)
+    kept = solver._deduplicate(canonical, opts)
+    assert [id(records[i]) for i in kept] == [id(r) for r in _deduplicate_loop(records, opts)]
+    return kept.tolist()
+
+
+# Below 1/2 the spacing of floats is 2^-54, above it 2^-53: 1 - (1/2 - 2^-54)
+# rounds to 1/2, so the row at 1/2 - 2^-54 is within the bound 1/2 of the row
+# at 1 while 1 - 1/2 lies above it.  A window without the margin misses it.
+BELOW_HALF = 0.5 - 2.0 ** -54
+
+SCAN_CASES = {
+    # First entries tie; the second entries decide, at exactly the bound.
+    "ties in the first entry": ([[0.0, 0.0], [0.0, 0.5], [0.0, 1.0], [0.0, 1.5]],
+                                [1, 1, 1, 1], [0.5, 1.0, 2.0, 3.0], 0.5),
+    "at the bound through rounding": ([[1.0, 1.0], [BELOW_HALF, 1.0]], [1, 1], [1.0, 2.0], 0.5),
+    "just past the bound": ([[1.0, 1.0], [0.5 - 2.0 ** -52, 1.0]], [1, 1], [1.0, 2.0], 0.5),
+    # Row 1 is close to row 0 but its Λ differs, so it is kept; row 2 is close
+    # to both and matches the second one's Λ only.
+    "Λ mismatch passes a close row": ([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]],
+                                      [1, -1, -1], [1.0, 1.0, 0.5], 0.5),
+    # Row 2 replaces kept row 0 (smaller residual), moving that solution past
+    # kept row 1; row 3 lies within the bound of both and must merge with the
+    # first in kept order, now at row 2, not with the earlier row 1.
+    "replacement moves a kept row": ([[0.0, 0.0], [0.1, 0.6], [0.2, 0.0], [0.3, 0.3]],
+                                     [1, 1, 1, 1], [1.0, 1.0, 0.5, 0.1], 0.5),
+    # Kept row 0 moves to row 1 (0.4), which row 2 (0.8) is close to but row 0 is not.
+    "replacement changes later matches": ([[0.0], [0.4], [0.8]], [1j, 1j, 1j], [1.0, 0.5, 0.9], 0.5),
+    "fine tolerance": ([[1.0, 2.0], [1.0 + 1e-6, 2.0], [1.0 + 3e-6, 2.0], [1.0 + 2.5e-6, 2.0],
+                        [1.0 + 5e-6, 2.0]], [1, 1, 1, 1, 1], [1.0, 0.5, 0.2, 0.1, 1.0], 1e-6),
+}
+SCAN_KEPT = {
+    "ties in the first entry": [0, 2],
+    "at the bound through rounding": [0],
+    "just past the bound": [1, 0],
+    "Λ mismatch passes a close row": [0, 2],
+    "replacement moves a kept row": [3, 1],
+    "replacement changes later matches": [1],
+    "fine tolerance": [3, 4],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_windowed_scan_matches_loop_on_edge_cases(case):
+    signature, lam, norm, tol = SCAN_CASES[case]
+    # Discovery order must not matter: reversed rows keep the same solutions.
+    assert _assert_scan_matches_loop(signature, lam, norm, tol) == SCAN_KEPT[case]
+    kept = _assert_scan_matches_loop(signature[::-1], lam[::-1], norm[::-1], tol)
+    assert [len(signature) - 1 - i for i in kept] == SCAN_KEPT[case]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.5])
+@pytest.mark.parametrize("shape", [(4,), (3, 2)])
+@pytest.mark.parametrize("with_lambda", [True, False])
+def test_windowed_scan_matches_loop_on_random_grids(tol, shape, with_lambda):
+    # Entries on a small grid, so first entries tie and one candidate lies
+    # within the bound of several kept rows.  At tol 0.5 the grid step is 1/4
+    # and the bound 1/2, so rows also lie exactly at the bound; at 1e-6 the
+    # entries sit a few bounds from 1 or 2.
+    rng = np.random.default_rng(17)
+    step = tol / 2 if tol < 1e-3 else 0.25
+    for _ in range(40):
+        count = int(rng.integers(1, 60))
+        base = rng.integers(-3, 4, size=(count,) + shape) * step
+        offset = 1.0 if tol < 1e-3 else 0.0
+        signature = base + offset * rng.integers(1, 3, size=(count, 1) + shape[1:])
+        lam = rng.choice([1.0, -1.0, 1j, 0.5 + 0.5j], size=count) if with_lambda else None
+        norm = rng.integers(0, 4, size=count) * 1e-13
+        _assert_scan_matches_loop(signature, lam, norm, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -667,21 +754,51 @@ def test_stacked_finalize_matches_row_reference(name):
     for gammas in FINALIZE_CASES[name]:
         v = VorticitySet(gammas)
         search = make(v, opts)
-        calls = []
+        calls, converged = [], []
 
-        def finalize(x, iters):
-            calls.append((x, iters))
-            return search.finalize(x, iters)
+        def canonical(x):
+            converged.append(x)
+            return search.canonical(x)
 
-        spy = dataclasses.replace(search, finalize=finalize)
+        def finalize(c, iters):
+            calls.append((c, iters))
+            return search.finalize(c, iters)
+
+        spy = dataclasses.replace(search, canonical=canonical, finalize=finalize)
         results = solver._levenberg_newton(spy, search.sample(np.random.default_rng(4), 60), opts)
         # One stacked call per search, on every converged row.
         assert len(calls) == 1
-        x, iters = calls[0]
+        x, iters = converged[0], calls[0][1]
         found = [r for r in results if isinstance(r, CentralConfigSolution)]
         assert len(found) == len(x) > 0
         reference = [_finalize_row(name, v, row, int(it), opts, branches)
                      for row, it in zip(x, iters)]
-        assert repr(search.finalize(x, iters)) == repr(reference)
+        assert repr(search.finalize(search.canonical(x), iters)) == repr(reference)
         assert sorted(map(repr, found)) == sorted(map(repr, reference))
     assert branches == FINALIZE_BRANCHES[name]
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_multistart_finalizes_only_the_kept_rows(name):
+    make, _ = SEARCHES[name]
+    opts = SolverOptions()
+    discarded = 0
+    for gammas in FINALIZE_CASES[name]:
+        search = make(VorticitySet(gammas), opts)
+        calls = []
+
+        def finalize(c, iters):
+            calls.append(len(iters))
+            assert len(c.norm) == len(c.z) == len(iters)
+            return search.finalize(c, iters)
+
+        report = solver._multistart(dataclasses.replace(search, finalize=finalize), 120, 4, opts)
+        # Once per search, on exactly the reported solutions.
+        assert calls == [len(report.solutions)]
+        results = solver._levenberg_newton(search, search.sample(np.random.default_rng(4), 120), opts)
+        found = [r for r in results if isinstance(r, CentralConfigSolution)]
+        assert report.starts_converged == len(found)
+        # The reported records are the ones deduplicating every record would keep.
+        assert repr(report.solutions) == repr(tuple(_deduplicate_loop(found, opts)))
+        discarded += len(found) - len(report.solutions)
+    assert discarded > 0
