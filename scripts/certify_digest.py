@@ -11,8 +11,11 @@ The inputs are the certify benchmark calls of seed 0, rounds 0 to 3
 (``perfbench.inputs.round_calls``: exact rationals over scales 10^-400 to
 10^140, and float copies at unit scale), and the random rationals of the
 brute-force matching test, exact, at scales 10^-100, 1 and 10^100.  A call
-that raises hashes as the name of its exception.  TOTAL EXACT covers every
-exact input and TOTAL FLOAT every float input.
+that raises hashes as the name of its exception.  A last group holds the
+3000 exact inputs of acceptance criterion 7c (rng seed 102: each tuple, its
+permuted and its rescaled copy) and goes only into TOTAL 7C.  TOTAL EXACT
+covers every other exact input and TOTAL FLOAT every float input, so these
+two compare with earlier versions of this script.
 
 Every input lies in the range the float tolerance of earlier versions
 handled: exact entries below the largest float and float copies with
@@ -37,6 +40,7 @@ from vortexcc import VorticitySet, verdict  # noqa: E402
 CERTIFY_SEED = 0
 CERTIFY_ROUNDS = range(4)
 ORACLE_SCALES = (-100, 0, 100)
+CRITERION_7C = "criterion 7c seed 102 exact"
 
 
 def oracle_rationals() -> list:
@@ -53,6 +57,24 @@ def oracle_rationals() -> list:
     return tuples
 
 
+def criterion_7c_inputs() -> list:
+    """Criterion 7c's 1000 tuples with Γ != 0, each followed by its permuted and rescaled copy."""
+    rng = np.random.default_rng(102)
+    inputs = []
+    while len(inputs) < 3000:
+        gammas = []
+        while len(gammas) < 5:
+            x = Fraction(int(rng.integers(-10**4, 10**4 + 1)), int(rng.integers(1, 100)))
+            if x != 0:
+                gammas.append(x)
+        if sum(gammas) == 0:  # the test skips these draws
+            continue
+        perm = rng.permutation(5)
+        scale = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        inputs += [tuple(gammas), tuple(gammas[i] for i in perm), tuple(scale * g for g in gammas)]
+    return inputs
+
+
 def groups() -> list:
     """(group name, tuples) pairs; a group holds only exact or only float tuples."""
     from perfbench.inputs import round_calls
@@ -67,6 +89,7 @@ def groups() -> list:
         scale = Fraction(10) ** exp
         out.append((f"oracle rationals * 10^{exp} exact",
                     [tuple(g * scale for g in t) for t in oracle_rationals()]))
+    out.append((CRITERION_7C, criterion_7c_inputs()))
     return out
 
 
@@ -79,16 +102,19 @@ def report_digest(gammas: tuple) -> str:
 
 
 def main() -> int:
-    totals = {"exact": hashlib.sha256(), "float": hashlib.sha256()}
+    totals = {"7C": hashlib.sha256(), "EXACT": hashlib.sha256(), "FLOAT": hashlib.sha256()}
     for name, tuples in groups():
         group = hashlib.sha256()
         for gammas in tuples:
             digest = report_digest(gammas).encode()
             group.update(digest)
-            totals["float" if isinstance(gammas[0], float) else "exact"].update(digest)
+            if name == CRITERION_7C:
+                totals["7C"].update(digest)
+            else:
+                totals["FLOAT" if isinstance(gammas[0], float) else "EXACT"].update(digest)
         print(f"{group.hexdigest()}  {name} ({len(tuples)} inputs)")
-    print(f"{totals['exact'].hexdigest()}  TOTAL EXACT")
-    print(f"{totals['float'].hexdigest()}  TOTAL FLOAT")
+    for label, total in totals.items():
+        print(f"{total.hexdigest()}  TOTAL {label}")
     return 0
 
 

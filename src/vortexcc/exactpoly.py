@@ -1,11 +1,13 @@
 """Sparse multivariate polynomials with integer coefficients.
 
 The vorticity constraint catalog is held in this one form: it is written with
-``-`` and ``*``, printed, and evaluated by :meth:`Poly.evaluate` (in Python
-ints on int input).  :meth:`Poly.permuted` and :meth:`Poly.sign_canonical`
-define a relabelled constraint up to sign.  The catalog deduplicates matches
-by each clause's label classes, the relabellings that give the same terms,
-and builds each clause's classes once, on its first match, from index tuples.
+``-`` and ``*`` and printed.  The catalog compiles each polynomial into
+subset-table lookups at import, so a verdict evaluates none of them;
+:meth:`Poly.evaluate` (in Python ints on int input) is the reference that the
+tests check those lookups against.  :meth:`Poly.permuted` and
+:meth:`Poly.sign_canonical` define a relabelled constraint up to sign, the
+reference for the catalog's label classes, which dedupe matches and are
+built from index tuples on each clause's first match.
 """
 
 from __future__ import annotations

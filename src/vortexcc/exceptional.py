@@ -15,21 +15,21 @@ The verdict relies solely on the subset condition (sound); catalog matches
 are reported as diagnostics.  Every tuple is rescaled once on entry, which
 cannot change a verdict since all the polynomials involved are homogeneous:
 rational inputs become a primitive integer vector and are decided in Python
-integers alone, since the catalog is held as integer-coefficient polynomials
-(:class:`~vortexcc.exactpoly.Poly`) evaluated by ``Poly.evaluate``; float
-inputs are divided by max|Γ|, so a polynomial counts as zero when it is at
-most 1e-9 relative to max|Γ|^degree, and are flagged approximate.
+integers alone; float inputs are divided by max|Γ|, so a polynomial counts
+as zero when it is at most 1e-9 relative to max|Γ|^degree, and are flagged
+approximate.
 
 Each tuple gets one subset table, shared by both views: its 31 subset sums
-Γ_J and 26 pair momenta L_J, each tested once for zero.  The table decides
-every clause polynomial that is a pure Γ_J or L_J under every relabelling,
-and ``Poly.evaluate`` runs only for the others.  30 of the 33 clauses have a
-pure equality, their anchor, and are tried only under the relabellings that
-send the anchor's subset onto a vanishing entry of the table; the other
-three are tried under all 120.  A relabelling is skipped only when the
-table shows that its anchor is nonzero, so the search stays exhaustive; it
-over-approximates each diagram's own symmetry soundly.  Matches are
-deduplicated by each clause's label classes, built once on its first match.
+Γ_J and 26 pair momenta L_J.  The catalog is held as integer-coefficient
+polynomials (:class:`~vortexcc.exactpoly.Poly`), and under every
+relabelling each of them is the difference of two table entries, such as
+g₁g₃ − g₂g₄ = L_13 − L_24, or Γ_J − 0 for a pure Γ_J.  So each is compiled
+at import into one pair of table indices per relabelling, and no polynomial
+is evaluated at run time.  A clause is tried only under the relabellings
+that make its first equality, its anchor, vanish, so the search stays
+exhaustive; it over-approximates each diagram's own symmetry soundly.
+Matches are deduplicated by each clause's label classes, built once on its
+first match.
 
 Notation: L_J = sum over unordered pairs of J of Γ_jΓ_k, L = L_{12345}.
 """
@@ -41,7 +41,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, permutations
 from math import gcd, lcm
-from operator import itemgetter
 
 from .exactpoly import Poly
 from .quantities import VorticitySet
@@ -347,8 +346,8 @@ def _require_five(v: VorticitySet) -> None:
 ZERO_TOL = 1e-9  # float input: |P(Γ / max|Γ|)| <= ZERO_TOL counts as zero
 
 # Nonempty 0-based index subsets J in lexicographic order, each with its
-# bitmask m and its pairs.  A tuple's subset table holds at index m whether
-# Γ_J vanishes and at _MOMENTUM + m whether L_J does.
+# bitmask m and its pairs.  A tuple's subset table holds Γ_J at index m and
+# L_J at _MOMENTUM + m; index 0, the empty sum, holds the constant 0.
 _SUBSETS = tuple(
     (J, sum(1 << j for j in J), tuple(combinations(J, 2)))
     for J in sorted(J for r in range(1, N_VORTICES + 1)
@@ -375,19 +374,19 @@ class _Normalized:
         return value == 0 if self.exact else abs(value) <= ZERO_TOL
 
     @cached_property
-    def zero(self) -> list:
-        """The subset table: the 31 Γ_J and 26 L_J, each tested once by :meth:`vanishes`.
+    def table(self) -> list:
+        """The subset table: the 31 Γ_J and 26 L_J at their indices, 0 elsewhere.
 
         Built on first use and shared by the subset check and the catalog.
         Each sum runs in index order.
         """
         g = self.gammas
-        zero = [False] * (2 * _MOMENTUM)
+        table = [0] * (2 * _MOMENTUM)
         for J, m, pairs in _SUBSETS:
-            zero[m] = self.vanishes(sum(g[j] for j in J))
+            table[m] = sum(g[j] for j in J)
             if pairs:
-                zero[_MOMENTUM + m] = self.vanishes(sum(g[a] * g[b] for a, b in pairs))
-        return zero
+                table[_MOMENTUM + m] = sum(g[a] * g[b] for a, b in pairs)
+        return table
 
 
 def _normalized(v) -> _Normalized:
@@ -407,61 +406,69 @@ def _normalized(v) -> _Normalized:
 
 
 _PERMUTATIONS = tuple(permutations(range(N_VORTICES)))
-_PULLS = tuple(itemgetter(*sigma) for sigma in _PERMUTATIONS)
 # _BIT_OF[j][k] is the bitmask of input vortex σ_k[j], σ_k = _PERMUTATIONS[k].
 _BIT_OF = tuple(tuple(1 << sigma[j] for sigma in _PERMUTATIONS) for j in range(N_VORTICES))
 
 
-def _build_plans() -> tuple:
-    """Each clause split into subset-table lookups and other polynomials.
+def _build_plans(diagrams: tuple) -> tuple:
+    """Each clause polynomial compiled to one pair of subset-table indices per σ.
 
-    A pure Γ_J or L_J is held as its table index under each σ of
-    _PERMUTATIONS: catalog label i stands for input vortex σ[i], so Γ_J of
-    the pulled-back tuple is Γ_σ(J) of the input.  Returns the plans, one
-    (diagram id, clause index, clause, anchor, table equalities, other
-    equalities, table inequations, other inequations) per clause in catalog
-    order, and the anchors.  A clause's anchor is its first pure equality,
-    held as an index into the anchors, or None; each anchor maps a table
-    index to the ascending _PERMUTATIONS indices that send it there.
+    A catalog polynomial is P − N, where P is the sum of its positive terms
+    and N the negated sum of its negative ones, and each of P and N must be a
+    Γ_J, an L_J or empty (the table's constant 0); any other polynomial
+    raises ValueError.  Catalog label i stands for input vortex σ[i], so Γ_J
+    of the pulled-back tuple is Γ_σ(J) of the input, and the polynomial there
+    is table[hi] − table[lo], hi and lo being the table indices of P and N
+    relabelled by σ.
+
+    Returns the plans, the anchor pairs and the anchors.  The plans hold one
+    (diagram id, clause index, clause, anchor, other equalities, inequations)
+    per clause in catalog order, each polynomial as its (hi, lo) indices,
+    two tuples in _PERMUTATIONS order.  A clause's anchor is its first
+    equality, held as an index into the anchors.  The anchor pairs are the
+    distinct (hi, lo) pairs of all anchors, held as two tuples in the same
+    way.  Each anchor maps its pairs, as positions in the anchor pairs, to
+    the ascending _PERMUTATIONS indices that send the anchor there.
     """
     images: dict = {}  # (offset, J) -> table index under each σ
-    anchors: dict = {}  # anchor images -> position in the anchors
+    anchors: dict = {}  # an anchor's (hi, lo) -> position in the anchors
 
-    def split(polys):
-        table, other = [], []
-        for p in polys:
-            J = tuple(sorted({i for _, idx in p.terms for i in idx}))
-            if p.terms == tuple((1, (j,)) for j in J):  # Γ_J
-                offset = 0
-            elif p.terms == tuple((1, pair) for pair in combinations(J, 2)):  # L_J
-                offset = _MOMENTUM
-            else:
-                other.append(p)
-                continue
-            if (offset, J) not in images:
-                columns = [_BIT_OF[j] for j in J] + [(offset,) * len(_PERMUTATIONS)]
-                images[offset, J] = tuple(map(sum, zip(*columns)))
-            table.append(images[offset, J])
-        return tuple(table), tuple(other)
+    def index(p, terms):
+        J = tuple(sorted({i for _, idx in terms for i in idx}))
+        if terms == tuple((1, (j,)) for j in J):  # Γ_J, or the constant 0 when empty
+            offset = 0
+        elif terms == tuple((1, pair) for pair in combinations(J, 2)):  # L_J
+            offset = _MOMENTUM
+        else:
+            raise ValueError(f"catalog polynomial {p} is not a difference of two "
+                             "subset sums or pair momenta")
+        if (offset, J) not in images:
+            columns = [_BIT_OF[j] for j in J] + [(offset,) * len(_PERMUTATIONS)]
+            images[offset, J] = tuple(map(sum, zip(*columns)))
+        return images[offset, J]
+
+    @cache  # a polynomial recurs in many clauses
+    def compiled(p):
+        return (index(p, tuple((c, idx) for c, idx in p.terms if c > 0)),
+                index(p, tuple((-c, idx) for c, idx in p.terms if c < 0)))
 
     plans = []
-    for d in _CATALOG:
+    for d in diagrams:
         for ci, cl in enumerate(d.clauses):
-            table_eqs, poly_eqs = split(cl.equalities)
-            table_neqs, poly_neqs = split(cl.inequations)
-            anchor = anchors.setdefault(table_eqs[0], len(anchors)) if table_eqs else None
-            plans.append((d.id, ci, cl, anchor, table_eqs, poly_eqs, table_neqs, poly_neqs))
+            anchor, *eqs = map(compiled, cl.equalities)
+            plans.append((d.id, ci, cl, anchors.setdefault(anchor, len(anchors)),
+                          tuple(eqs), tuple(map(compiled, cl.inequations))))
+    pairs: dict = {}  # distinct anchor pair -> position in the pairs
     preimages = []
-    for anchor in anchors:
+    for hi, lo in anchors:
         ks: dict = {}
-        for k, image in enumerate(anchor):
-            ks.setdefault(image, []).append(k)
-        preimages.append(ks)
-    return tuple(plans), tuple(preimages)
+        for k, pair in enumerate(zip(hi, lo)):
+            ks.setdefault(pair, []).append(k)
+        preimages.append({pairs.setdefault(pair, len(pairs)): k for pair, k in ks.items()})
+    return tuple(plans), tuple(zip(*pairs)), tuple(preimages)
 
 
-_PLANS, _ANCHORS = _build_plans()
-_EVERY_SIGMA = range(len(_PERMUTATIONS))
+_PLANS, (_ANCHOR_HI, _ANCHOR_LO), _ANCHORS = _build_plans(_CATALOG)
 
 
 def _relabelled_terms(p: Poly, sigma: tuple) -> tuple:
@@ -495,37 +502,33 @@ def _label_classes(plan: tuple) -> tuple:
 def evaluate_diagram_constraints(v: VorticitySet) -> list:
     """All catalog matches of a 5-tuple over the 120 label permutations.
 
-    Every pure Γ_J or L_J in a clause is read from the tuple's subset table,
-    which decides it once for all relabellings; only the other polynomials
-    are evaluated, by ``Poly.evaluate`` on the pulled-back tuple.  A clause
-    with a pure equality (its anchor) is tried only under the relabellings
-    that send the anchor onto a vanishing entry of the table, so a generic
-    tuple runs just diagram 5, diagram 11 and diagram 15's Λ = ±1 clause
-    over all 120.  Rational inputs are decided exactly; float inputs count a
-    polynomial of degree d as zero when it is at most 1e-9 relative to
-    max|Γ|^d (the caller should treat those results as approximate).
+    Every clause polynomial is decided from the tuple's subset table, as the
+    difference of two of its entries under each relabelling, so no
+    polynomial is evaluated here.  Each clause is tried only under the
+    relabellings that make its first equality (its anchor) vanish, found
+    once per tuple for each distinct anchor; a generic tuple tries no
+    relabelling at all.  Rational inputs are decided exactly; float inputs
+    count a polynomial of degree d as zero when it is at most 1e-9 relative
+    to max|Γ|^d (the caller should treat those results as approximate).
     Matches come in catalog order, then permutation order, deduplicated up
     to each clause's own label symmetry: a match is reported only for the
     first σ of its label class (:func:`_label_classes`, each clause's table
     built once, on its first match).
     """
     n = _normalized(v)
-    zero = n.zero
-    pulled = [pull(n.gammas) for pull in _PULLS]
-    vanishing = [sorted(k for image, ks in anchor.items() if zero[image] for k in ks)
+    table, vanishes = n.table, n.vanishes
+    zero = [vanishes(table[hi] - table[lo]) for hi, lo in zip(_ANCHOR_HI, _ANCHOR_LO)]
+    vanishing = [sorted(k for i, ks in anchor.items() if zero[i] for k in ks)
                  for anchor in _ANCHORS]
 
     matches = []
     for plan in _PLANS:
-        diagram_id, ci, cl, anchor, table_eqs, poly_eqs, table_neqs, poly_neqs = plan
+        diagram_id, ci, cl, anchor, eqs, neqs = plan
         classes, seen = None, set()  # the label classes matched so far
-        for k in _EVERY_SIGMA if anchor is None else vanishing[anchor]:
-            g = pulled[k]
-            if not (all(zero[t[k]] for t in table_eqs)
-                    and all(n.vanishes(p.evaluate(g)) for p in poly_eqs)):
+        for k in vanishing[anchor]:
+            if not all(vanishes(table[hi[k]] - table[lo[k]]) for hi, lo in eqs):
                 continue
-            if (any(zero[t[k]] for t in table_neqs)
-                    or any(n.vanishes(p.evaluate(g)) for p in poly_neqs)):
+            if any(vanishes(table[hi[k]] - table[lo[k]]) for hi, lo in neqs):
                 continue
             if classes is None:  # once per clause: hashing the plan costs microseconds
                 classes = _label_classes(plan)
@@ -548,11 +551,12 @@ def check_subset_conditions(v: VorticitySet) -> SubsetCheck:
     at least two indices, as read from the tuple's subset table.  On failure
     the lexicographically first violating subset is returned.
     """
-    zero = _normalized(v).zero
+    n = _normalized(v)
+    table = n.table
     for J, m, pairs in _SUBSETS:
-        if zero[m]:
+        if n.vanishes(table[m]):
             return SubsetCheck(False, tuple(j + 1 for j in J), "vanishing_sum")
-        if pairs and zero[_MOMENTUM + m]:
+        if pairs and n.vanishes(table[_MOMENTUM + m]):
             return SubsetCheck(False, tuple(j + 1 for j in J), "vanishing_pair_momentum")
     return SubsetCheck(True)
 
