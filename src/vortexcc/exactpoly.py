@@ -6,8 +6,8 @@ subset-table lookups at import, so a verdict evaluates none of them;
 :meth:`Poly.evaluate` (in Python ints on int input) is the reference that the
 tests check those lookups against.  :meth:`Poly.permuted` and
 :meth:`Poly.sign_canonical` define a relabelled constraint up to sign, the
-reference for the catalog's label classes, which dedupe matches and are
-built from index tuples on each clause's first match.
+tests' reference for the label classes that dedupe catalog matches; the
+catalog reads those off each clause's compiled pairs of table indices.
 """
 
 from __future__ import annotations

@@ -28,8 +28,8 @@ at import into one pair of table indices per relabelling, and no polynomial
 is evaluated at run time.  A clause is tried only under the relabellings
 that make its first equality, its anchor, vanish, so the search stays
 exhaustive; it over-approximates each diagram's own symmetry soundly.
-Matches are deduplicated by each clause's label classes, built once on its
-first match.
+Matches are deduplicated by each clause's label classes, read off its
+compiled pairs on its first match.
 
 Notation: L_J = sum over unordered pairs of J of Γ_jΓ_k, L = L_{12345}.
 """
@@ -422,13 +422,14 @@ def _build_plans(diagrams: tuple) -> tuple:
     relabelled by σ.
 
     Returns the plans, the anchor pairs and the anchors.  The plans hold one
-    (diagram id, clause index, clause, anchor, other equalities, inequations)
-    per clause in catalog order, each polynomial as its (hi, lo) indices,
-    two tuples in _PERMUTATIONS order.  A clause's anchor is its first
-    equality, held as an index into the anchors.  The anchor pairs are the
-    distinct (hi, lo) pairs of all anchors, held as two tuples in the same
-    way.  Each anchor maps its pairs, as positions in the anchor pairs, to
-    the ascending _PERMUTATIONS indices that send the anchor there.
+    (diagram id, clause index, clause, anchor index, anchor, other equalities,
+    inequations) per clause in catalog order, each polynomial as its (hi, lo)
+    indices, two tuples in _PERMUTATIONS order.  A clause's anchor is its
+    first equality; the anchor index is its position in the anchors.  The
+    anchor pairs are the distinct (hi, lo) pairs of all anchors, held as two
+    tuples in the same way.  Each anchor maps its pairs, as positions in the
+    anchor pairs, to the ascending _PERMUTATIONS indices that send the anchor
+    there.
     """
     images: dict = {}  # (offset, J) -> table index under each σ
     anchors: dict = {}  # an anchor's (hi, lo) -> position in the anchors
@@ -456,7 +457,7 @@ def _build_plans(diagrams: tuple) -> tuple:
     for d in diagrams:
         for ci, cl in enumerate(d.clauses):
             anchor, *eqs = map(compiled, cl.equalities)
-            plans.append((d.id, ci, cl, anchors.setdefault(anchor, len(anchors)),
+            plans.append((d.id, ci, cl, anchors.setdefault(anchor, len(anchors)), anchor,
                           tuple(eqs), tuple(map(compiled, cl.inequations))))
     pairs: dict = {}  # distinct anchor pair -> position in the pairs
     preimages = []
@@ -471,31 +472,22 @@ def _build_plans(diagrams: tuple) -> tuple:
 _PLANS, (_ANCHOR_HI, _ANCHOR_LO), _ANCHORS = _build_plans(_CATALOG)
 
 
-def _relabelled_terms(p: Poly, sigma: tuple) -> tuple:
-    """``p.permuted(sigma).sign_canonical().terms``, built from index tuples alone."""
-    terms = sorted(((c, tuple(sorted(sigma[i] for i in idx))) for c, idx in p.terms),
-                   key=lambda t: t[1] + (N_VORTICES,))
-    if terms[0][0] < 0:
-        terms = [(-c, idx) for c, idx in terms]
-    return tuple(terms)
-
-
 @cache
 def _label_classes(plan: tuple) -> tuple:
-    """One clause's label class of each σ of _PERMUTATIONS, as small ints.
+    """For one clause, the first _PERMUTATIONS index of each σ's label class.
 
     σ and σ′ share a class exactly when they relabel the clause's equalities,
     and its inequations, to the same polynomials up to sign: the classes are
-    the cosets of the clause's label stabilizer.  Built on the clause's first
-    match, not at import.
+    the cosets of the clause's label stabilizer.  Distinct unordered pairs
+    {hi[k], lo[k]} are distinct polynomials up to sign, so the compiled pairs
+    decide the class.  Built on the clause's first match, not at import.
     """
-    cl = plan[2]
-    classes: dict = {}
+    anchor, eqs, neqs = plan[4:]
+    first: dict = {}
     return tuple(
-        classes.setdefault((frozenset(_relabelled_terms(p, sigma) for p in cl.equalities),
-                            frozenset(_relabelled_terms(p, sigma) for p in cl.inequations)),
-                           len(classes))
-        for sigma in _PERMUTATIONS
+        first.setdefault((frozenset(frozenset((hi[k], lo[k])) for hi, lo in (anchor, *eqs)),
+                          frozenset(frozenset((hi[k], lo[k])) for hi, lo in neqs)), k)
+        for k in range(len(_PERMUTATIONS))
     )
 
 
@@ -511,9 +503,10 @@ def evaluate_diagram_constraints(v: VorticitySet) -> list:
     count a polynomial of degree d as zero when it is at most 1e-9 relative
     to max|Γ|^d (the caller should treat those results as approximate).
     Matches come in catalog order, then permutation order, deduplicated up
-    to each clause's own label symmetry: a match is reported only for the
-    first σ of its label class (:func:`_label_classes`, each clause's table
-    built once, on its first match).
+    to each clause's own label symmetry: every σ of a label class matches
+    when one does, and the match is reported only for the first σ of its
+    class (:func:`_label_classes`, each clause's table built once, on its
+    first match).
     """
     n = _normalized(v)
     table, vanishes = n.table, n.vanishes
@@ -523,24 +516,22 @@ def evaluate_diagram_constraints(v: VorticitySet) -> list:
 
     matches = []
     for plan in _PLANS:
-        diagram_id, ci, cl, anchor, eqs, neqs = plan
-        classes, seen = None, set()  # the label classes matched so far
+        diagram_id, ci, cl, anchor, _, eqs, neqs = plan
+        first = None
         for k in vanishing[anchor]:
             if not all(vanishes(table[hi[k]] - table[lo[k]]) for hi, lo in eqs):
                 continue
             if any(vanishes(table[hi[k]] - table[lo[k]]) for hi, lo in neqs):
                 continue
-            if classes is None:  # once per clause: hashing the plan costs microseconds
-                classes = _label_classes(plan)
-            if classes[k] in seen:
-                continue
-            seen.add(classes[k])
-            matches.append(CatalogMatch(
-                diagram_id=diagram_id,
-                clause_index=ci,
-                lambda_branch=cl.lambda_branch,
-                permutation=tuple(s + 1 for s in _PERMUTATIONS[k]),
-            ))
+            if first is None:  # once per clause: hashing the plan costs microseconds
+                first = _label_classes(plan)
+            if first[k] == k:
+                matches.append(CatalogMatch(
+                    diagram_id=diagram_id,
+                    clause_index=ci,
+                    lambda_branch=cl.lambda_branch,
+                    permutation=tuple(s + 1 for s in _PERMUTATIONS[k]),
+                ))
     return matches
 
 

@@ -6,7 +6,8 @@ the rotation gauge Im z_12 = 0 is the one extra equation.  The complex
 regime solves the conjugate-free system on 2N+1 complex unknowns
 (z, w, Λ) with the gauge row z_12 = w_12; there Λ is a free unknown (real
 solutions automatically come out with |Λ| = 1).  The engine refines those
-complex unknowns natively, not as a realified 4N+2 real system.
+complex unknowns natively, not as a realified 4N+2 real system.  The other
+three searches are real, in the (Re, Im) layout of :mod:`vortexcc.system`.
 
 Damping is Levenberg-style: the Newton step is computed from
 (JᴴJ + λI) δ = -JᴴF with λ adapted multiplicatively (Jᴴ = Jᵀ for the real
@@ -48,7 +49,11 @@ from .quantities import (
 from .system import (
     COLLISION_GUARD,
     _complex_residual,
+    _complexify,
     _min_gap,
+    _modulus_norm,
+    _realify_columns,
+    _realify_vector,
     _velocity_derivative,
     _velocity_np,
     complex_jacobian,
@@ -375,37 +380,6 @@ def _multistart(search: _Search, starts: int, seed: int, opts: SolverOptions) ->
     return SolveReport(tuple(solutions), starts, index.size, seed, search.regime)
 
 
-def _realify_vector(F: np.ndarray) -> np.ndarray:
-    """Complex entries as consecutive (Re, Im) pairs, along the last axis."""
-    out = np.empty(F.shape[:-1] + (2 * F.shape[-1],))
-    out[..., 0::2] = F.real
-    out[..., 1::2] = F.imag
-    return out
-
-
-def _complexify(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_realify_vector`."""
-    return x[..., 0::2] + 1j * x[..., 1::2]
-
-
-def _realify_columns(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Real Jacobians of complex rows whose derivatives along x_m and y_m are dx[..., m], dy[..., m].
-
-    Rows are (Re, Im) pairs and columns (x_m, y_m) pairs; leading axes stack.
-    """
-    J = np.empty(dx.shape[:-2] + (2 * dx.shape[-2], 2 * dx.shape[-1]))
-    J[..., 0::2, 0::2] = dx.real
-    J[..., 0::2, 1::2] = dy.real
-    J[..., 1::2, 0::2] = dx.imag
-    J[..., 1::2, 1::2] = dy.imag
-    return J
-
-
-def _modulus_norm(F: np.ndarray) -> np.ndarray:
-    """Max modulus over the complex entries of each realified residual row."""
-    return np.hypot(F[:, 0::2], F[:, 1::2]).max(axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Central-configuration searches
 # ---------------------------------------------------------------------------
@@ -431,7 +405,7 @@ def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         return physical_jacobian(v, *_unpack_physical(x))
 
     def norm(F):
-        moduli = np.hypot(F[:, 0 : 2 * n : 2], F[:, 1 : 2 * n : 2]).max(axis=1)
+        moduli = _modulus_norm(F[:, :-1])
         gauge = np.abs(F[:, -1])
         # max(moduli, gauge) as Python's max takes it, NaN included.
         return np.where(gauge > moduli, gauge, moduli)
@@ -704,10 +678,13 @@ def newton_refine(v: VorticitySet, start, regime: str = "physical",
     """Refine one start; returns a CentralConfigSolution or a NewtonFailure.
 
     Physical starts are ``(positions, theta)``; complex starts are
-    ``(z, w, lam)``.
+    ``(z, w, lam)``.  Raises ValueError unless positions, or z and w, hold
+    one entry per vortex.
     """
     opts = (options or SolverOptions()).validated()
     search = _central_search(v.as_float(), regime, opts)
+    if any(np.shape(p) != (v.n,) for p in (start[:1] if regime == "physical" else start[:2])):
+        raise ValueError("positions must match the vorticity count")
     x0 = _pack_physical(start) if regime == "physical" else _pack_complex(start)
     return _levenberg_newton(search, x0[None], opts, lanes=1)[0]
 
@@ -849,7 +826,7 @@ def _equilibria_search(v: VorticitySet, opts: SolverOptions) -> _Search:
 
     def jacobian(x):
         Q = _velocity_derivative(g, np.conj(_pinned(x, 1.0)))[:, :, 2:]
-        return _realify_columns(Q, -1j * Q)
+        return _realify_columns(Q, -1j * Q, np.empty((len(x), 2 * n, 2 * n - 4)))
 
     def guard(x):
         return _min_gap(_pinned(x, 1.0)) < opts.collision_guard
@@ -899,9 +876,11 @@ def _translation_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         pos, phi = assemble(x)
         Q = _velocity_derivative(g, np.conj(pos))
         dphi = np.broadcast_to((-1j * np.exp(1j * phi))[:, None], (len(x), n))
-        free = _realify_columns(Q[:, :, 2:], -1j * Q[:, :, 2:])
-        return np.concatenate([_realify_vector(Q[:, :, 1])[:, :, None], free,
-                               _realify_vector(dphi)[:, :, None]], axis=2)
+        J = np.empty((len(x), 2 * n, 2 * n - 2))   # columns ξ, x_3, y_3, ..., φ
+        J[:, :, 0] = _realify_vector(Q[:, :, 1])
+        _realify_columns(Q[:, :, 2:], -1j * Q[:, :, 2:], J[:, :, 1:-1])
+        J[:, :, -1] = _realify_vector(dphi)
+        return J
 
     def guard(x):
         return _min_gap(assemble(x)[0]) < opts.collision_guard

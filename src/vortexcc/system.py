@@ -19,6 +19,8 @@ Every system here is built from two numpy kernels: the velocity
 Analytic Jacobians for the first two are exported together with the packed
 numpy forms the solver consumes.  The kernels work on stacks of
 configurations, one per row; the public functions take one point or a stack.
+Every real system, here or in ``solver``, holds complex entries as (Re, Im)
+pairs laid out by this module's helpers, the one place that knows the layout.
 """
 
 from __future__ import annotations
@@ -128,6 +130,37 @@ def _pair_diffs(p: np.ndarray) -> np.ndarray:
     return d
 
 
+def _realify_vector(F: np.ndarray) -> np.ndarray:
+    """Complex entries as consecutive (Re, Im) pairs, along the last axis."""
+    out = np.empty(F.shape[:-1] + (2 * F.shape[-1],))
+    out[..., 0::2] = F.real
+    out[..., 1::2] = F.imag
+    return out
+
+
+def _complexify(x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_realify_vector`."""
+    return x[..., 0::2] + 1j * x[..., 1::2]
+
+
+def _realify_columns(dx: np.ndarray, dy: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out``, and return it, the real Jacobians of complex rows whose
+    derivatives along x_m and y_m are dx[..., m], dy[..., m].
+
+    Rows are (Re, Im) pairs and columns (x_m, y_m) pairs; leading axes stack.
+    """
+    out[..., 0::2, 0::2] = dx.real
+    out[..., 0::2, 1::2] = dy.real
+    out[..., 1::2, 0::2] = dx.imag
+    out[..., 1::2, 1::2] = dy.imag
+    return out
+
+
+def _modulus_norm(F: np.ndarray) -> np.ndarray:
+    """Max modulus over the complex entries of each realified residual row."""
+    return np.hypot(F[:, 0::2], F[:, 1::2]).max(axis=1)
+
+
 def _min_gap(p: np.ndarray) -> np.ndarray:
     """Smallest pair separation of each row of p (S, n)."""
     d = np.abs(p[:, None, :] - p[:, :, None])
@@ -174,12 +207,17 @@ def _float_gammas(v: VorticitySet) -> np.ndarray:
     return np.array([float(g) for g in v.gammas])
 
 
+def _check_count(v: VorticitySet, *positions: np.ndarray) -> None:
+    """Raise ValueError unless each array's last axis holds one position per vortex."""
+    if any(p.shape[-1:] != (v.n,) for p in positions):
+        raise ValueError("positions must match the vorticity count")
+
+
 def _velocities(v: VorticitySet, z, w) -> tuple[np.ndarray, np.ndarray]:
     """(z, V) as numpy arrays after the size and collision checks on z and w."""
     zs = np.array([complex(p) for p in z], dtype=complex)
     ws = np.array([complex(p) for p in w], dtype=complex)
-    if len(zs) != v.n or len(ws) != v.n:
-        raise ValueError("positions must match the vorticity count")
+    _check_count(v, zs, ws)
     _check_separated(_pair_diffs(zs[None]), "z")
     return zs, _velocity_np(_float_gammas(v), ws[None], checked="w")[0]
 
@@ -200,8 +238,6 @@ def stationary_residual(v: VorticitySet, z, w, lam) -> ResidualVector:
 
 def complex_system_residual(conf: ComplexConfiguration, v: VorticitySet) -> ResidualVector:
     """2N+1 entries: Λ z_n - Σ Γ_j/w_jn, Λ^{-1} w_n - Σ Γ_j/z_jn, z_12 - w_12."""
-    if conf.n != v.n:
-        raise ValueError("configuration size must match the vorticity count")
     return ResidualVector(tuple(complex_residual_vector(v, conf.z, conf.w, conf.lam).tolist()))
 
 
@@ -211,6 +247,7 @@ def complex_system_residual(conf: ComplexConfiguration, v: VorticitySet) -> Resi
 #              rows (Re E_1, Im E_1, ..., Re E_N, Im E_N, Im z_12).
 #   complex:   unknowns (z_1..z_N, w_1..w_N, Λ) as complex variables;
 #              rows (A_1..A_N, B_1..B_N, z_12 - w_12), all holomorphic.
+# The physical (Re, Im) pairs come from the layout helpers beside _pair_diffs.
 # The kernels work on stacks: each row of pos, z, w (S, N) and each entry of
 # theta, lam (S,) is one point.  The residual kernels raise CollisionError
 # below the guard, checked on the pair differences the velocity kernel forms
@@ -221,14 +258,10 @@ def complex_system_residual(conf: ComplexConfiguration, v: VorticitySet) -> Resi
 
 def _physical_residual(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Rows of :func:`physical_residual_vector`, shape (S, 2N+1)."""
-    n = pos.shape[1]
     # |conj z_jn| = |z_jn|, so the check on the w = conj(z) differences is the one on z.
     E = np.exp(1j * theta)[:, None] * pos - _velocity_np(g, np.conj(pos), checked="z")
-    F = np.empty((len(pos), 2 * n + 1))
-    F[:, 0 : 2 * n : 2] = E.real
-    F[:, 1 : 2 * n : 2] = E.imag
-    F[:, -1] = pos[:, 1].imag - pos[:, 0].imag
-    return F
+    gauge = pos[:, 1].imag - pos[:, 0].imag
+    return np.concatenate([_realify_vector(E), gauge[:, None]], axis=1)
 
 
 def _physical_jacobian(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -238,16 +271,10 @@ def _physical_jacobian(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.
     Q = _velocity_derivative(g, np.conj(pos))
     lam = np.exp(1j * theta)[:, None, None]
     eye = np.eye(n)
-    A = lam * eye - Q                # dE/dx
-    B = 1j * lam * eye + 1j * Q      # dE/dy
     J = np.zeros((len(pos), 2 * n + 1, 2 * n + 1))
-    J[:, 0 : 2 * n : 2, 0 : 2 * n : 2] = A.real
-    J[:, 0 : 2 * n : 2, 1 : 2 * n : 2] = B.real
-    J[:, 1 : 2 * n : 2, 0 : 2 * n : 2] = A.imag
-    J[:, 1 : 2 * n : 2, 1 : 2 * n : 2] = B.imag
-    dth = (1j * lam[:, :, 0]) * pos
-    J[:, 0 : 2 * n : 2, -1] = dth.real
-    J[:, 1 : 2 * n : 2, -1] = dth.imag
+    # dE/dx and dE/dy fill the top-left block, dE/dθ the last column.
+    _realify_columns(lam * eye - Q, 1j * lam * eye + 1j * Q, J[:, :-1, :-1])
+    J[:, :-1, -1] = _realify_vector(1j * lam[:, :, 0] * pos)
     J[:, -1, 1] = -1.0
     J[:, -1, 3] = 1.0
     return J
@@ -290,6 +317,7 @@ def _complex_jacobian(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarr
 
 def _physical_args(v: VorticitySet, positions, theta):
     pos = np.asarray(positions, dtype=complex)
+    _check_count(v, pos)
     return _float_gammas(v), pos.reshape(-1, pos.shape[-1]), np.asarray(theta, dtype=float).reshape(-1)
 
 
@@ -297,6 +325,7 @@ def _complex_args(v: VorticitySet, z, w, lam):
     zs = np.asarray(z, dtype=complex)
     ws = np.asarray(w, dtype=complex)
     lams = np.asarray(lam, dtype=complex).reshape(-1)
+    _check_count(v, zs, ws)
     return _float_gammas(v), zs.reshape(-1, zs.shape[-1]), ws.reshape(-1, ws.shape[-1]), lams
 
 

@@ -18,7 +18,13 @@ from vortexcc.solver import (
     solve_equilibria,
     solve_rigid_translation,
 )
-from vortexcc.system import stationary_residual
+from vortexcc.system import (
+    complex_jacobian,
+    complex_residual_vector,
+    physical_jacobian,
+    physical_residual_vector,
+    stationary_residual,
+)
 
 
 TWO = VorticitySet((1.0, 1.0))
@@ -151,6 +157,27 @@ def test_newton_refine_collision_guard():
     out = newton_refine(TWO, start)
     assert isinstance(out, NewtonFailure)
     assert out.reason == "hit_collision_guard"
+
+
+def test_wrong_size_positions_are_rejected():
+    # Regression: a complex start with 3 + 1 entries was re-split as two
+    # vortices and converged; other wrong sizes ended in a numpy broadcast error.
+    good = np.array([-0.5, 0.5], dtype=complex)
+    for bad in (good[:1], np.array([-1.0, 0.0, 1.0], dtype=complex)):
+        calls = (
+            lambda: newton_refine(TWO, (bad, 0.0)),
+            lambda: newton_refine(TWO, (bad, good, 1.0), regime="complex"),
+            lambda: newton_refine(TWO, (good, bad, 1.0), regime="complex"),
+            lambda: physical_residual_vector(TWO, bad, 0.0),
+            lambda: physical_jacobian(TWO, np.stack([bad] * 3), np.zeros(3)),
+            lambda: complex_residual_vector(TWO, bad, good, 1.0),
+            lambda: complex_jacobian(TWO, np.stack([good] * 3), np.stack([bad] * 3), np.ones(3)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="positions must match the vorticity count"):
+                call()
+    with pytest.raises(ValueError, match="positions must match the vorticity count"):
+        newton_refine(TWO, ([0, 1, 2], [5], 1.0), regime="complex")
 
 
 def test_newton_refine_perturbed_equilateral():
