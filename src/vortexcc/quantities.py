@@ -5,10 +5,15 @@ solvers, and exact rationals (``fractions.Fraction``) for the polynomial
 constraint checks and identity tests.  Conversion between backends is always
 explicit (:meth:`VorticitySet.as_float` / :meth:`VorticitySet.as_exact`).
 
-Complex coordinates come in two flavours to match: Python ``complex`` on the
-float side and :class:`ExactComplex` on the rational side.  The physical
-regime is represented by passing the conjugate coordinates ``w`` explicitly
-(``w = conjugate_positions(z)``); there is no hidden regime flag.
+Complex coordinates come in two flavours to match: Python ``complex`` (or
+numpy complex scalars) on the float side and :class:`ExactComplex` on the
+rational side.  The physical regime is represented by passing the conjugate
+coordinates ``w`` explicitly (``w = conjugate_positions(z)``); there is no
+hidden regime flag.
+
+The invariants have one arithmetic, :func:`_moments`.  A stack of
+configurations is evaluated row by row by that same loop, so a stacked
+call and the row calls agree bit for bit and type for type.
 """
 
 from __future__ import annotations
@@ -214,14 +219,8 @@ def angular_momentum(v: VorticitySet, subset: Iterable[int] | None = None):
     if len(idx) < 2:
         raise ValueError("undefined subset momentum (need at least two indices)")
     g = v.gammas
-    total = g[idx[0] - 1] * g[idx[1] - 1]
-    first = True
-    for a, b in combinations(idx, 2):
-        if first:
-            first = False
-            continue
-        total = total + g[a - 1] * g[b - 1]
-    return total
+    products = [g[a - 1] * g[b - 1] for a, b in combinations(idx, 2)]
+    return sum(products[1:], start=products[0])
 
 
 def conjugate_positions(z: Sequence) -> tuple:
@@ -242,11 +241,19 @@ def invariants_of(v: VorticitySet, z, w, lam=None):
     the physical regime.
 
     Also takes stacks: complex arrays z, w of shape (S, N) give a list of S
-    Invariants, and ``lam`` is then None or one entry per row.  Each equals
-    the call on that row, bit for bit and type for type.
+    Invariants, and ``lam`` is then None or one entry per row.  A stack is
+    evaluated row by row by the one :func:`_moments` loop, so each entry is
+    the call on that row.
     """
     if isinstance(z, np.ndarray) and z.ndim == 2:
-        return _stacked_invariants(v, z, np.asarray(w), lam)
+        w = np.asarray(w)
+        lams = [None] * len(z) if lam is None else lam
+        if z.shape != w.shape or z.shape[1] != v.n or len(lams) != len(z):
+            raise ValueError(
+                f"shape mismatch: {v.n} vorticities, z-positions {z.shape}, "
+                f"w-positions {w.shape}, {len(lams)} lambdas"
+            )
+        return [invariants_of(v, zs, ws, lam=lam_s) for zs, ws, lam_s in zip(z, w, lams)]
     zs, ws = _unwrap(z), _unwrap(w)
     if len(zs) != v.n or len(ws) != v.n:
         raise ValueError(
@@ -271,51 +278,3 @@ def _moments(g, zs, ws) -> tuple:
         term = g[j] * g[k] * (zs[k] - zs[j]) * (ws[k] - ws[j])
         S = term if S is None else S + term
     return M, M_w, I, S
-
-
-class _Column:
-    """A column of complex values whose arithmetic rounds as numpy complex scalars do.
-
-    A real factor a enters as the complex a + 0j, and products are
-    (ar·br − ai·bi, ar·bi + ai·br) in real arithmetic; numpy's vectorized
-    complex multiply rounds differently.
-    """
-
-    def __init__(self, re, im):
-        self.re, self.im = re, im
-
-    def __add__(self, other):
-        return _Column(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return _Column(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        if not isinstance(other, _Column):
-            other = _Column(float(other), 0.0)
-        return _Column(self.re * other.re - self.im * other.im,
-                       self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def values(self) -> np.ndarray:
-        out = np.empty(len(self.re), dtype=complex)
-        out.real, out.imag = self.re, self.im
-        return out
-
-
-def _stacked_invariants(v: VorticitySet, z: np.ndarray, w: np.ndarray, lams) -> list:
-    """Rows of :func:`invariants_of` on (S, N) stacks, from one pass of :func:`_moments` over columns."""
-    if z.shape != w.shape or z.shape[1] != v.n:
-        raise ValueError(
-            f"shape mismatch: {v.n} vorticities, z-positions {z.shape}, w-positions {w.shape}"
-        )
-    zs = [_Column(z.real[:, j], z.imag[:, j]) for j in range(v.n)]
-    ws = [_Column(w.real[:, j], w.imag[:, j]) for j in range(v.n)]
-    M, M_w, I, S = (c.values() for c in _moments(v.gammas, zs, ws))
-    gamma, L = total_vorticity(v), angular_momentum(v)
-    lams = [None] * len(z) if lams is None else lams
-    return [
-        Invariants(gamma=gamma, L=L, M=m, I=i, S=s, lam=lam, M_w=m_w)
-        for m, m_w, i, s, lam in zip(M, M_w, I, S, lams)
-    ]

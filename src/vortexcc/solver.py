@@ -686,7 +686,7 @@ def newton_refine(v: VorticitySet, start, regime: str = "physical",
     if any(np.shape(p) != (v.n,) for p in (start[:1] if regime == "physical" else start[:2])):
         raise ValueError("positions must match the vorticity count")
     x0 = _pack_physical(start) if regime == "physical" else _pack_complex(start)
-    return _levenberg_newton(search, x0[None], opts, lanes=1)[0]
+    return _levenberg_newton(search, x0[None], opts)[0]
 
 
 def solve_central_multistart(

@@ -45,7 +45,6 @@ __all__ = [
     "physical_jacobian",
     "complex_residual_vector",
     "complex_jacobian",
-    "jacobian",
 ]
 
 # Below this separation the residuals leave the trustworthy float range.
@@ -315,18 +314,28 @@ def _complex_jacobian(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarr
     return J
 
 
+def _check_rows(*stacks: np.ndarray) -> None:
+    """Raise ValueError unless every stack holds the same number of rows; a single point is one row."""
+    if len({len(s) for s in stacks}) != 1:
+        raise ValueError(f"stack row counts differ: {', '.join(str(len(s)) for s in stacks)}")
+
+
 def _physical_args(v: VorticitySet, positions, theta):
     pos = np.asarray(positions, dtype=complex)
     _check_count(v, pos)
-    return _float_gammas(v), pos.reshape(-1, pos.shape[-1]), np.asarray(theta, dtype=float).reshape(-1)
+    pos, thetas = pos.reshape(-1, pos.shape[-1]), np.asarray(theta, dtype=float).reshape(-1)
+    _check_rows(pos, thetas)
+    return _float_gammas(v), pos, thetas
 
 
 def _complex_args(v: VorticitySet, z, w, lam):
     zs = np.asarray(z, dtype=complex)
     ws = np.asarray(w, dtype=complex)
-    lams = np.asarray(lam, dtype=complex).reshape(-1)
     _check_count(v, zs, ws)
-    return _float_gammas(v), zs.reshape(-1, zs.shape[-1]), ws.reshape(-1, ws.shape[-1]), lams
+    zs, ws = zs.reshape(-1, zs.shape[-1]), ws.reshape(-1, ws.shape[-1])
+    lams = np.asarray(lam, dtype=complex).reshape(-1)
+    _check_rows(zs, ws, lams)
+    return _float_gammas(v), zs, ws, lams
 
 
 def _one_or_stack(out: np.ndarray, positions) -> np.ndarray:
@@ -358,14 +367,3 @@ def complex_residual_vector(v: VorticitySet, z, w, lam: complex) -> np.ndarray:
 def complex_jacobian(v: VorticitySet, z, w, lam: complex) -> np.ndarray:
     """Holomorphic Jacobian in (z_1..z_N, w_1..w_N, Λ), square complex; stacks as the residual."""
     return _one_or_stack(_complex_jacobian(*_complex_args(v, z, w, lam)), z)
-
-
-def jacobian(kind: str, point, v: VorticitySet) -> np.ndarray:
-    """Dispatch: kind "physical" takes (positions, theta); "complex" takes (z, w, lam)."""
-    if kind == "physical":
-        positions, theta = point
-        return physical_jacobian(v, positions, theta)
-    if kind == "complex":
-        z, w, lam = point
-        return complex_jacobian(v, z, w, lam)
-    raise ValueError(f"unknown residual kind {kind!r}")

@@ -232,3 +232,5 @@ def test_invariants_of_stack_checks_shapes():
         invariants_of(VorticitySet((1.0, 1.0)), z, np.conj(z))
     with pytest.raises(ValueError, match="shape mismatch"):
         invariants_of(VorticitySet((1.0, 1.0, 1.0)), z, np.conj(z[:, :2]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        invariants_of(VorticitySet((1.0, 1.0, 1.0)), z, np.conj(z), lam=[1.0, 2.0])

@@ -178,6 +178,19 @@ def test_wrong_size_positions_are_rejected():
                 call()
     with pytest.raises(ValueError, match="positions must match the vorticity count"):
         newton_refine(TWO, ([0, 1, 2], [5], 1.0), regime="complex")
+    # Stacks whose row counts differ were broadcast, or ended in a numpy error.
+    z = np.stack([good, good * 2, good * 3])
+    for call in (
+        lambda: complex_residual_vector(TWO, z, z[:1], [1.0, 1.0, 1.0]),
+        lambda: complex_residual_vector(TWO, z, z, [1.0]),
+        lambda: complex_jacobian(TWO, z[:2], z, np.ones(3)),
+        lambda: physical_residual_vector(TWO, z, [0.0]),
+        lambda: physical_residual_vector(TWO, z, [0.0, 1.0]),
+        lambda: physical_jacobian(TWO, z, [0.0, 1.0]),
+        lambda: physical_residual_vector(TWO, good, [0.0, 1.0]),
+    ):
+        with pytest.raises(ValueError, match="stack row counts differ"):
+            call()
 
 
 def test_newton_refine_perturbed_equilateral():

@@ -12,7 +12,6 @@ from vortexcc.system import (
     complex_system_residual,
     physical_jacobian,
     physical_residual_vector,
-    jacobian,
     stationary_residual,
     velocity_field,
 )
@@ -272,16 +271,6 @@ def test_gauge_row_gradient():
     expected[1] = -1.0  # y-coordinate of vortex 1
     expected[3] = 1.0   # y-coordinate of vortex 2
     assert np.array_equal(J[-1], expected)
-
-
-def test_jacobian_dispatcher():
-    v = VorticitySet((1.0, 1.0))
-    z = np.array([-0.7 + 0j, 0.7 + 0j])
-    assert np.array_equal(jacobian("physical", (z, 0.1), v), physical_jacobian(v, z, 0.1))
-    w = np.conj(z)
-    assert np.array_equal(jacobian("complex", (z, w, 1.0), v), complex_jacobian(v, z, w, 1.0))
-    with pytest.raises(ValueError):
-        jacobian("other", (z, 0.1), v)
 
 
 def test_two_vortex_jacobian_nonsingular_at_solution():
