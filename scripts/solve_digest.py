@@ -18,7 +18,13 @@ whose converged starts the deduplication scan mostly keeps or merges across
 many near neighbours: the Roberts continuum (2, 2, 2, 2, -1), the L = 0
 tuple (1, 1, -1/2) at ``dedup_tol=0.5``, where one candidate lies within the
 bound of several kept solutions, and four equal strengths, whose relabelled
-solutions share signatures; TOTAL DEDUP covers that group alone.
+solutions share signatures; TOTAL DEDUP covers that group alone.  The
+REFINE group runs ``newton_refine`` on (1, 2, 3, -3/2) in both regimes and
+ends a start in each way the engine can: converged, diverged with the
+damping past ``lm_lambda_max``, diverged past ``divergence_norm``, out of
+iterations, and stopped by the collision guard at the start or during the
+run; TOTAL REFINE covers that group alone, so it pins the bytes of every
+kind of NewtonFailure.
 
 The cases cover the four searches (central physical, central complex,
 equilibria, rigid translation), N = 2..5, the continuum tuples (1, 1, -1/2)
@@ -162,6 +168,34 @@ DEDUP_CASES = (
 )
 
 
+def _refine_start(regime: str, seed: int):
+    """A start of ``newton_refine`` on four vortices, drawn uniformly from a seeded rng."""
+    u = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(3, 4))
+    if regime == "physical":
+        return u[0] + 1j * u[1], u[2, 0] * np.pi
+    return u[0] + 1j * u[1], u[0] - 1j * u[2], np.exp(1j * u[1, 0])
+
+
+GUARDED = SolverOptions(collision_guard=0.5, lm_lambda_max=1e-2)
+
+# How the start ends (its NewtonFailure reason, and which exit), its options and its start seed.
+REFINE_ENDS = (
+    ("converged", SolverOptions(), 0),
+    ("diverged (damping past lm_lambda_max)", SolverOptions(lm_lambda_max=1e-2), 1),
+    ("diverged (past divergence_norm)", SolverOptions(divergence_norm=2.5), 0),
+    ("max_iterations", SolverOptions(max_iter=4), 0),
+    ("hit_collision_guard (at the start)", GUARDED, 0),
+    ("hit_collision_guard (during the run)", GUARDED, 3),
+)
+
+REFINE_CASES = tuple(
+    (f"refine {regime} {end}",
+     lambda regime=regime, opts=opts, seed=seed: newton_refine(
+         _v(1.0, 2.0, 3.0, -1.5), _refine_start(regime, seed), regime=regime, options=opts))
+    for regime in ("physical", "complex") for end, opts, seed in REFINE_ENDS
+)
+
+
 def _bench_cases():
     """The solve-complex benchmark calls of seeds 1 and 2, rounds 0 to 2, as (name, run) cases."""
     from perfbench.inputs import round_calls
@@ -203,7 +237,7 @@ def _solution_set(result) -> dict:
 
 
 def write_sets(path: str) -> int:
-    cases = CASES + LARGE_CASES + REDRAW_CASES + DEDUP_CASES + _bench_cases()
+    cases = CASES + LARGE_CASES + REDRAW_CASES + DEDUP_CASES + REFINE_CASES + _bench_cases()
     sets = {name: _solution_set(run()) for name, run in cases}
     Path(path).write_text(json.dumps(sets, indent=1) + "\n")
     print(f"wrote {len(sets)} cases to {path}")
@@ -282,6 +316,9 @@ def main(argv=None) -> int:
     dedup = hashlib.sha256()
     _digest_cases(DEDUP_CASES, dedup)
     print(f"{dedup.hexdigest()}  TOTAL DEDUP")
+    refine = hashlib.sha256()
+    _digest_cases(REFINE_CASES, refine)
+    print(f"{refine.hexdigest()}  TOTAL REFINE")
     return 0
 
 

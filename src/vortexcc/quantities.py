@@ -242,8 +242,8 @@ def invariants_of(v: VorticitySet, z, w, lam=None):
 
     Also takes stacks: complex arrays z, w of shape (S, N) give a list of S
     Invariants, and ``lam`` is then None or one entry per row.  A stack is
-    evaluated row by row by the one :func:`_moments` loop, so each entry is
-    the call on that row.
+    evaluated row by row by the one :func:`_moments` loop, with Γ and L
+    computed once, so each entry is the call on that row.
     """
     if isinstance(z, np.ndarray) and z.ndim == 2:
         w = np.asarray(w)
@@ -253,19 +253,20 @@ def invariants_of(v: VorticitySet, z, w, lam=None):
                 f"shape mismatch: {v.n} vorticities, z-positions {z.shape}, "
                 f"w-positions {w.shape}, {len(lams)} lambdas"
             )
-        return [invariants_of(v, zs, ws, lam=lam_s) for zs, ws, lam_s in zip(z, w, lams)]
+        gamma, L = total_vorticity(v), angular_momentum(v)
+        return [Invariants(gamma=gamma, L=L, lam=lam_s, **_moments(v.gammas, tuple(zs), tuple(ws)))
+                for zs, ws, lam_s in zip(z, w, lams)]
     zs, ws = _unwrap(z), _unwrap(w)
     if len(zs) != v.n or len(ws) != v.n:
         raise ValueError(
             f"length mismatch: {v.n} vorticities, {len(zs)} z-positions, {len(ws)} w-positions"
         )
-    M, M_w, I, S = _moments(v.gammas, zs, ws)
-    return Invariants(gamma=total_vorticity(v), L=angular_momentum(v), M=M, I=I, S=S, lam=lam,
-                      M_w=M_w)
+    return Invariants(gamma=total_vorticity(v), L=angular_momentum(v), lam=lam,
+                      **_moments(v.gammas, zs, ws))
 
 
-def _moments(g, zs, ws) -> tuple:
-    """(M, M_w, I, S) of strengths g and coordinates zs, ws, in one fixed order of operations."""
+def _moments(g, zs, ws) -> dict:
+    """M, M_w, I and S of strengths g and coordinates zs, ws, in one fixed order of operations."""
     M = g[0] * zs[0]
     M_w = g[0] * ws[0]
     I = g[0] * zs[0] * ws[0]
@@ -277,4 +278,4 @@ def _moments(g, zs, ws) -> tuple:
     for j, k in combinations(range(len(g)), 2):
         term = g[j] * g[k] * (zs[k] - zs[j]) * (ws[k] - ws[j])
         S = term if S is None else S + term
-    return M, M_w, I, S
+    return {"M": M, "M_w": M_w, "I": I, "S": S}

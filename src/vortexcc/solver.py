@@ -19,12 +19,13 @@ translation) is a small :class:`_Search` spec: a sampler that draws all
 starts of a search as one block, the residual, its Jacobian, the residual
 norm, the collision guard, a canonicalizer that puts the stack of converged
 starts in the search's gauge and twin, and a finalizer that builds solution
-records.  One engine refines the starts of any spec and one multistart loop,
-``_multistart``, runs every search: it canonicalizes the converged stack
-once, deduplicates it on arrays and finalizes only the rows it keeps.  The
-engine runs up to ``_LANES`` starts in lockstep on stacked arrays, each with
-its own damping.  Every start takes the steps it would take alone, so
-reports do not depend on how many run together.
+records.  One engine, ``_refine``, runs up to ``_LANES`` starts of any spec
+in lockstep on stacked arrays, each with its own damping and each taking the
+steps it would take alone.  It records how each start ends in per-start
+arrays: reason, iterations, last residual norm and last unknowns.
+``_multistart`` runs every search: it canonicalizes the converged rows once,
+deduplicates them on arrays and finalizes only the rows it keeps.
+``newton_refine`` is the one place that builds a :class:`NewtonFailure`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import combinations
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -43,7 +45,6 @@ from .quantities import (
     VorticitySet,
     angular_momentum,
     invariants_of,
-    is_exact_scalar,
     total_vorticity,
 )
 from .system import (
@@ -112,6 +113,8 @@ class SolverOptions:
         for name in ("max_iter", "start_min_gap"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"option {name} must be non-negative")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral):
+            raise ValueError("option max_iter must be an integer")
         # Each rejected trial multiplies λ by lm_increase until it passes
         # lm_lambda_max; without growth that never happens and the solve never ends.
         if not self.lm_increase > 1:
@@ -132,7 +135,7 @@ class SolverOptions:
 class NewtonFailure:
     """Diagnostic result of a failed refinement."""
 
-    reason: str  # "diverged" | "hit_collision_guard" | "max_iterations"
+    reason: str  # one of _REASONS but "converged"
     iterations: int
     last_norm: float
 
@@ -212,32 +215,36 @@ class _Search:
 # per-call memory about 4x for little more.
 _LANES = 512
 
+# How a start ends; the engine records each start's end as an index into this tuple.
+_REASONS = ("converged", "diverged", "hit_collision_guard", "max_iterations")
+_CONVERGED, _DIVERGED, _HIT_GUARD, _MAX_ITERATIONS = range(len(_REASONS))
 
-def _refine(search: _Search, starts: np.ndarray, options: SolverOptions,
-            lanes: int | None = None) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """Refine every row of ``starts``; returns (failures, index, rows, iterations).
 
-    ``failures`` holds, in start order, the NewtonFailure of each start that
-    failed and None for each start that converged.  ``index``, ``rows`` and
-    ``iterations`` stack the converged starts in start order: the start's
-    row in ``starts``, its final unknowns and its iteration count.
+def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
+    """Refine every row of ``starts``; returns arrays (reason, iterations, norm, x) in start order.
 
-    Up to ``lanes`` starts (``_LANES`` by default) are in flight, one per
-    lane; no more lanes are allocated than there are starts to run.  Each
-    round, every lane makes one damped trial step with its own damping λ; a
-    lane whose start has finished takes the next start.  A start follows
-    exactly the schedule it would follow alone: at the top of each iteration
-    it converges, runs out of iterations or takes a Jacobian; then it tries
-    steps with growing λ until one lowers the residual norm, or λ passes its
-    maximum.  Unknowns, residuals and the normal equations take the dtype of the
-    starts and residuals, real or complex.
+    Per start: the index of its end in ``_REASONS``, its accepted steps, its
+    last residual norm and its last unknowns.  A start inside the guard ends
+    at once, with no iterations and norm inf; ``finish`` records the others.
+
+    Up to ``_LANES`` starts are in flight, one per lane; no more lanes are
+    allocated than there are starts to run.  Each round, every lane makes
+    one damped trial step with its own damping λ; a lane whose start has
+    finished takes the next start.  A start follows exactly the schedule it
+    would follow alone: at the top of each iteration it converges, runs out
+    of iterations or takes a Jacobian; then it tries steps with growing λ
+    until one lowers the residual norm, or λ passes its maximum.  Unknowns,
+    residuals and the normal equations take the dtype of the starts and
+    residuals, real or complex.
     """
     d = starts.shape[1]
-    # Starts inside the guard fail at once; the others overwrite this on finishing.
-    results: list = [NewtonFailure("hit_collision_guard", 0, math.inf)] * len(starts)
+    reason = np.full(len(starts), _HIT_GUARD)
+    iterations = np.zeros(len(starts), dtype=int)
+    norm = np.full(len(starts), math.inf)
+    last = starts.copy()
     pending = np.flatnonzero(~search.guard(starts))
-    lanes = max(1, min(_LANES if lanes is None else lanes, pending.size))
-    owner = np.full(lanes, -1)          # index of the lane's start in results, -1 when free
+    lanes = max(1, min(_LANES, pending.size))
+    owner = np.full(lanes, -1)          # row of the lane's start in ``starts``, -1 when free
     x = np.zeros((lanes, d), dtype=starts.dtype)
     nrm = np.zeros(lanes)
     damp = np.zeros(lanes)
@@ -247,14 +254,13 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions,
     jtj = np.zeros((lanes, d, d), dtype=starts.dtype)
     jtf = np.zeros((lanes, d), dtype=starts.dtype)
     F = None                                # sized from the first residual
-    done: list = []                         # (start indices, rows, iterations) of converged lanes
 
-    def finish(lane, result):
-        results[owner[lane]] = result
-        owner[lane] = -1
-
-    def fail(lane, reason):
-        finish(lane, NewtonFailure(reason, int(iters[lane]), float(nrm[lane])))
+    def finish(done, code):
+        if done.size:
+            rows = owner[done]
+            reason[rows], iterations[rows], norm[rows] = code, iters[done], nrm[done]
+            last[rows] = x[done]
+            owner[done] = -1
 
     while True:
         # Free lanes take the next starts, in drawing order.
@@ -275,12 +281,8 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions,
         # take a Jacobian.
         top = np.flatnonzero((owner >= 0) & fresh)
         converged = nrm[top] < options.tol
-        lanes_done = top[converged]
-        if lanes_done.size:
-            done.append((owner[lanes_done], x[lanes_done], iters[lanes_done]))
-            owner[lanes_done] = -1
-        for lane in top[~converged & (iters[top] >= options.max_iter)]:
-            finish(lane, NewtonFailure("max_iterations", options.max_iter, float(nrm[lane])))
+        finish(top[converged], _CONVERGED)
+        finish(top[~converged & (iters[top] >= options.max_iter)], _MAX_ITERATIONS)
         top = top[owner[top] >= 0]
         if top.size:
             J = search.jacobian(x[top])
@@ -293,8 +295,9 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions,
 
         # Every lane inside an iteration makes one damped trial step.
         run = np.flatnonzero((owner >= 0) & ~fresh)
-        for lane in run[damp[run] > options.lm_lambda_max]:
-            fail(lane, "hit_collision_guard" if blocked[lane] else "diverged")
+        spent = run[damp[run] > options.lm_lambda_max]
+        finish(spent[blocked[spent]], _HIT_GUARD)
+        finish(spent[~blocked[spent]], _DIVERGED)
         run = run[owner[run] >= 0]
         if not run.size:
             continue
@@ -316,28 +319,11 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions,
         x[run], F[run], nrm[run] = xt[better], Ft[better], nt[better]
         damp[run] = np.maximum(damp[run] * options.lm_decrease, 1e-14)
         far = np.abs(x[run]).max(axis=1) > options.divergence_norm
-        for lane in run[far]:
-            fail(lane, "diverged")
+        finish(run[far], _DIVERGED)
         iters[run[~far]] += 1
         fresh[run[~far]] = True
 
-    if not done:
-        return results, np.zeros(0, dtype=int), np.zeros((0, d), dtype=starts.dtype), iters[:0]
-    index, rows, its = (np.concatenate(part) for part in zip(*done))
-    order = np.argsort(index)
-    for i in index.tolist():
-        results[i] = None
-    return results, index[order], rows[order], its[order]
-
-
-def _levenberg_newton(search: _Search, starts: np.ndarray, options: SolverOptions,
-                      lanes: int | None = None) -> list:
-    """Refine every row of ``starts``; returns, in start order, each solution or NewtonFailure."""
-    results, index, rows, iters = _refine(search, starts, options, lanes)
-    if index.size:
-        for i, solution in zip(index.tolist(), search.finalize(search.canonical(rows), iters)):
-            results[i] = solution
-    return results
+    return reason, iterations, norm, last
 
 
 def _damped_steps(a: np.ndarray, jtf: np.ndarray, damp: np.ndarray):
@@ -371,12 +357,13 @@ def _multistart(search: _Search, starts: int, seed: int, opts: SolverOptions) ->
     rows dedup keeps are finalized, in kept order.
     """
     rng = np.random.default_rng(seed)
-    _, index, rows, iters = _refine(search, search.sample(rng, starts), opts)
+    reason, iters, _, x = _refine(search, search.sample(rng, starts), opts)
+    index = np.flatnonzero(reason == _CONVERGED)
     solutions = []
     if index.size:
-        canonical = search.canonical(rows)
+        canonical = search.canonical(x[index])
         kept = _deduplicate(canonical, opts)
-        solutions = search.finalize(canonical.take(kept), iters[kept])
+        solutions = search.finalize(canonical.take(kept), iters[index[kept]])
     return SolveReport(tuple(solutions), starts, index.size, seed, search.regime)
 
 
@@ -686,7 +673,10 @@ def newton_refine(v: VorticitySet, start, regime: str = "physical",
     if any(np.shape(p) != (v.n,) for p in (start[:1] if regime == "physical" else start[:2])):
         raise ValueError("positions must match the vorticity count")
     x0 = _pack_physical(start) if regime == "physical" else _pack_complex(start)
-    return _levenberg_newton(search, x0[None], opts)[0]
+    reason, iters, norm, x = _refine(search, x0[None], opts)
+    if reason[0] != _CONVERGED:
+        return NewtonFailure(_REASONS[reason[0]], int(iters[0]), float(norm[0]))
+    return search.finalize(search.canonical(x), iters)[0]
 
 
 def solve_central_multistart(
@@ -768,11 +758,16 @@ def _deduplicate(c: _Canonical, opts: SolverOptions) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _near_zero(value, scale: float) -> bool:
-    """Zero test for the L and Γ gates: exact, or relative to `scale`."""
-    if is_exact_scalar(value):
-        return value == 0
-    return abs(value) <= 1e-13 * scale
+def _vanishes(v: VorticitySet, invariant: Callable, scale: Callable) -> bool:
+    """Zero test of the L and Γ gates: exact, or on Γ/max|Γ| relative to its ``scale``.
+
+    Float strengths are divided first, so no product overflows or underflows.
+    """
+    if v.is_exact:
+        return invariant(v) == 0
+    peak = max(abs(float(g)) for g in v.gammas)
+    u = VorticitySet(tuple(float(g) / peak for g in v.gammas))
+    return abs(invariant(u)) <= 1e-13 * scale(u.gammas)
 
 
 def _velocity_canonical(g: np.ndarray, pos: np.ndarray, velocity: np.ndarray | None) -> _Canonical:
@@ -853,8 +848,7 @@ def solve_equilibria(v: VorticitySet, starts: int = 200, seed: int = 0,
     opts = (options or SolverOptions()).validated()
     if starts <= 0:
         raise ValueError("starts must be positive")
-    g_scale = sum(abs(float(a) * float(b)) for a, b in combinations(v.gammas, 2))
-    if not _near_zero(angular_momentum(v), g_scale):
+    if not _vanishes(v, angular_momentum, lambda g: sum(abs(a * b) for a, b in combinations(g, 2))):
         return SolveReport((), 0, 0, seed, "physical",
                            reason="necessary condition L=0 fails")
     return _multistart(_equilibria_search(v.as_float(), opts), starts, seed, opts)
@@ -914,8 +908,7 @@ def solve_rigid_translation(v: VorticitySet, starts: int = 200, seed: int = 0,
     opts = (options or SolverOptions()).validated()
     if starts <= 0:
         raise ValueError("starts must be positive")
-    g_scale = sum(abs(float(a)) for a in v.gammas)
-    if not _near_zero(total_vorticity(v), g_scale):
+    if not _vanishes(v, total_vorticity, lambda g: sum(map(abs, g))):
         return SolveReport((), 0, 0, seed, "physical",
                            reason="necessary condition Γ=0 fails")
     return _multistart(_translation_search(v.as_float(), opts), starts, seed, opts)

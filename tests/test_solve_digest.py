@@ -79,4 +79,16 @@ def test_solve_totals_are_pinned(capsys):
         "TOTAL ALL": "0e63b9dda421de951c285db454eabf794e74a2f3661187439f963bf95f23572e",
         "TOTAL REDRAW": "05978b39667555af88585f0d4fe3fdb830732bcd629cab041099de191b8aedfa",
         "TOTAL DEDUP": "f76fe2a2a2b2e62492c9f97234d50d36db1a89e9f604ffbf47cf542906d41f7a",
+        "TOTAL REFINE": "2cb129decf28fabafc9c8629bb37bcdf22b64a61ea68abbef22bf679ab33d2b2",
     }
+
+
+def test_refine_cases_end_as_named():
+    for name, run in solve_digest.REFINE_CASES:
+        result, reason = run(), name.split()[2]
+        if reason == "converged":
+            assert isinstance(result, solve_digest.CentralConfigSolution), name
+        else:
+            assert result.reason == reason, name
+            # A start inside the guard ends before its first residual.
+            assert (result.last_norm == float("inf")) == name.endswith("(at the start)"), name

@@ -231,7 +231,8 @@ def test_solve_rejects_bad_arguments():
     # damping that shrinks past zero or starts above its cap converges nothing.
     for bad in (dict(lm_increase=1.0), dict(lm_increase=0.5), dict(lm_lambda0=0.0),
                 dict(lm_lambda0=-1.0), dict(lm_lambda0=float("nan")), dict(lm_decrease=0.0),
-                dict(lm_decrease=1.5), dict(lm_lambda_max=1e-6), dict(max_iter=-3)):
+                dict(lm_decrease=1.5), dict(lm_lambda_max=1e-6), dict(max_iter=-3),
+                dict(max_iter=1.5), dict(max_iter=True)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolverOptions(**bad).validated()
     # Below COLLISION_GUARD the kernels raise, which would escape newton_refine.
@@ -300,6 +301,12 @@ def test_equilibria_gate_and_search():
         rep = solve_equilibria(VorticitySet(tuple(scale * g for g in (1, 1, -0.5))), starts=5)
         assert rep.reason is None, scale
         assert rep.starts_attempted == 5
+    # L = 3Γ² overflows to inf at 1e200 and underflows to 0 at 1e-170; the
+    # gate decides on Γ/max|Γ|, so neither passes it (and nothing warns).
+    for scale in (1e200, 1e-170):
+        rep = solve_equilibria(VorticitySet((scale,) * 3), starts=5)
+        assert rep.reason == "necessary condition L=0 fails", scale
+        assert rep.starts_attempted == 0
 
     # L = 0 for (1, 1, -1/2); hand oracle: z = (0, 1, 1/2) is an equilibrium
     rep = solve_equilibria(COLLAPSE, starts=100, seed=0)
@@ -321,6 +328,10 @@ def test_rigid_translation_gate_and_search():
     assert rep.reason == "necessary condition Γ=0 fails"
     rep = solve_rigid_translation(VorticitySet(tuple(1e-14 * g for g in (1, 2, -2))), starts=5)
     assert rep.reason == "necessary condition Γ=0 fails"  # Γ = 1e-14, nonzero at any scale
+    assert rep.starts_attempted == 0
+    # Γ = 3e308 overflows to inf; the gate decides on Γ/max|Γ|.
+    rep = solve_rigid_translation(VorticitySet((1e308,) * 3), starts=5)
+    assert rep.reason == "necessary condition Γ=0 fails"
     assert rep.starts_attempted == 0
 
     # hand oracle: the pair (1, -1) at (0, d) translates with V = 1/conj(d)
@@ -361,40 +372,57 @@ def _seeded_starts(name, opts, count=16, seed=3):
     return search, search.sample(rng, count)
 
 
-def _outcome(result):
-    if isinstance(result, CentralConfigSolution):
-        return "converged"
-    if result.reason == "hit_collision_guard":
-        return "guard at start" if result.last_norm == np.inf else "guard during run"
-    return result.reason
+def _outcome(code, norm):
+    reason = solver._REASONS[code]
+    if reason == "hit_collision_guard":
+        return "guard at start" if norm == np.inf else "guard during run"
+    return reason
+
+
+def _outcomes(refined):
+    """Per start, how the engine ended it, telling the two kinds of guard failure apart."""
+    reason, _, norm, _ = refined
+    return [_outcome(r, n) for r, n in zip(reason.tolist(), norm.tolist())]
+
+
+def _rows(refined):
+    """Per start, the bytes of its reason, iteration count, last norm and last unknowns."""
+    return [tuple(a[i].tobytes() for a in refined) for i in range(len(refined[0]))]
+
+
+def _refine_with_lanes(monkeypatch, lanes, search, starts, opts):
+    monkeypatch.setattr(solver, "_LANES", lanes)
+    refined = solver._refine(search, starts, opts)
+    assert all(len(a) == len(starts) for a in refined)
+    assert refined[3].dtype == starts.dtype
+    return _rows(refined)
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
-def test_engine_results_do_not_depend_on_lane_count(name):
+def test_engine_results_do_not_depend_on_lane_count(monkeypatch, name):
     outcomes = set()
     for opts in ENGINE_OPTIONS:
         search, starts = _seeded_starts(name, opts)
-        runs = {lanes: solver._levenberg_newton(search, starts, opts, lanes=lanes)
-                for lanes in (1, 3, solver._LANES)}
-        assert repr(runs[1]) == repr(runs[3]) == repr(runs[solver._LANES])
-        assert len(runs[1]) == len(starts)
-        outcomes.update(_outcome(r) for r in runs[1])
+        runs = [_refine_with_lanes(monkeypatch, lanes, search, starts, opts)
+                for lanes in (1, 3, solver._LANES)]
+        assert runs[0] == runs[1] == runs[2]
+        outcomes.update(_outcomes(solver._refine(search, starts, opts)))
     assert outcomes == {"converged", "diverged", "max_iterations",
                         "guard at start", "guard during run"}
 
 
 @pytest.mark.parametrize("name", ["physical", "complex"])
-def test_engine_refills_a_full_pool_without_changing_results(name):
+def test_engine_refills_a_full_pool_without_changing_results(monkeypatch, name):
     # More starts than the default pool, so every pool size here refills lanes.
     search, starts = _seeded_starts(name, SolverOptions(), count=solver._LANES + 100)
-    runs = [repr(solver._levenberg_newton(search, starts, SolverOptions(), lanes=lanes))
+    runs = [_refine_with_lanes(monkeypatch, lanes, search, starts, SolverOptions())
             for lanes in (7, 128, solver._LANES)]
     assert runs[0] == runs[1] == runs[2]
 
 
 def test_engine_falls_back_to_per_lane_solves(monkeypatch):
     search, starts = _seeded_starts("physical", SolverOptions(), count=24)
-    clean = solver._levenberg_newton(search, starts, SolverOptions())
+    clean = _rows(solver._refine(search, starts, SolverOptions()))
     real_solve = np.linalg.solve
     raised = []
 
@@ -405,10 +433,10 @@ def test_engine_falls_back_to_per_lane_solves(monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", fail_one_stacked_call)
-    again = solver._levenberg_newton(search, starts, SolverOptions())
+    again = _rows(solver._refine(search, starts, SolverOptions()))
     assert raised
     # Every lane of the failed call was solved alone, to the same bits.
-    assert repr(again) == repr(clean)
+    assert again == clean
 
 
 def test_engine_damps_only_singular_lanes(monkeypatch):
@@ -416,13 +444,12 @@ def test_engine_damps_only_singular_lanes(monkeypatch):
     # any change of path.
     opts = SolverOptions(max_iter=4)
     search, starts = _seeded_starts("physical", opts, count=24)
-    clean = solver._levenberg_newton(search, starts, opts)
+    clean = solver._refine(search, starts, opts)
     # Allowed one trial only, a start whose first step is accepted ends at
     # max_iterations, the others diverge.  No start of this set fails the
     # guard at once, so the first stacked solve holds start k in lane k.
     one_trial = SolverOptions(max_iter=1, lm_lambda_max=opts.lm_lambda0)
-    first = solver._levenberg_newton(search, starts, one_trial)
-    k = next(i for i, r in enumerate(first) if _outcome(r) == "max_iterations")
+    k = _outcomes(solver._refine(search, starts, one_trial)).index("max_iterations")
     real_solve = np.linalg.solve
     singular = []       # the one matrix treated as singular, by its bytes
 
@@ -435,12 +462,12 @@ def test_engine_damps_only_singular_lanes(monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", singular_solve)
-    runs = [solver._levenberg_newton(search, starts, opts, lanes=lanes)
+    runs = [_refine_with_lanes(monkeypatch, lanes, search, starts, opts)
             for lanes in (solver._LANES, 3, 1)]
-    assert repr(runs[0]) == repr(runs[1]) == repr(runs[2])
+    assert runs[0] == runs[1] == runs[2]
     # Only start k, whose first step was refused, took another path.
-    assert all(_outcome(r) != "guard at start" for r in clean)
-    changed = [i for i, (a, b) in enumerate(zip(runs[0], clean)) if repr(a) != repr(b)]
+    assert "guard at start" not in _outcomes(clean)
+    changed = [i for i, (a, b) in enumerate(zip(runs[0], _rows(clean))) if a != b]
     assert changed == [k]
 
 
@@ -485,6 +512,13 @@ def test_native_complex_step_matches_realified_step(seed):
     assert (forward <= 1e-14 * np.linalg.cond(a)).all()
 
 
+def _converged(search, starts, opts):
+    """The engine's converged rows, canonicalized, and their iteration counts."""
+    reason, iters, _, x = solver._refine(search, starts, opts)
+    done = np.flatnonzero(reason == solver._CONVERGED)
+    return search.canonical(x[done]), iters[done]
+
+
 def _deduplicate_loop(found, opts):
     """The pairwise scan the vectorized one replaced, kept as its reference."""
     def signatures_match(a, b, tol):
@@ -522,8 +556,7 @@ def test_deduplicate_matches_loop_reference(gammas, regime):
     opts = SolverOptions()
     search = solver._central_search(VorticitySet(gammas), regime, opts)
     rng = np.random.default_rng(8)
-    _, _, rows, iters = solver._refine(search, search.sample(rng, 300), opts)
-    canonical = search.canonical(rows)
+    canonical, iters = _converged(search, search.sample(rng, 300), opts)
     found = search.finalize(canonical, iters)
     # The coarse tolerance makes one candidate match several kept solutions
     # and lets a replacement change what later candidates match.
@@ -794,27 +827,23 @@ def test_stacked_finalize_matches_row_reference(name):
     for gammas in FINALIZE_CASES[name]:
         v = VorticitySet(gammas)
         search = make(v, opts)
-        calls, converged = [], []
+        converged = []
 
         def canonical(x):
             converged.append(x)
             return search.canonical(x)
 
-        def finalize(c, iters):
-            calls.append((c, iters))
-            return search.finalize(c, iters)
-
-        spy = dataclasses.replace(search, canonical=canonical, finalize=finalize)
-        results = solver._levenberg_newton(spy, search.sample(np.random.default_rng(4), 60), opts)
-        # One stacked call per search, on every converged row.
-        assert len(calls) == 1
-        x, iters = converged[0], calls[0][1]
-        found = [r for r in results if isinstance(r, CentralConfigSolution)]
-        assert len(found) == len(x) > 0
+        solver._multistart(dataclasses.replace(search, canonical=canonical), 60, 4, opts)
+        # One stacked call per search, on every converged row in start order.
+        reason, iters, _, x = solver._refine(
+            search, search.sample(np.random.default_rng(4), 60), opts)
+        done = np.flatnonzero(reason == solver._CONVERGED)
+        x, iters = x[done], iters[done]
+        assert len(converged) == 1
+        assert converged[0].tobytes() == x.tobytes() and len(x) > 0
         reference = [_finalize_row(name, v, row, int(it), opts, branches)
                      for row, it in zip(x, iters)]
         assert repr(search.finalize(search.canonical(x), iters)) == repr(reference)
-        assert sorted(map(repr, found)) == sorted(map(repr, reference))
     assert branches == FINALIZE_BRANCHES[name]
 
 
@@ -835,8 +864,8 @@ def test_multistart_finalizes_only_the_kept_rows(name):
         report = solver._multistart(dataclasses.replace(search, finalize=finalize), 120, 4, opts)
         # Once per search, on exactly the reported solutions.
         assert calls == [len(report.solutions)]
-        results = solver._levenberg_newton(search, search.sample(np.random.default_rng(4), 120), opts)
-        found = [r for r in results if isinstance(r, CentralConfigSolution)]
+        found = search.finalize(
+            *_converged(search, search.sample(np.random.default_rng(4), 120), opts))
         assert report.starts_converged == len(found)
         # The reported records are the ones deduplicating every record would keep.
         assert repr(report.solutions) == repr(tuple(_deduplicate_loop(found, opts)))
