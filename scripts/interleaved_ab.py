@@ -1,0 +1,105 @@
+"""Time one benchmark workload on two checkouts, alternating in one process.
+
+    python scripts/interleaved_ab.py PARENT CHANGE --workload solve-complex --reps 20
+
+Why in one process: on a shared 2-core x86-64 host the CPU speed was seen to
+shift by about 1.45x from one minute to the next, so two benchmark processes
+of the same commit, run one after the other, disagreed by about 10%.  That
+hides a change of a few percent.  This script copies ``src/vortexcc`` of each
+checkout under its own package name, loads both, and runs round r of the
+workload on the parent and on the change back to back, alternating which side
+goes first.  The two sides of one rep then see nearly the same host speed, and
+their time ratio keeps little of the drift.
+
+Rep r runs the calls of round r, from this checkout's
+``perfbench.inputs.round_calls`` (a pure function of workload, seed and round),
+after one untimed warm-up round per side.  Nothing is written under
+``perfbench/``.  The script prints each rep's times and change/parent ratio,
+then the median and quartiles of the ratios, the number of reps in which the
+change was faster, and the number whose reports were identical (by ``repr``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load(checkout: Path, name: str, into: Path):
+    """Import ``checkout/src/vortexcc`` as the package ``name``, from a copy under ``into``."""
+    src = checkout / "src" / "vortexcc"
+    if not (src / "__init__.py").is_file():
+        raise SystemExit(f"error: no vortexcc sources under {checkout / 'src'}")
+    shutil.copytree(src, into / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def run_round(vc, calls) -> tuple[float, list]:
+    """Wall time and results of the round's public calls, made as the benchmark makes them."""
+    results = []
+    t0 = perf_counter()
+    for call in calls:
+        kwargs = {} if call.api == "verdict" else {"starts": call.starts, "seed": call.seed}
+        if call.api == "solve_central_multistart":
+            kwargs["regime"] = call.regime
+        results.append(getattr(vc, call.api)(vc.VorticitySet(call.gammas), **kwargs))
+    return perf_counter() - t0, results
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout timed as the base")
+    parser.add_argument("change", type=Path, help="checkout timed against it")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--reps", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.reps < 1 or args.seed < 0:
+        parser.error("--reps must be >= 1 and --seed >= 0")
+
+    sys.dont_write_bytecode = True     # keep perfbench/ and the copies free of caches
+    sys.path.insert(0, str(ROOT))
+    from perfbench.run import cap_blas_threads
+
+    cap_blas_threads()                 # as the benchmark does, before numpy loads
+    import numpy as np
+
+    from perfbench import inputs
+
+    if args.workload not in inputs.WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}; choose from {inputs.WORKLOADS}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        sides = (load(args.parent.resolve(), "vortexcc_parent", Path(tmp)),
+                 load(args.change.resolve(), "vortexcc_change", Path(tmp)))
+        for vc in sides:
+            run_round(vc, inputs.round_calls(args.workload, args.seed, 0))
+        ratios, identical = [], 0
+        print("rep  parent_s  change_s  change/parent")
+        for rep in range(args.reps):
+            calls = inputs.round_calls(args.workload, args.seed, rep)
+            order = (0, 1) if rep % 2 == 0 else (1, 0)
+            timed = {side: run_round(sides[side], calls) for side in order}
+            (t_parent, r_parent), (t_change, r_change) = timed[0], timed[1]
+            ratios.append(t_change / t_parent)
+            identical += repr(r_parent) == repr(r_change)
+            print(f"{rep:3d}  {t_parent:8.3f}  {t_change:8.3f}  {ratios[-1]:.3f}", flush=True)
+
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    faster = sum(r < 1.0 for r in ratios)
+    print(f"change/parent time over {args.reps} reps of {args.workload} (seed {args.seed}): "
+          f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}; change faster in "
+          f"{faster}/{args.reps}; reports identical in {identical}/{args.reps}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

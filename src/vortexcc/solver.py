@@ -468,7 +468,8 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
 
     def guard(x):
         z, w, lam = _unpack_complex(x)
-        gz, gw = _min_gap(z), _min_gap(w)
+        gaps = _min_gap(np.concatenate([z, w]))
+        gz, gw = gaps[: len(z)], gaps[len(z) :]
         gap = np.where(gw < gz, gw, gz)     # min(gz, gw) as Python's min takes it, NaN included
         return (np.hypot(lam.real, lam.imag) < 1e-8) | (gap < opts.collision_guard)
 

@@ -19,13 +19,17 @@ Every system here is built from two numpy kernels: the velocity
 Analytic Jacobians for the first two are exported together with the packed
 numpy forms the solver consumes.  The kernels work on stacks of
 configurations, one per row; the public functions take one point or a stack.
-Every real system, here or in ``solver``, holds complex entries as (Re, Im)
-pairs laid out by this module's helpers, the one place that knows the layout.
+The complex kernels stack z and w into one point set of 2S rows, so each call
+makes one pass of the velocity kernels, not one per coordinate.  Separations
+are taken over the n(n-1)/2 pairs j < k only.  Every real system, here or in
+``solver``, holds complex entries as (Re, Im) pairs laid out by this module's
+helpers, the one place that knows the layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Sequence
 
@@ -160,46 +164,65 @@ def _modulus_norm(F: np.ndarray) -> np.ndarray:
     return np.hypot(F[:, 0::2], F[:, 1::2]).max(axis=1)
 
 
+@cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (j, k) of the n(n-1)/2 pairs j < k, in index order; read-only."""
+    j, k = np.triu_indices(n, 1)
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
+
+
 def _min_gap(p: np.ndarray) -> np.ndarray:
     """Smallest pair separation of each row of p (S, n)."""
-    d = np.abs(p[:, None, :] - p[:, :, None])
-    _set_diagonal(d, np.inf)
-    return d.min(axis=(1, 2))
+    j, k = _pairs(p.shape[-1])
+    return np.abs(p[:, k] - p[:, j]).min(axis=1)
 
 
-def _velocity_np(g: np.ndarray, wpos: np.ndarray, checked: str | None = None) -> np.ndarray:
+def _velocity_np(g: np.ndarray, wpos: np.ndarray, checked: tuple[str, ...] = ()) -> np.ndarray:
     """V[s, n] = sum_{j != n} Γ_j / w_jn for each row of wpos (S, n).
 
-    With ``checked`` set, first raise CollisionError, naming that coordinate,
-    if a row has a pair closer than the guard (see :func:`_check_separated`).
+    With coordinate names in ``checked``, one per equal block of rows, first
+    raise CollisionError if a row has a pair closer than the guard (see
+    :func:`_check_separated`).
     """
     d = _pair_diffs(wpos)
     if checked:
-        _check_separated(d, checked)
+        _check_separated(d, *checked)
     inv = 1.0 / d
     _set_diagonal(inv, 0.0)
-    return (g[:, None] * inv).sum(axis=1)
+    # The sum over j in index order from 0, as numpy's sum over axis 1 adds it,
+    # but as n adds of whole (S, n) slices, not S·n inner loops of length n.
+    V = np.zeros_like(inv[:, 0])
+    for j in range(inv.shape[1]):
+        V += g[j] * inv[:, j]
+    return V
 
 
 def _velocity_derivative(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
     """Q[s, n, m] = dV_n/dw_m: Γ_m / w_mn² off the diagonal, minus the row sum on it."""
-    Q = np.swapaxes(g[:, None] / _pair_diffs(wpos) ** 2, 1, 2).copy()
+    # _pair_diffs gives w_nm = -w_mn, whose complex square is exactly that of w_mn.
+    Q = g / _pair_diffs(wpos) ** 2
     _set_diagonal(Q, 0.0)
     _set_diagonal(Q, -Q.sum(axis=2))
     return Q
 
 
-def _check_separated(d: np.ndarray, coordinate: str) -> None:
+def _check_separated(d: np.ndarray, *coordinates: str) -> None:
     """Raise CollisionError if a stack of :func:`_pair_diffs` has a pair closer than the guard.
 
-    Their diagonal of 1 never is.  The error names the first such pair, in
-    index order, of the first such row.
+    The stack holds one equal block of rows per coordinate name, in order.  The
+    error names the first such pair, in index order, of the first such row, and
+    the coordinate of that row's block.  A row with a NaN separation counts as
+    separated, as its smallest separation is NaN.
     """
-    dist = np.abs(d)
-    close = dist.min(axis=(1, 2)) < COLLISION_GUARD
+    j, k = _pairs(d.shape[-1])
+    dist = np.abs(d[:, j, k])
+    close = dist.min(axis=1) < COLLISION_GUARD
     if close.any():
-        j, k = np.argwhere(dist[np.argmax(close)] < COLLISION_GUARD)[0]
-        raise CollisionError(int(j) + 1, int(k) + 1, coordinate)
+        row = int(np.argmax(close))
+        pair = np.argmax(dist[row] < COLLISION_GUARD)
+        coordinate = coordinates[row * len(coordinates) // len(d)]
+        raise CollisionError(int(j[pair]) + 1, int(k[pair]) + 1, coordinate)
 
 
 def _float_gammas(v: VorticitySet) -> np.ndarray:
@@ -218,7 +241,7 @@ def _velocities(v: VorticitySet, z, w) -> tuple[np.ndarray, np.ndarray]:
     ws = np.array([complex(p) for p in w], dtype=complex)
     _check_count(v, zs, ws)
     _check_separated(_pair_diffs(zs[None]), "z")
-    return zs, _velocity_np(_float_gammas(v), ws[None], checked="w")[0]
+    return zs, _velocity_np(_float_gammas(v), ws[None], checked=("w",))[0]
 
 
 def velocity_field(v: VorticitySet, z: Sequence, w: Sequence) -> list:
@@ -248,17 +271,21 @@ def complex_system_residual(conf: ComplexConfiguration, v: VorticitySet) -> Resi
 #              rows (A_1..A_N, B_1..B_N, z_12 - w_12), all holomorphic.
 # The physical (Re, Im) pairs come from the layout helpers beside _pair_diffs.
 # The kernels work on stacks: each row of pos, z, w (S, N) and each entry of
-# theta, lam (S,) is one point.  The residual kernels raise CollisionError
-# below the guard, checked on the pair differences the velocity kernel forms
-# anyway; the Jacobian kernels check nothing.  The public functions take one
-# point, or a stack; one point is passed to the kernels as a stack of one.
+# theta, lam (S,) is one point.  The complex kernels pass z and w to the
+# velocity kernels as one (2S, N) point set: [z; w] in the residual, so a
+# collision in both is named in z, and [w; z] in the Jacobian, whose blocks
+# take dV/dw before dV/dz.  The residual kernels raise CollisionError below
+# the guard, checked over the pairs j < k of the differences the velocity
+# kernel forms anyway; the Jacobian kernels check nothing.  The public
+# functions take one point, or a stack; one point is passed to the kernels as
+# a stack of one.  The complex ones reject Λ = 0, where B and dB/dw divide by it.
 # ---------------------------------------------------------------------------
 
 
 def _physical_residual(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Rows of :func:`physical_residual_vector`, shape (S, 2N+1)."""
     # |conj z_jn| = |z_jn|, so the check on the w = conj(z) differences is the one on z.
-    E = np.exp(1j * theta)[:, None] * pos - _velocity_np(g, np.conj(pos), checked="z")
+    E = np.exp(1j * theta)[:, None] * pos - _velocity_np(g, np.conj(pos), checked=("z",))
     gauge = pos[:, 1].imag - pos[:, 0].imag
     return np.concatenate([_realify_vector(E), gauge[:, None]], axis=1)
 
@@ -281,31 +308,34 @@ def _physical_jacobian(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.
 
 def _complex_residual(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Rows of :func:`complex_residual_vector`, shape (S, 2N+1)."""
+    s, n = z.shape
     lam = lam[:, None]
-    # z first: a collision in both coordinates is reported in z.
-    Vz = _velocity_np(g, z, checked="z")
-    A = lam * z - _velocity_np(g, w, checked="w")
-    B = w / lam - Vz
-    gauge = (z[:, 1] - z[:, 0]) - (w[:, 1] - w[:, 0])
-    return np.concatenate([A, B, gauge[:, None]], axis=1)
+    # z rows first: a collision in both coordinates is reported in z.
+    V = _velocity_np(g, np.concatenate([z, w]), checked=("z", "w"))
+    F = np.empty((s, 2 * n + 1), dtype=complex)
+    F[:, :n] = lam * z - V[s:]
+    F[:, n : 2 * n] = w / lam - V[:s]
+    F[:, -1] = (z[:, 1] - z[:, 0]) - (w[:, 1] - w[:, 0])
+    return F
 
 
 def _complex_jacobian(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Stack of :func:`complex_jacobian`, shape (S, 2N+1, 2N+1)."""
-    n = z.shape[1]
-    eye = np.eye(n)
+    s, n = z.shape
     # Λ² in real arithmetic: the rounding of Python's complex product, which
     # numpy's vectorized complex multiply does not always reproduce.
     lr, li = lam.real, lam.imag
     lam2 = np.empty_like(lam)
     lam2.real = lr * lr - li * li
     lam2.imag = lr * li + li * lr
-    J = np.zeros((len(z), 2 * n + 1, 2 * n + 1), dtype=complex)
-    J[:, :n, :n] = lam[:, None, None] * eye
-    J[:, :n, n : 2 * n] = -_velocity_derivative(g, w)
+    # dA/dw and dB/dz from one stack of w rows, then z rows.
+    Q = _velocity_derivative(g, np.concatenate([w, z]))
+    J = np.zeros((s, 2 * n + 1, 2 * n + 1), dtype=complex)
+    _set_diagonal(J[:, :n, :n], lam[:, None])
+    np.negative(Q[:s], out=J[:, :n, n : 2 * n])
     J[:, :n, -1] = z
-    J[:, n : 2 * n, :n] = -_velocity_derivative(g, z)
-    J[:, n : 2 * n, n : 2 * n] = eye / lam[:, None, None]
+    np.negative(Q[s:], out=J[:, n : 2 * n, :n])
+    _set_diagonal(J[:, n : 2 * n, n : 2 * n], (1.0 / lam)[:, None])
     J[:, n : 2 * n, -1] = -w / lam2[:, None]
     J[:, -1, 0] = -1.0
     J[:, -1, 1] = 1.0
@@ -335,6 +365,8 @@ def _complex_args(v: VorticitySet, z, w, lam):
     zs, ws = zs.reshape(-1, zs.shape[-1]), ws.reshape(-1, ws.shape[-1])
     lams = np.asarray(lam, dtype=complex).reshape(-1)
     _check_rows(zs, ws, lams)
+    if not lams.all():
+        raise ValueError(f"Λ must be nonzero; it is 0 in row {np.flatnonzero(lams == 0)[0]}")
     return _float_gammas(v), zs, ws, lams
 
 

@@ -1,10 +1,13 @@
 """Velocity field, residual systems, and their analytic Jacobians."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from vortexcc.quantities import VorticitySet, conjugate_positions
 from vortexcc.system import (
+    COLLISION_GUARD,
     CollisionError,
     ComplexConfiguration,
     complex_jacobian,
@@ -14,6 +17,10 @@ from vortexcc.system import (
     physical_residual_vector,
     stationary_residual,
     velocity_field,
+    _check_separated,
+    _min_gap,
+    _pair_diffs,
+    _velocity_np,
 )
 from vortexcc.asymptotics import roberts_family, roberts_normalized
 
@@ -308,3 +315,105 @@ def test_stacked_residual_names_first_collision_of_first_bad_row():
     with pytest.raises(CollisionError) as err:
         complex_residual_vector(v, z[[0]], z[[2]], np.ones(1))
     assert (err.value.pair, err.value.coordinate) == ((1, 2), "w")
+
+
+def test_stacked_complex_residual_names_z_before_w():
+    # z and w go through one stacked pass, z rows first: a z collision in any
+    # row is named before a w collision in an earlier row.
+    v = VorticitySet((1.0, 1.0, 1.0))
+    clean = np.array([0.0, 1.0, 2.0], dtype=complex)
+    z = np.stack([clean, clean, [0.0, 1.0, 1.0]])
+    w = np.stack([[0.0, 0.0, 1.0], clean, clean])
+    lam = np.ones(3)
+    for zs, ws, named in (
+        (z, w, ((2, 3), "z")),
+        (np.stack([clean] * 3), w, ((1, 2), "w")),
+        (z, np.stack([clean, clean, [0.0, 0.0, 1.0]]), ((2, 3), "z")),
+    ):
+        with pytest.raises(CollisionError) as err:
+            complex_residual_vector(v, zs, ws, lam)
+        assert (err.value.pair, err.value.coordinate) == named
+
+
+def test_complex_systems_reject_zero_lambda():
+    v = VorticitySet((1.0, 2.0, -1.5))
+    z = np.array([0.0, 1.0, 1j])
+    w = np.conj(z)
+    calls = (
+        lambda: complex_residual_vector(v, z, w, 0.0),
+        lambda: complex_jacobian(v, z, w, 0j),
+        lambda: complex_residual_vector(v, np.stack([z] * 3), np.stack([w] * 3), [1.0, 0.0, 2.0]),
+        lambda: complex_jacobian(v, np.stack([z] * 2), np.stack([w] * 2), [1j, -0.0]),
+        lambda: complex_system_residual(ComplexConfiguration(tuple(z), tuple(w), 0.0), v),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="Λ"):
+                call()
+
+
+def _full_min_gap(p):
+    """Reference: smallest separation over the full N×N array, diagonal masked."""
+    d = np.abs(p[:, None, :] - p[:, :, None])
+    d[:, np.arange(p.shape[1]), np.arange(p.shape[1])] = np.inf
+    return d.min(axis=(1, 2))
+
+
+def _full_first_collision(p):
+    """Reference: (row, (j, k)) of the first pair below the guard, in index order,
+    of the first row whose smallest separation is below it, over the full N×N array."""
+    d = _pair_diffs(p)
+    dist = np.abs(d)
+    close = dist.min(axis=(1, 2)) < COLLISION_GUARD
+    if not close.any():
+        return None
+    row = int(np.argmax(close))
+    j, k = np.argwhere(dist[row] < COLLISION_GUARD)[0]
+    return row, (int(j) + 1, int(k) + 1)
+
+
+def test_pair_separations_match_full_reference():
+    rng = np.random.default_rng(20)
+    for n in range(2, 8):
+        for _ in range(40):
+            p = rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n))
+            # A NaN row, then coincident points, points closer than the guard
+            # and ±0 coordinates, some rows getting several and the NaN row too.
+            p[int(rng.integers(8)), int(rng.integers(n))] = complex(np.nan, 0.0)
+            for row in rng.integers(8, size=6):
+                j, k = rng.choice(n, size=2, replace=False)
+                kind = rng.integers(4)
+                if kind == 0:
+                    p[row, k] = p[row, j]
+                elif kind == 1:
+                    p[row, k] = p[row, j] + 1e-11
+                elif kind == 2:
+                    p[row, j], p[row, k] = complex(0.0, -0.0), complex(-0.0, 0.0)
+                else:
+                    p[row, j] = complex(-0.0, p[row, j].imag)
+            assert _min_gap(p).tobytes() == _full_min_gap(p).tobytes()
+            # One coordinate name per row, so the error names the row too.
+            names = tuple(str(r) for r in range(len(p)))
+            expected = _full_first_collision(p)
+            if expected is None:
+                _check_separated(_pair_diffs(p), *names)
+                continue
+            with pytest.raises(CollisionError) as err:
+                _check_separated(_pair_diffs(p), *names)
+            assert (int(err.value.coordinate), err.value.pair) == expected
+
+
+def test_velocity_sum_matches_numpy_reduction():
+    # The velocity kernel adds its terms one j at a time, in the order numpy's
+    # sum over that axis takes, so the two agree bit for bit, zero signs included.
+    rng = np.random.default_rng(21)
+    for n in range(2, 9):
+        p = rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))
+        p[::5] = np.linspace(-1.0, 1.0, n)                  # symmetric rows: exact zeros in V
+        p[1::5, 0] = complex(-0.0, -0.0)
+        for g in (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n), np.full(n, -1.5)):
+            inv = 1.0 / _pair_diffs(p)
+            inv[:, np.arange(n), np.arange(n)] = 0.0
+            reference = (g[:, None] * inv).sum(axis=1)
+            assert _velocity_np(g, p).tobytes() == reference.tobytes()
