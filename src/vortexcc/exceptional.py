@@ -25,11 +25,17 @@ polynomials (:class:`~vortexcc.exactpoly.Poly`), and under every
 relabelling each of them is the difference of two table entries, such as
 g₁g₃ − g₂g₄ = L_13 − L_24, or Γ_J − 0 for a pure Γ_J.  So each is compiled
 at import into one pair of table indices per relabelling, and no polynomial
-is evaluated at run time.  A clause is tried only under the relabellings
-that make its first equality, its anchor, vanish, so the search stays
-exhaustive; it over-approximates each diagram's own symmetry soundly.
-Matches are deduplicated by each clause's label classes, read off its
-compiled pairs on its first match.
+is evaluated at run time.  The whole catalog compiles to 221 distinct pairs.
+A tuple compares each pair's two entries once, by the zero rule, and keeps
+the result as one integer, its vanishing-pair mask, with one bit per pair.
+A clause is tried only under the relabellings that make its first equality,
+its anchor, vanish, read off the mask's bits for the 131 anchor pairs, so the
+search stays exhaustive; it over-approximates each diagram's own symmetry
+soundly.  Under each such relabelling the clause is decided by two mask
+tests: every bit of its other equalities is set and no bit of its
+inequations is.  Those masks, and the label classes that deduplicate
+matches, are read off each clause's compiled pairs, on its first candidate
+and its first match respectively.
 
 Notation: L_J = sum over unordered pairs of J of Γ_jΓ_k, L = L_{12345}.
 """
@@ -39,8 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 from math import gcd, lcm
+from operator import eq, itemgetter
 
 from .exactpoly import Poly
 from .quantities import VorticitySet
@@ -354,6 +361,16 @@ _SUBSETS = tuple(
                     for J in combinations(range(N_VORTICES), r))
 )
 _MOMENTUM = 1 << N_VORTICES
+_PAIRS = tuple(combinations(range(N_VORTICES), 2))
+# The table is filled with the additions of sum(), in the same order, so that
+# float tables keep their bits.  Γ_J is Γ of J without its last index plus
+# that strength.  L_J sums the products of the pairs of J in combinations
+# order, from the list of the ten pair products.  That list ends in a 0, which
+# each getter reads first: it then returns a tuple even for one pair, and
+# sum((0, *p)) == sum(p).
+_GAMMA_STEPS = tuple((m, m - (1 << J[-1]), J[-1]) for J, m, _ in _SUBSETS)
+_MOMENTUM_STEPS = tuple((_MOMENTUM + m, itemgetter(len(_PAIRS), *map(_PAIRS.index, pairs)))
+                        for _, m, pairs in _SUBSETS if pairs)
 
 
 @dataclass(frozen=True)
@@ -373,19 +390,28 @@ class _Normalized:
         """The one zero rule: exactly zero, or within ZERO_TOL for float input."""
         return value == 0 if self.exact else abs(value) <= ZERO_TOL
 
+    def vanishing(self, hi: itemgetter, lo: itemgetter) -> list:
+        """Whether hi(table)[i] − lo(table)[i] vanishes, by the zero rule, for each i."""
+        ends = hi(self.table), lo(self.table)
+        if self.exact:
+            return list(map(eq, *ends))
+        return [abs(a - b) <= ZERO_TOL for a, b in zip(*ends)]
+
     @cached_property
     def table(self) -> list:
         """The subset table: the 31 Γ_J and 26 L_J at their indices, 0 elsewhere.
 
         Built on first use and shared by the subset check and the catalog.
-        Each sum runs in index order.
+        Each Γ_J is summed in index order and each L_J in pair order, from
+        the ten pair products.
         """
         g = self.gammas
+        products = [g[a] * g[b] for a, b in _PAIRS] + [0]
         table = [0] * (2 * _MOMENTUM)
-        for J, m, pairs in _SUBSETS:
-            table[m] = sum(g[j] for j in J)
-            if pairs:
-                table[_MOMENTUM + m] = sum(g[a] * g[b] for a, b in pairs)
+        for m, rest, j in _GAMMA_STEPS:
+            table[m] = table[rest] + g[j]
+        for i, terms in _MOMENTUM_STEPS:
+            table[i] = sum(terms(products))
         return table
 
 
@@ -408,6 +434,7 @@ def _normalized(v) -> _Normalized:
 _PERMUTATIONS = tuple(permutations(range(N_VORTICES)))
 # _BIT_OF[j][k] is the bitmask of input vortex σ_k[j], σ_k = _PERMUTATIONS[k].
 _BIT_OF = tuple(tuple(1 << sigma[j] for sigma in _PERMUTATIONS) for j in range(N_VORTICES))
+_LABELS = tuple(tuple(s + 1 for s in sigma) for sigma in _PERMUTATIONS)
 
 
 def _build_plans(diagrams: tuple) -> tuple:
@@ -421,18 +448,18 @@ def _build_plans(diagrams: tuple) -> tuple:
     is table[hi] − table[lo], hi and lo being the table indices of P and N
     relabelled by σ.
 
-    Returns the plans, the anchor pairs and the anchors.  The plans hold one
-    (diagram id, clause index, clause, anchor index, anchor, other equalities,
-    inequations) per clause in catalog order, each polynomial as its (hi, lo)
-    indices, two tuples in _PERMUTATIONS order.  A clause's anchor is its
-    first equality; the anchor index is its position in the anchors.  The
-    anchor pairs are the distinct (hi, lo) pairs of all anchors, held as two
-    tuples in the same way.  Each anchor maps its pairs, as positions in the
-    anchor pairs, to the ascending _PERMUTATIONS indices that send the anchor
-    there.
+    Returns the plans, the vanishing pairs and the anchor preimages.  The
+    plans hold one (diagram id, clause index, clause, anchor, other
+    equalities, inequations) per clause in catalog order, each polynomial as
+    its (hi, lo) indices, two tuples in _PERMUTATIONS order.  A clause's
+    anchor is its first equality.  The vanishing pairs are the distinct
+    (hi, lo) pairs of all compiled polynomials, as two tuples, the anchors'
+    pairs first; a pair's position is its bit in a tuple's vanishing-pair
+    mask.  The preimages hold, for each anchor pair, one (plan position,
+    ascending _PERMUTATIONS indices) entry per clause whose anchor those σ
+    send to that pair.
     """
     images: dict = {}  # (offset, J) -> table index under each σ
-    anchors: dict = {}  # an anchor's (hi, lo) -> position in the anchors
 
     def index(p, terms):
         J = tuple(sorted({i for _, idx in terms for i in idx}))
@@ -457,24 +484,48 @@ def _build_plans(diagrams: tuple) -> tuple:
     for d in diagrams:
         for ci, cl in enumerate(d.clauses):
             anchor, *eqs = map(compiled, cl.equalities)
-            plans.append((d.id, ci, cl, anchors.setdefault(anchor, len(anchors)), anchor,
-                          tuple(eqs), tuple(map(compiled, cl.inequations))))
-    pairs: dict = {}  # distinct anchor pair -> position in the pairs
-    preimages = []
-    for hi, lo in anchors:
-        ks: dict = {}
-        for k, pair in enumerate(zip(hi, lo)):
-            ks.setdefault(pair, []).append(k)
-        preimages.append({pairs.setdefault(pair, len(pairs)): k for pair, k in ks.items()})
-    return tuple(plans), tuple(zip(*pairs)), tuple(preimages)
+            plans.append((d.id, ci, cl, anchor, tuple(eqs), tuple(map(compiled, cl.inequations))))
+    pairs: dict = {}  # distinct (hi, lo) pair -> its bit
+    preimages: dict = {}  # anchor pair bit -> its (plan position, σ indices) entries
+    sent: dict = {}  # anchor -> its pair bits, each with the σ indices that send it there
+    for position, (*_, anchor, _, _) in enumerate(plans):
+        if anchor not in sent:
+            bits: dict = {}
+            for k, pair in enumerate(zip(*anchor)):
+                bits.setdefault(pairs.setdefault(pair, len(pairs)), []).append(k)
+            sent[anchor] = [(bit, tuple(ks)) for bit, ks in bits.items()]
+        for bit, ks in sent[anchor]:
+            preimages.setdefault(bit, []).append((position, ks))
+    for hi, lo in dict.fromkeys(p for plan in plans for p in plan[4] + plan[5]):
+        for pair in zip(hi, lo):
+            pairs.setdefault(pair, len(pairs))
+    return tuple(plans), tuple(zip(*pairs)), tuple(map(tuple, preimages.values()))
 
 
-_PLANS, (_ANCHOR_HI, _ANCHOR_LO), _ANCHORS = _build_plans(_CATALOG)
+_PLANS, (_PAIR_HI, _PAIR_LO), _PREIMAGES = _build_plans(_CATALOG)
+_BITS = tuple(1 << bit for bit in range(len(_PAIR_HI)))
+_PAIR_ENDS = itemgetter(*_PAIR_HI), itemgetter(*_PAIR_LO)
 
 
 @cache
-def _label_classes(plan: tuple) -> tuple:
-    """For one clause, the first _PERMUTATIONS index of each σ's label class.
+def _clause_masks(position: int) -> tuple:
+    """For the clause at _PLANS[position], its equality and inequation masks per σ.
+
+    Each mask has the bits of the vanishing pairs that the clause's other
+    equalities, or its inequations, compile to under σ; the anchor is left
+    out, since a clause is tried only where it vanishes.  Built on the
+    clause's first candidate, not at import.
+    """
+    bit = {pair: 1 << i for i, pair in enumerate(zip(_PAIR_HI, _PAIR_LO))}
+    *_, eqs, neqs = _PLANS[position]
+    return tuple(tuple(sum({bit[hi[k], lo[k]] for hi, lo in polys})
+                       for k in range(len(_PERMUTATIONS)))
+                 for polys in (eqs, neqs))
+
+
+@cache
+def _label_classes(position: int) -> tuple:
+    """For the clause at _PLANS[position], the first _PERMUTATIONS index of each σ's label class.
 
     σ and σ′ share a class exactly when they relabel the clause's equalities,
     and its inequations, to the same polynomials up to sign: the classes are
@@ -482,7 +533,7 @@ def _label_classes(plan: tuple) -> tuple:
     {hi[k], lo[k]} are distinct polynomials up to sign, so the compiled pairs
     decide the class.  Built on the clause's first match, not at import.
     """
-    anchor, eqs, neqs = plan[4:]
+    anchor, eqs, neqs = _PLANS[position][3:]
     first: dict = {}
     return tuple(
         first.setdefault((frozenset(frozenset((hi[k], lo[k])) for hi, lo in (anchor, *eqs)),
@@ -494,44 +545,43 @@ def _label_classes(plan: tuple) -> tuple:
 def evaluate_diagram_constraints(v: VorticitySet) -> list:
     """All catalog matches of a 5-tuple over the 120 label permutations.
 
-    Every clause polynomial is decided from the tuple's subset table, as the
-    difference of two of its entries under each relabelling, so no
-    polynomial is evaluated here.  Each clause is tried only under the
-    relabellings that make its first equality (its anchor) vanish, found
-    once per tuple for each distinct anchor; a generic tuple tries no
-    relabelling at all.  Rational inputs are decided exactly; float inputs
-    count a polynomial of degree d as zero when it is at most 1e-9 relative
-    to max|Γ|^d (the caller should treat those results as approximate).
-    Matches come in catalog order, then permutation order, deduplicated up
-    to each clause's own label symmetry: every σ of a label class matches
-    when one does, and the match is reported only for the first σ of its
-    class (:func:`_label_classes`, each clause's table built once, on its
-    first match).
+    Every clause polynomial is, under each relabelling, the difference of
+    two entries of the tuple's subset table, and there are 221 distinct such
+    pairs of entries over the whole catalog.  The tuple's vanishing-pair
+    mask is one integer with a bit set for each pair whose difference
+    vanishes, so no polynomial is evaluated here.  A clause is tried only
+    under the relabellings that make its first equality (its anchor) vanish,
+    read off the set bits of the 131 anchor pairs, so a generic tuple tries
+    no relabelling at all.  Under each, it matches when the mask holds every
+    bit of its other equalities and none of its inequations
+    (:func:`_clause_masks`).  Rational inputs are decided exactly; float
+    inputs count a polynomial of degree d as zero when it is at most 1e-9
+    relative to max|Γ|^d (the caller should treat those results as
+    approximate).  Matches come in catalog order, then permutation order,
+    deduplicated up to each clause's own label symmetry: every σ of a label
+    class matches when one does, and the match is reported only for the
+    first σ of its class (:func:`_label_classes`, each clause's table built
+    once, on its first match).
     """
     n = _normalized(v)
-    table, vanishes = n.table, n.vanishes
-    zero = [vanishes(table[hi] - table[lo]) for hi, lo in zip(_ANCHOR_HI, _ANCHOR_LO)]
-    vanishing = [sorted(k for i, ks in anchor.items() if zero[i] for k in ks)
-                 for anchor in _ANCHORS]
-
+    hits = n.vanishing(*_PAIR_ENDS)
+    candidates: dict = {}  # plan position -> the σ indices that make its anchor vanish
+    for entries in compress(_PREIMAGES, hits):
+        for position, ks in entries:
+            candidates.setdefault(position, []).extend(ks)
+    if not candidates:
+        return []
+    zero = sum(compress(_BITS, hits))
+    nonzero = ~zero
     matches = []
-    for plan in _PLANS:
-        diagram_id, ci, cl, anchor, _, eqs, neqs = plan
-        first = None
-        for k in vanishing[anchor]:
-            if not all(vanishes(table[hi[k]] - table[lo[k]]) for hi, lo in eqs):
+    for position in sorted(candidates):
+        diagram_id, ci, cl, *_ = _PLANS[position]
+        eqs, neqs = _clause_masks(position)
+        for k in sorted(candidates[position]):
+            if eqs[k] & nonzero or neqs[k] & zero:
                 continue
-            if any(vanishes(table[hi[k]] - table[lo[k]]) for hi, lo in neqs):
-                continue
-            if first is None:  # once per clause: hashing the plan costs microseconds
-                first = _label_classes(plan)
-            if first[k] == k:
-                matches.append(CatalogMatch(
-                    diagram_id=diagram_id,
-                    clause_index=ci,
-                    lambda_branch=cl.lambda_branch,
-                    permutation=tuple(s + 1 for s in _PERMUTATIONS[k]),
-                ))
+            if _label_classes(position)[k] == k:
+                matches.append(CatalogMatch(diagram_id, ci, cl.lambda_branch, _LABELS[k]))
     return matches
 
 
@@ -559,7 +609,7 @@ def verdict(v: VorticitySet) -> ExceptionalReport:
     matches are included for diagnostics.  Requires Γ != 0.
     """
     n = _normalized(v)
-    if n.vanishes(sum(n.gammas)):
+    if n.vanishes(n.table[_MOMENTUM - 1]):  # Γ_12345, summed in index order
         raise TotalVorticityZeroError(
             "total vorticity is zero; the certification presupposes Γ != 0"
         )

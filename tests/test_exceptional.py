@@ -8,13 +8,18 @@ set of matched (diagram, clause) pairs.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vortexcc
 from vortexcc.exactpoly import Poly
 from vortexcc.quantities import VorticitySet
 from vortexcc.exceptional import (
@@ -22,13 +27,14 @@ from vortexcc.exceptional import (
     ConstraintClause,
     DiagramConstraint,
     TotalVorticityZeroError,
-    _ANCHOR_HI,
-    _ANCHOR_LO,
-    _ANCHORS,
+    _PAIR_HI,
+    _PAIR_LO,
     _PERMUTATIONS,
     _PLANS,
+    _PREIMAGES,
     _Normalized,
     _build_plans,
+    _clause_masks,
     _label_classes,
     _normalized,
     catalog,
@@ -577,9 +583,46 @@ def test_table_matching_equals_the_all_120_loop(family):
         assert evaluate_diagram_constraints(reordered) == reference_matches(reordered), vals
 
 
+def _anchored(vals) -> set:
+    """The (diagram, clause) keys whose first equality vanishes exactly under some relabelling."""
+    return {(d.id, ci) for d in catalog() for ci, cl in enumerate(d.clauses)
+            if any(cl.equalities[0].evaluate(tuple(vals[i] for i in sigma)) == 0
+                   for sigma in permutations(range(5)))}
+
+
+# Float tuples with max|Γ| = 1, so that a relation equals δ after normalization.
+# Γ_12 = 0 exactly anchors diagram 4, whose other equality Γ_34 is then δ;
+# Γ_345 = 0 exactly anchors diagram 3's Λ = ±1 clause, whose inequation Γ_12 is δ.
+TOLERANCE_EDGES = {
+    "equality": (lambda d: (1.0, -1.0, 0.5, -0.5 + d, 0.75), (4, 0), True),
+    "inequation": (lambda d: (1.0, -1.0 + d, 0.25, 0.5, -0.75), (3, 0), False),
+}
+
+
+@pytest.mark.parametrize("edge", TOLERANCE_EDGES)
+def test_tolerance_edge_matches_the_all_120_loop(edge):
+    make, key, matches_inside = TOLERANCE_EDGES[edge]
+    for delta, inside in ((0.5e-9, True), (2e-9, False)):
+        for scale in (1.0, 2.0 ** -30, 2.0 ** 30):  # exact, so the normalized tuple is the same
+            v = VorticitySet(tuple(g * scale for g in make(delta)))
+            got = evaluate_diagram_constraints(v)
+            assert got == reference_matches(v), (edge, delta, scale)
+            matched = key in {(m.diagram_id, m.clause_index) for m in got}
+            assert matched == (inside == matches_inside), (edge, delta, scale)
+
+
+def test_exact_anchor_alone_does_not_match():
+    # Γ_12 = 0 anchors diagrams 4 and 12, but no second pair of strengths sums to 0.
+    vals = (1, -1, 2, -3, 5)
+    assert {(4, 0), (12, 0)} <= _anchored(vals)
+    got = evaluate_diagram_constraints(F5(*vals))
+    assert got == reference_matches(F5(*vals))
+    assert not {(4, 0), (12, 0)} & {(m.diagram_id, m.clause_index) for m in got}
+
+
 def test_label_classes_are_the_cosets_of_each_clause_stabilizer():
     assert len(_PLANS) == 33 and _PERMUTATIONS == tuple(permutations(range(5)))
-    for plan in _PLANS:
+    for position, plan in enumerate(_PLANS):
         cl = plan[2]
         keys = [(frozenset(p.permuted(sigma).sign_canonical() for p in cl.equalities),
                  frozenset(p.permuted(sigma).sign_canonical() for p in cl.inequations))
@@ -587,25 +630,45 @@ def test_label_classes_are_the_cosets_of_each_clause_stabilizer():
         first = {}
         for k, key in enumerate(keys):
             first.setdefault(key, k)
-        classes = _label_classes(plan)
+        classes = _label_classes(position)
         # each σ maps to the smallest σ index with the same key
         assert classes == tuple(first[key] for key in keys), plan[:2]
         assert len(set(Counter(classes).values())) == 1, plan[:2]
 
 
+WARM_UP = (1, 2, 3, 5, 7)  # the certify benchmark's warm-up tuple
+
+
 def test_label_tables_are_built_on_first_match_and_in_any_order():
+    # Importing the module builds no clause masks and no label classes.
+    probe = ("import vortexcc.exceptional as e; print(e._clause_masks.cache_info().currsize, "
+             "e._label_classes.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(vortexcc.__file__).parents[1]))
+    imported = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+    assert imported.stdout.split() == ["0", "0"]
+    # The warm-up tuple matches nothing, so it builds no label classes.  Masks
+    # are built for exactly the clauses whose anchor it makes vanish: 7 = 2 + 5
+    # and 5 = 2 + 3 zero g1 − Γ_45 (clause 15.0) and g1 − Γ_23 (clause 14.0).
+    anchored = _anchored(WARM_UP)
+    assert anchored == {(14, 0), (15, 0)}
     _label_classes.cache_clear()
-    assert verdict(F5(1, 2, 3, 5, 7)).matches == ()  # the certify warm-up tuple
+    _clause_masks.cache_clear()
+    assert verdict(F5(*WARM_UP)).matches == ()
     assert _label_classes.cache_info().currsize == 0
+    assert _clause_masks.cache_info().currsize == len(anchored)
     rng = np.random.default_rng(17)
     planted = [F5(*vals) for family in PLANTED_FAMILIES
                for vals in _planted_tuples(family, rng, count=1)]
+    _clause_masks.cache_clear()
     forward = [evaluate_diagram_constraints(v) for v in planted]
-    built = _label_classes.cache_info().currsize
+    built = _label_classes.cache_info().currsize, _clause_masks.cache_info().currsize
     _label_classes.cache_clear()
+    _clause_masks.cache_clear()
     backward = [evaluate_diagram_constraints(v) for v in reversed(planted)]
     assert backward[::-1] == forward
-    assert _label_classes.cache_info().currsize == built > 0
+    assert (_label_classes.cache_info().currsize, _clause_masks.cache_info().currsize) == built
+    assert built[0] > 0 and built[1] >= built[0]
 
 
 def test_verdict_evaluates_no_polynomial(monkeypatch):
@@ -637,16 +700,23 @@ def test_verdict_evaluates_no_polynomial(monkeypatch):
 
 
 def test_compiled_pairs_equal_the_polynomial_at_every_relabelling():
+    assert len(_PAIR_HI) == len(_PAIR_LO) == 221 and len(_PREIMAGES) == 131
     compiled = []  # (polynomial, its (hi, lo) table indices) as the plans hold them
-    for plan in _PLANS:
+    for position, plan in enumerate(_PLANS):
         cl = plan[2]
         anchor = [None] * len(_PERMUTATIONS)
-        for i, ks in _ANCHORS[plan[3]].items():
-            for k in ks:
-                anchor[k] = (_ANCHOR_HI[i], _ANCHOR_LO[i])
-        assert plan[4] == tuple(zip(*anchor)), plan[:2]
-        compiled += zip(cl.equalities + cl.inequations, plan[4:5] + plan[5] + plan[6])
+        for bit, entries in enumerate(_PREIMAGES):
+            for at, ks in entries:
+                if at != position:
+                    continue
+                for k in ks:
+                    assert anchor[k] is None, plan[:2]
+                    anchor[k] = (_PAIR_HI[bit], _PAIR_LO[bit])
+        assert plan[3] == tuple(zip(*anchor)), plan[:2]
+        compiled += zip(cl.equalities + cl.inequations, plan[3:4] + plan[4] + plan[5])
     assert len(compiled) == len(CATALOG_POLYS) == 63
+    # Every compiled pair has one bit in the vanishing-pair mask.
+    assert {pair for _, (hi, lo) in compiled for pair in zip(hi, lo)} == set(zip(_PAIR_HI, _PAIR_LO))
     rng = np.random.default_rng(31)
     for _ in range(30):
         x = tuple(int(a) for a in rng.integers(-50, 51, size=5))
