@@ -1,6 +1,7 @@
 """Time one benchmark workload on two checkouts, alternating in one process.
 
     python scripts/interleaved_ab.py PARENT CHANGE --workload solve-complex --reps 20
+    python scripts/interleaved_ab.py PARENT CHANGE --workload certify --reps 20 --setup
 
 Why in one process: on a shared 2-core x86-64 host the CPU speed was seen to
 shift by about 1.45x from one minute to the next, so two benchmark processes
@@ -13,10 +14,13 @@ their time ratio keeps little of the drift.
 
 Rep r runs the calls of round r, from this checkout's
 ``perfbench.inputs.round_calls`` (a pure function of workload, seed and round),
-after one untimed warm-up round per side.  Nothing is written under
-``perfbench/``.  The script prints each rep's times and change/parent ratio,
-then the median and quartiles of the ratios, the number of reps in which the
-change was faster, and the number whose reports were identical (by ``repr``).
+after one untimed warm-up round per side.  With ``--setup``, rep r instead
+times one set-up per side as ``perfbench/bench.py`` does: drop the copied
+package's modules, import it, build round 0 and make the workload's warm-up
+call.  Nothing is written under ``perfbench/``.  The script prints each rep's
+times and change/parent ratio, then the median and quartiles of the ratios,
+the number of reps in which the change was faster, and the number whose
+reports were identical (by ``repr``).
 """
 
 from __future__ import annotations
@@ -53,6 +57,19 @@ def run_round(vc, calls) -> tuple[float, list]:
     return perf_counter() - t0, results
 
 
+def setup_once(name: str, workload: str, seed: int, warmup) -> tuple[float, list]:
+    """Wall time and warm-up result of one set-up of package ``name``, made as the benchmark makes it."""
+    from perfbench import inputs
+
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
+    t0 = perf_counter()
+    vc = importlib.import_module(name)
+    inputs.round_calls(workload, seed, 0)
+    _, results = run_round(vc, (warmup,))
+    return perf_counter() - t0, results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout timed as the base")
@@ -60,6 +77,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--reps", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--setup", action="store_true",
+                        help="time set-up (import, round 0, warm-up call) instead of rounds")
     args = parser.parse_args(argv)
     if args.reps < 1 or args.seed < 0:
         parser.error("--reps must be >= 1 and --seed >= 0")
@@ -72,22 +91,31 @@ def main(argv=None) -> int:
     import numpy as np
 
     from perfbench import inputs
+    from perfbench.bench import Bench
 
     if args.workload not in inputs.WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; choose from {inputs.WORKLOADS}")
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        sides = (load(args.parent.resolve(), "vortexcc_parent", Path(tmp)),
-                 load(args.change.resolve(), "vortexcc_change", Path(tmp)))
-        for vc in sides:
-            run_round(vc, inputs.round_calls(args.workload, args.seed, 0))
+        names = ("vortexcc_parent", "vortexcc_change")
+        sides = (load(args.parent.resolve(), names[0], Path(tmp)),
+                 load(args.change.resolve(), names[1], Path(tmp)))
+        if args.setup:
+            warmup = Bench(args.workload, args.seed, 1.0).warmup
+        else:
+            for vc in sides:
+                run_round(vc, inputs.round_calls(args.workload, args.seed, 0))
         ratios, identical = [], 0
         print("rep  parent_s  change_s  change/parent")
         for rep in range(args.reps):
-            calls = inputs.round_calls(args.workload, args.seed, rep)
             order = (0, 1) if rep % 2 == 0 else (1, 0)
-            timed = {side: run_round(sides[side], calls) for side in order}
+            if args.setup:
+                timed = {side: setup_once(names[side], args.workload, args.seed, warmup)
+                         for side in order}
+            else:
+                calls = inputs.round_calls(args.workload, args.seed, rep)
+                timed = {side: run_round(sides[side], calls) for side in order}
             (t_parent, r_parent), (t_change, r_change) = timed[0], timed[1]
             ratios.append(t_change / t_parent)
             identical += repr(r_parent) == repr(r_change)
@@ -95,7 +123,8 @@ def main(argv=None) -> int:
 
     q1, median, q3 = np.percentile(ratios, [25, 50, 75])
     faster = sum(r < 1.0 for r in ratios)
-    print(f"change/parent time over {args.reps} reps of {args.workload} (seed {args.seed}): "
+    what = f"{args.workload} set-up" if args.setup else args.workload
+    print(f"change/parent time over {args.reps} reps of {what} (seed {args.seed}): "
           f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}; change faster in "
           f"{faster}/{args.reps}; reports identical in {identical}/{args.reps}")
     return 0

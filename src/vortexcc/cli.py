@@ -3,6 +3,8 @@
 Subcommands: solve, check, roberts, diagram, plot.  Reports are JSON (schema
 version 1) or CSV; identical inputs produce byte-identical output.  Exit
 codes follow a fixed contract per subcommand (documented in each handler).
+Each handler imports the layer it runs, so ``check`` loads neither numpy nor
+the solver.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import asymptotics, exceptional, solver
 from .quantities import VorticitySet
-from .solver import SolverOptions
 
 SCHEMA_VERSION = 1
 
@@ -162,6 +162,8 @@ def _report_csv(doc: dict) -> str:
 
 def _options_from_args(args) -> tuple[SolverOptions, dict]:
     """Solver options from the tolerance flags; the solve validates them."""
+    from .solver import SolverOptions
+
     overrides = {
         name: getattr(args, name)
         for name in ("tol", "dedup_tol", "class_tol")
@@ -172,6 +174,8 @@ def _options_from_args(args) -> tuple[SolverOptions, dict]:
 
 def cmd_solve(args) -> int:
     """Exit 0 on success, 2 on malformed vorticities or options, 1 on I/O failure."""
+    from . import solver
+
     v = parse_vorticities(args.gamma)
     opts, overrides = _options_from_args(args)
     report = solver.solve_central_multistart(
@@ -190,6 +194,8 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     """Exit 0 certified_finite, 3 exceptional_suspect, 2 on bad input, 4 on Γ=0."""
+    from . import exceptional
+
     v = parse_vorticities(args.gamma, exact=args.exact)
     if v.n != 5:
         raise CliError(2, f"check requires exactly 5 vorticities, got {v.n}")
@@ -251,6 +257,8 @@ def cmd_check(args) -> int:
 
 def cmd_roberts(args) -> int:
     """Exit 0 (residual below 1e-10 when --verify), 2 on out-of-domain a."""
+    from . import asymptotics
+
     try:
         v, conf, lam = asymptotics.roberts_family(args.a, args.branch)
     except ValueError as exc:
@@ -277,6 +285,8 @@ def cmd_roberts(args) -> int:
 
 def cmd_diagram(args) -> int:
     """Exit 0 with the extracted diagram, 5 if the family is not singular."""
+    from . import asymptotics
+
     if args.family is None and args.from_file is None:
         raise CliError(2, "need --family roberts or --from FILE")
     if args.from_file is not None:

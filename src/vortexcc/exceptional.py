@@ -421,7 +421,7 @@ def _normalized(v) -> _Normalized:
         return v
     _require_five(v)
     if v.is_exact:
-        fractions = [Fraction(g) for g in v.gammas]
+        fractions = [g if isinstance(g, (int, Fraction)) else Fraction(g) for g in v.gammas]
         common = lcm(*(f.denominator for f in fractions))
         ints = [f.numerator * (common // f.denominator) for f in fractions]
         divisor = gcd(*ints)

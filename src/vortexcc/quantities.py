@@ -19,13 +19,12 @@ call and the row calls agree bit for bit and type for type.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "ExactComplex",
@@ -107,12 +106,16 @@ class ExactComplex:
 
 @dataclass(frozen=True)
 class VorticitySet:
-    """Vortex strengths (Γ_1, ..., Γ_N); every strength is finite and nonzero, N >= 2."""
+    """Vortex strengths (Γ_1, ..., Γ_N); every strength is finite and nonzero, N >= 2.
+
+    Integer entries of any type (numpy integers included) are stored as
+    Python ints, so exact arithmetic on them never wraps around.
+    """
 
     gammas: tuple
 
     def __post_init__(self):
-        gs = tuple(self.gammas)
+        gs = tuple(operator.index(g) if isinstance(g, Integral) else g for g in self.gammas)
         if len(gs) < 2:
             raise ValueError("need at least two vortices")
         for i, g in enumerate(gs, start=1):
@@ -245,7 +248,9 @@ def invariants_of(v: VorticitySet, z, w, lam=None):
     evaluated row by row by the one :func:`_moments` loop, with Γ and L
     computed once, so each entry is the call on that row.
     """
-    if isinstance(z, np.ndarray) and z.ndim == 2:
+    if getattr(z, "ndim", None) == 2:
+        import numpy as np  # only stacks need numpy; the exact path runs without it
+
         w = np.asarray(w)
         lams = [None] * len(z) if lam is None else lam
         if z.shape != w.shape or z.shape[1] != v.n or len(lams) != len(z):

@@ -459,6 +459,16 @@ def test_exact_tuple_is_decided_in_python_ints():
         assert type(p.evaluate(n.gammas)) is int
 
 
+def test_numpy_integers_are_decided_as_python_ints():
+    # As int64, 2**32 * 2**32 wraps to 0: a false witness L_12 = 0 and an overflow warning.
+    vals = (2**32, 2**32, 3, 5, 7)
+    v = VorticitySet(tuple(np.int64(g) for g in vals))
+    assert all(type(g) is int for g in v.gammas)
+    report = verdict(v)
+    assert report.verdict == "certified_finite"
+    assert repr(report) == repr(verdict(VorticitySet(vals)))
+
+
 def test_poly_rejects_non_integer_coefficients():
     for coeff in (Fraction(1, 2), Fraction(2), 0.5, 2.0):
         with pytest.raises(ValueError, match="non-integer"):

@@ -1,0 +1,88 @@
+"""The public API of ``vortexcc`` and the modules each entry point loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vortexcc
+
+PUBLIC = {
+    "quantities": [
+        "ExactComplex", "Invariants", "PlanarConfiguration", "VorticitySet",
+        "angular_momentum", "conjugate_positions", "invariants_of", "total_vorticity",
+    ],
+    "system": [
+        "COLLISION_GUARD", "CollisionError", "ComplexConfiguration", "ResidualVector",
+        "complex_system_residual", "stationary_residual", "velocity_field",
+    ],
+    "solver": [
+        "CentralConfigSolution", "NewtonFailure", "SolveReport", "SolverOptions",
+        "classify", "newton_refine", "solve_central_multistart", "solve_equilibria",
+        "solve_rigid_translation",
+    ],
+    "exceptional": [
+        "CatalogMatch", "ConstraintClause", "DiagramConstraint", "ExceptionalReport",
+        "SubsetCheck", "TotalVorticityZeroError", "catalog", "check_subset_conditions",
+        "evaluate_diagram_constraints", "verdict",
+    ],
+    "asymptotics": [
+        "ColoredDiagram", "DiagramExtraction", "NotSingularError", "ScaledSequence",
+        "balance_normalize", "extract_diagram", "four_product", "load_family",
+        "roberts_family", "roberts_normalized", "save_family", "verify_roberts",
+    ],
+}
+NAMES = sorted(name for names in PUBLIC.values() for name in names)
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_each_public_name_is_the_object_its_module_defines(module):
+    owner = importlib.import_module(f"vortexcc.{module}")
+    assert getattr(vortexcc, module) is owner
+    for name in PUBLIC[module]:
+        assert getattr(vortexcc, name) is getattr(owner, name), name
+
+
+def test_all_and_dir_list_every_public_name():
+    assert len(NAMES) == 46
+    assert sorted(vortexcc.__all__) == NAMES
+    assert set(NAMES) | set(PUBLIC) <= set(dir(vortexcc))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vortexcc.no_such_name
+
+
+def _loaded_after(code: str) -> set:
+    """Modules in ``sys.modules`` after a fresh interpreter runs ``code``."""
+    probe = f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(vortexcc.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_import_loads_no_submodule():
+    loaded = _loaded_after("import vortexcc")
+    assert {m for m in loaded if m.startswith("vortexcc")} == {"vortexcc"}
+    assert "numpy" not in loaded
+
+
+def test_exact_check_loads_neither_numpy_nor_the_solver():
+    loaded = _loaded_after(
+        "from vortexcc import cli\n"
+        "assert cli.main(['check', '--gamma', '1,2,3,5,7', '--exact']) == 0"
+    )
+    assert "vortexcc.exceptional" in loaded
+    assert not loaded & {"numpy", "vortexcc.solver", "vortexcc.system", "vortexcc.asymptotics"}
+
+
+def test_solve_api_loads_no_catalog():
+    loaded = _loaded_after(
+        "from vortexcc import VorticitySet, solve_central_multistart\n"
+        "solve_central_multistart(VorticitySet((1, 2, 3)), starts=4, seed=0)"
+    )
+    assert "vortexcc.solver" in loaded
+    assert not loaded & {"vortexcc.exceptional", "vortexcc.exactpoly", "vortexcc.asymptotics"}
