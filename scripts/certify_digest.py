@@ -13,9 +13,12 @@ The inputs are the certify benchmark calls of seed 0, rounds 0 to 3
 brute-force matching test, exact, at scales 10^-100, 1 and 10^100.  A call
 that raises hashes as the name of its exception.  A last group holds the
 3000 exact inputs of acceptance criterion 7c (rng seed 102: each tuple, its
-permuted and its rescaled copy) and goes only into TOTAL 7C.  TOTAL EXACT
-covers every other exact input and TOTAL FLOAT every float input, so these
-two compare with earlier versions of this script.
+permuted and its rescaled copy) and goes only into TOTAL 7C.  Another holds
+float tuples at the edge of the zero rule and goes only into TOTAL EDGE: for
+each of the 31 Γ_J and 26 L_J, tuples with max|Γ| = 1 whose Γ_J or L_J is
+±0.5e-9 (inside the 1e-9 tolerance, so it counts as zero) or ±2e-9 (outside
+it).  TOTAL EXACT covers every other exact input and TOTAL FLOAT every other
+float input, so these two compare with earlier versions of this script.
 
 Every input lies in the range the float tolerance of earlier versions
 handled: exact entries below the largest float and float copies with
@@ -27,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,6 +45,9 @@ CERTIFY_SEED = 0
 CERTIFY_ROUNDS = range(4)
 ORACLE_SCALES = (-100, 0, 100)
 CRITERION_7C = "criterion 7c seed 102 exact"
+EDGE_SEED = 61
+EDGE = f"zero-rule edges seed {EDGE_SEED} float"
+EDGE_VALUES = (0.5e-9, -0.5e-9, 2e-9, -2e-9)  # Γ_J or L_J over max|Γ|, or max|Γ|^2
 
 
 def oracle_rationals() -> list:
@@ -75,6 +82,36 @@ def criterion_7c_inputs() -> list:
     return inputs
 
 
+def edge_inputs() -> list:
+    """Per J, then Γ_J before L_J, then per edge value: one float tuple with that relation.
+
+    The other strengths are random k/K for integers 0 < |k| <= 1000, K the
+    largest |k|, so max|Γ| = 1.0; entry J[-1] is solved for so that Γ_J, or
+    L_J, equals the edge value.  A draw is redone unless 0 < |entry| < 1.
+    """
+    rng = np.random.default_rng(EDGE_SEED)
+    inputs = []
+    for J in sorted(J for r in range(1, 6) for J in combinations(range(5), r)):
+        j, rest = J[-1], J[:-1]
+        for momentum in (False, True)[:len(J)]:
+            for value in EDGE_VALUES:
+                while True:
+                    k = [int(a) for a in rng.integers(1, 1001, size=5) * rng.choice((-1, 1), size=5)]
+                    top = max(abs(a) for i, a in enumerate(k) if i != j)
+                    g = [a / top for a in k]
+                    total = sum(g[i] for i in rest)
+                    if not momentum:
+                        g[j] = value - total
+                    elif total:
+                        g[j] = (value - sum(g[a] * g[b] for a, b in combinations(rest, 2))) / total
+                    else:
+                        continue
+                    if 0 < abs(g[j]) < 1:
+                        break
+                inputs.append(tuple(g))
+    return inputs
+
+
 def groups() -> list:
     """(group name, tuples) pairs; a group holds only exact or only float tuples."""
     from perfbench.inputs import round_calls
@@ -90,6 +127,7 @@ def groups() -> list:
         out.append((f"oracle rationals * 10^{exp} exact",
                     [tuple(g * scale for g in t) for t in oracle_rationals()]))
     out.append((CRITERION_7C, criterion_7c_inputs()))
+    out.append((EDGE, edge_inputs()))
     return out
 
 
@@ -102,16 +140,15 @@ def report_digest(gammas: tuple) -> str:
 
 
 def main() -> int:
-    totals = {"7C": hashlib.sha256(), "EXACT": hashlib.sha256(), "FLOAT": hashlib.sha256()}
+    totals = {label: hashlib.sha256() for label in ("7C", "EXACT", "FLOAT", "EDGE")}
+    own = {CRITERION_7C: "7C", EDGE: "EDGE"}  # groups with a total of their own
     for name, tuples in groups():
         group = hashlib.sha256()
         for gammas in tuples:
             digest = report_digest(gammas).encode()
             group.update(digest)
-            if name == CRITERION_7C:
-                totals["7C"].update(digest)
-            else:
-                totals["FLOAT" if isinstance(gammas[0], float) else "EXACT"].update(digest)
+            label = own.get(name, "FLOAT" if isinstance(gammas[0], float) else "EXACT")
+            totals[label].update(digest)
         print(f"{group.hexdigest()}  {name} ({len(tuples)} inputs)")
     for label, total in totals.items():
         print(f"{total.hexdigest()}  TOTAL {label}")

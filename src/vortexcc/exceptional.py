@@ -19,23 +19,24 @@ integers alone; float inputs are divided by max|Γ|, so a polynomial counts
 as zero when it is at most 1e-9 relative to max|Γ|^degree, and are flagged
 approximate.
 
-Each tuple gets one subset table, shared by both views: its 31 subset sums
-Γ_J and 26 pair momenta L_J.  The catalog is held as integer-coefficient
-polynomials (:class:`~vortexcc.exactpoly.Poly`), and under every
-relabelling each of them is the difference of two table entries, such as
-g₁g₃ − g₂g₄ = L_13 − L_24, or Γ_J − 0 for a pure Γ_J.  So each is compiled
-at import into one pair of table indices per relabelling, and no polynomial
-is evaluated at run time.  The whole catalog compiles to 221 distinct pairs.
-A tuple compares each pair's two entries once, by the zero rule, and keeps
-the result as one integer, its vanishing-pair mask, with one bit per pair.
-A clause is tried only under the relabellings that make its first equality,
-its anchor, vanish, read off the mask's bits for the 131 anchor pairs, so the
-search stays exhaustive; it over-approximates each diagram's own symmetry
-soundly.  Under each such relabelling the clause is decided by two mask
-tests: every bit of its other equalities is set and no bit of its
-inequations is.  Those masks, and the label classes that deduplicate
-matches, are read off each clause's compiled pairs, on its first candidate
-and its first match respectively.
+Each tuple gets one subset table, its 31 subset sums Γ_J and 26 pair
+momenta L_J, and one vanishing-pair mask: an integer with a bit per
+unordered pair of table indices, set when the pair's two entries agree.
+The mask is the one place the zero rule is applied.  Bits 0–56 pair each
+Γ_J and L_J with the table's constant 0, in the subset check's order, so
+the Γ ≠ 0 test is one bit and the check's witness is the lowest set bit.
+The catalog is held as integer-coefficient polynomials
+(:class:`~vortexcc.exactpoly.Poly`), and under every relabelling each is ±
+the difference of two table entries, such as g₁g₃ − g₂g₄ = L_13 − L_24, or
+Γ_J − 0 for a pure Γ_J.  So each is compiled at import into one pair per
+relabelling; the catalog adds 95 pairs to the 57, and no polynomial is
+evaluated at run time.  A clause is tried only under the relabellings that
+make its first equality, its anchor, vanish: the preimages of the mask's
+set bits, 106 of which are anchor pairs.  The search stays exhaustive and
+over-approximates each diagram's own symmetry soundly.  Under each such
+relabelling the clause is decided by two mask tests: every bit of its
+equalities is set and no bit of its inequations is.  Those masks also key
+the label classes that deduplicate matches.
 
 Notation: L_J = sum over unordered pairs of J of Γ_jΓ_k, L = L_{12345}.
 """
@@ -45,9 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, compress, permutations
+from itertools import combinations, compress, permutations, repeat
 from math import gcd, lcm
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 
 from .exactpoly import Poly
 from .quantities import VorticitySet
@@ -371,6 +372,15 @@ _PAIRS = tuple(combinations(range(N_VORTICES), 2))
 _GAMMA_STEPS = tuple((m, m - (1 << J[-1]), J[-1]) for J, m, _ in _SUBSETS)
 _MOMENTUM_STEPS = tuple((_MOMENTUM + m, itemgetter(len(_PAIRS), *map(_PAIRS.index, pairs)))
                         for _, m, pairs in _SUBSETS if pairs)
+# The subset check's 57 conditions in its order, J lexicographic and Γ_J
+# before L_J: each as the table index that must not vanish and the check it
+# fails with.  They are the first 57 pairs of the vanishing-pair mask.
+_CONDITIONS = tuple(
+    (offset + m, SubsetCheck(False, tuple(j + 1 for j in J), kind))
+    for J, m, pairs in _SUBSETS
+    for offset, kind in ((0, "vanishing_sum"), (_MOMENTUM, "vanishing_pair_momentum"))
+    if pairs or not offset
+)
 
 
 @dataclass(frozen=True)
@@ -386,22 +396,25 @@ class _Normalized:
     exact: bool
     gammas: tuple
 
-    def vanishes(self, value) -> bool:
-        """The one zero rule: exactly zero, or within ZERO_TOL for float input."""
-        return value == 0 if self.exact else abs(value) <= ZERO_TOL
+    @cached_property
+    def mask(self) -> int:
+        """The vanishing-pair mask: bit i is set when pair i's two table entries agree.
 
-    def vanishing(self, hi: itemgetter, lo: itemgetter) -> list:
-        """Whether hi(table)[i] − lo(table)[i] vanishes, by the zero rule, for each i."""
-        ends = hi(self.table), lo(self.table)
+        This is the one zero rule: the entries are equal for exact input, or
+        within ZERO_TOL of each other for float input.  Built on first use
+        and shared by the Γ test, the subset check and the catalog.
+        """
+        a, b = (ends(self.table) for ends in _ENDS)
         if self.exact:
-            return list(map(eq, *ends))
-        return [abs(a - b) <= ZERO_TOL for a, b in zip(*ends)]
+            hits = map(eq, a, b)
+        else:
+            hits = (abs(x - y) <= ZERO_TOL for x, y in zip(a, b))
+        return sum(compress(_BITS, hits))
 
     @cached_property
     def table(self) -> list:
         """The subset table: the 31 Γ_J and 26 L_J at their indices, 0 elsewhere.
 
-        Built on first use and shared by the subset check and the catalog.
         Each Γ_J is summed in index order and each L_J in pair order, from
         the ten pair products.
         """
@@ -445,81 +458,78 @@ def _build_plans(diagrams: tuple) -> tuple:
     Γ_J, an L_J or empty (the table's constant 0); any other polynomial
     raises ValueError.  Catalog label i stands for input vortex σ[i], so Γ_J
     of the pulled-back tuple is Γ_σ(J) of the input, and the polynomial there
-    is table[hi] − table[lo], hi and lo being the table indices of P and N
-    relabelled by σ.
+    is ± the difference of the table entries of P and N relabelled by σ.
 
-    Returns the plans, the vanishing pairs and the anchor preimages.  The
-    plans hold one (diagram id, clause index, clause, anchor, other
-    equalities, inequations) per clause in catalog order, each polynomial as
-    its (hi, lo) indices, two tuples in _PERMUTATIONS order.  A clause's
-    anchor is its first equality.  The vanishing pairs are the distinct
-    (hi, lo) pairs of all compiled polynomials, as two tuples, the anchors'
-    pairs first; a pair's position is its bit in a tuple's vanishing-pair
-    mask.  The preimages hold, for each anchor pair, one (plan position,
-    ascending _PERMUTATIONS indices) entry per clause whose anchor those σ
-    send to that pair.
+    Returns the plans, the pairs and the preimages.  The plans hold one
+    (diagram id, clause index, clause, equalities, inequations) per clause
+    in catalog order, each polynomial as its pair's bit under each σ, in
+    _PERMUTATIONS order; a clause's anchor is its first equality.  The pairs
+    hold the two table indices of each bit, larger first: the 57 of
+    _CONDITIONS, then the catalog's others.  The preimages hold, for each
+    bit, one (plan position, ascending _PERMUTATIONS indices) entry per
+    clause whose anchor those σ send to that pair.
     """
-    images: dict = {}  # (offset, J) -> table index under each σ
+    images: dict = {}  # terms of Γ_J or L_J -> its table index under each σ
+    bits = {(i, 0): bit for bit, (i, _) in enumerate(_CONDITIONS)}  # pair -> its bit
 
     def index(p, terms):
-        J = tuple(sorted({i for _, idx in terms for i in idx}))
-        if terms == tuple((1, (j,)) for j in J):  # Γ_J, or the constant 0 when empty
-            offset = 0
-        elif terms == tuple((1, pair) for pair in combinations(J, 2)):  # L_J
-            offset = _MOMENTUM
-        else:
-            raise ValueError(f"catalog polynomial {p} is not a difference of two "
-                             "subset sums or pair momenta")
-        if (offset, J) not in images:
-            columns = [_BIT_OF[j] for j in J] + [(offset,) * len(_PERMUTATIONS)]
-            images[offset, J] = tuple(map(sum, zip(*columns)))
-        return images[offset, J]
+        if terms not in images:
+            J = tuple(sorted({i for _, idx in terms for i in idx}))
+            if terms == tuple((1, (j,)) for j in J):  # Γ_J, or the constant 0 when empty
+                offset = 0
+            elif terms == tuple((1, pair) for pair in combinations(J, 2)):  # L_J
+                offset = _MOMENTUM
+            else:
+                raise ValueError(f"catalog polynomial {p} is not a difference of two "
+                                 "subset sums or pair momenta")
+            image = repeat(offset, len(_PERMUTATIONS))
+            for j in J:
+                image = map(add, image, _BIT_OF[j])
+            images[terms] = tuple(image)
+        return images[terms]
 
     @cache  # a polynomial recurs in many clauses
     def compiled(p):
-        return (index(p, tuple((c, idx) for c, idx in p.terms if c > 0)),
-                index(p, tuple((-c, idx) for c, idx in p.terms if c < 0)))
+        hi = index(p, tuple((c, idx) for c, idx in p.terms if c > 0))
+        lo = index(p, tuple((-c, idx) for c, idx in p.terms if c < 0))
+        pairs = tuple(zip(hi, lo))
+        bit = {(h, l): bits.setdefault((h, l) if h > l else (l, h), len(bits))
+               for h, l in dict.fromkeys(pairs)}
+        return tuple(map(bit.__getitem__, pairs))
 
-    plans = []
-    for d in diagrams:
-        for ci, cl in enumerate(d.clauses):
-            anchor, *eqs = map(compiled, cl.equalities)
-            plans.append((d.id, ci, cl, anchor, tuple(eqs), tuple(map(compiled, cl.inequations))))
-    pairs: dict = {}  # distinct (hi, lo) pair -> its bit
-    preimages: dict = {}  # anchor pair bit -> its (plan position, σ indices) entries
-    sent: dict = {}  # anchor -> its pair bits, each with the σ indices that send it there
-    for position, (*_, anchor, _, _) in enumerate(plans):
+    plans = [(d.id, ci, cl, tuple(map(compiled, cl.equalities)), tuple(map(compiled, cl.inequations)))
+             for d in diagrams for ci, cl in enumerate(d.clauses)]
+    preimages: list = [[] for _ in bits]
+    sent: dict = {}  # anchor -> its bits, each with the σ indices that send it there
+    for position, (*_, (anchor, *_), _) in enumerate(plans):
         if anchor not in sent:
-            bits: dict = {}
-            for k, pair in enumerate(zip(*anchor)):
-                bits.setdefault(pairs.setdefault(pair, len(pairs)), []).append(k)
-            sent[anchor] = [(bit, tuple(ks)) for bit, ks in bits.items()]
+            ks_of: dict = {}
+            for k, bit in enumerate(anchor):
+                ks_of.setdefault(bit, []).append(k)
+            sent[anchor] = [(bit, tuple(ks)) for bit, ks in ks_of.items()]
         for bit, ks in sent[anchor]:
-            preimages.setdefault(bit, []).append((position, ks))
-    for hi, lo in dict.fromkeys(p for plan in plans for p in plan[4] + plan[5]):
-        for pair in zip(hi, lo):
-            pairs.setdefault(pair, len(pairs))
-    return tuple(plans), tuple(zip(*pairs)), tuple(map(tuple, preimages.values()))
+            preimages[bit].append((position, ks))
+    return tuple(plans), tuple(bits), tuple(map(tuple, preimages))
 
 
-_PLANS, (_PAIR_HI, _PAIR_LO), _PREIMAGES = _build_plans(_CATALOG)
-_BITS = tuple(1 << bit for bit in range(len(_PAIR_HI)))
-_PAIR_ENDS = itemgetter(*_PAIR_HI), itemgetter(*_PAIR_LO)
+_PLANS, _MASK_PAIRS, _PREIMAGES = _build_plans(_CATALOG)
+_BITS = tuple(1 << bit for bit in range(len(_MASK_PAIRS)))
+_ENDS = tuple(itemgetter(*ends) for ends in zip(*_MASK_PAIRS))
+_SUBSET_BITS = (1 << len(_CONDITIONS)) - 1
+_TOTAL_BIT = 1 << _MASK_PAIRS.index((_MOMENTUM - 1, 0))  # Γ_12345 vanishes
 
 
 @cache
 def _clause_masks(position: int) -> tuple:
     """For the clause at _PLANS[position], its equality and inequation masks per σ.
 
-    Each mask has the bits of the vanishing pairs that the clause's other
-    equalities, or its inequations, compile to under σ; the anchor is left
-    out, since a clause is tried only where it vanishes.  Built on the
-    clause's first candidate, not at import.
+    Each mask has the bits of the pairs that the clause's equalities, anchor
+    included, or its inequations compile to under σ.  Holding the anchor's
+    bit costs nothing, since a clause is tried only where its anchor
+    vanishes.  Built on the clause's first candidate, not at import.
     """
-    bit = {pair: 1 << i for i, pair in enumerate(zip(_PAIR_HI, _PAIR_LO))}
     *_, eqs, neqs = _PLANS[position]
-    return tuple(tuple(sum({bit[hi[k], lo[k]] for hi, lo in polys})
-                       for k in range(len(_PERMUTATIONS)))
+    return tuple(tuple(sum({_BITS[poly[k]] for poly in polys}) for k in range(len(_PERMUTATIONS)))
                  for polys in (eqs, neqs))
 
 
@@ -529,49 +539,37 @@ def _label_classes(position: int) -> tuple:
 
     σ and σ′ share a class exactly when they relabel the clause's equalities,
     and its inequations, to the same polynomials up to sign: the classes are
-    the cosets of the clause's label stabilizer.  Distinct unordered pairs
-    {hi[k], lo[k]} are distinct polynomials up to sign, so the compiled pairs
-    decide the class.  Built on the clause's first match, not at import.
+    the cosets of the clause's label stabilizer.  Distinct pairs are
+    distinct polynomials up to sign, so the clause's two masks under σ
+    decide its class.  Built on the clause's first match, not at import.
     """
-    anchor, eqs, neqs = _PLANS[position][3:]
     first: dict = {}
-    return tuple(
-        first.setdefault((frozenset(frozenset((hi[k], lo[k])) for hi, lo in (anchor, *eqs)),
-                          frozenset(frozenset((hi[k], lo[k])) for hi, lo in neqs)), k)
-        for k in range(len(_PERMUTATIONS))
-    )
+    return tuple(first.setdefault(masks, k) for k, masks in enumerate(zip(*_clause_masks(position))))
 
 
 def evaluate_diagram_constraints(v: VorticitySet) -> list:
     """All catalog matches of a 5-tuple over the 120 label permutations.
 
-    Every clause polynomial is, under each relabelling, the difference of
-    two entries of the tuple's subset table, and there are 221 distinct such
-    pairs of entries over the whole catalog.  The tuple's vanishing-pair
-    mask is one integer with a bit set for each pair whose difference
-    vanishes, so no polynomial is evaluated here.  A clause is tried only
-    under the relabellings that make its first equality (its anchor) vanish,
-    read off the set bits of the 131 anchor pairs, so a generic tuple tries
-    no relabelling at all.  Under each, it matches when the mask holds every
-    bit of its other equalities and none of its inequations
-    (:func:`_clause_masks`).  Rational inputs are decided exactly; float
+    Read off the tuple's vanishing-pair mask; no polynomial is evaluated.
+    A clause is tried only under the relabellings that make its anchor
+    vanish, the preimages of the mask's set bits, so a generic tuple tries
+    none.  Under each, it matches when the mask holds every bit of its
+    equalities and none of its inequations (:func:`_clause_masks`).  Float
     inputs count a polynomial of degree d as zero when it is at most 1e-9
     relative to max|Γ|^d (the caller should treat those results as
     approximate).  Matches come in catalog order, then permutation order,
     deduplicated up to each clause's own label symmetry: every σ of a label
     class matches when one does, and the match is reported only for the
-    first σ of its class (:func:`_label_classes`, each clause's table built
-    once, on its first match).
+    first σ of its class (:func:`_label_classes`).
     """
-    n = _normalized(v)
-    hits = n.vanishing(*_PAIR_ENDS)
+    zero = _normalized(v).mask
     candidates: dict = {}  # plan position -> the σ indices that make its anchor vanish
-    for entries in compress(_PREIMAGES, hits):
-        for position, ks in entries:
+    rest = zero
+    while rest:
+        low = rest & -rest
+        for position, ks in _PREIMAGES[low.bit_length() - 1]:
             candidates.setdefault(position, []).extend(ks)
-    if not candidates:
-        return []
-    zero = sum(compress(_BITS, hits))
+        rest ^= low
     nonzero = ~zero
     matches = []
     for position in sorted(candidates):
@@ -589,17 +587,15 @@ def check_subset_conditions(v: VorticitySet) -> SubsetCheck:
     """Sufficient finiteness condition on all index subsets.
 
     Passes iff Γ_J != 0 for every nonempty J and L_J != 0 for every J with
-    at least two indices, as read from the tuple's subset table.  On failure
-    the lexicographically first violating subset is returned.
+    at least two indices.  These are the first 57 bits of the tuple's
+    vanishing-pair mask, in the order J lexicographic, Γ_J before L_J, so
+    on failure the lowest set bit names the lexicographically first
+    violating subset.
     """
-    n = _normalized(v)
-    table = n.table
-    for J, m, pairs in _SUBSETS:
-        if n.vanishes(table[m]):
-            return SubsetCheck(False, tuple(j + 1 for j in J), "vanishing_sum")
-        if pairs and n.vanishes(table[_MOMENTUM + m]):
-            return SubsetCheck(False, tuple(j + 1 for j in J), "vanishing_pair_momentum")
-    return SubsetCheck(True)
+    failed = _normalized(v).mask & _SUBSET_BITS
+    if not failed:
+        return SubsetCheck(True)
+    return _CONDITIONS[(failed & -failed).bit_length() - 1][1]
 
 
 def verdict(v: VorticitySet) -> ExceptionalReport:
@@ -609,11 +605,11 @@ def verdict(v: VorticitySet) -> ExceptionalReport:
     matches are included for diagnostics.  Requires Γ != 0.
     """
     n = _normalized(v)
-    if n.vanishes(n.table[_MOMENTUM - 1]):  # Γ_12345, summed in index order
+    subset_check = check_subset_conditions(n)  # builds the vanishing-pair mask
+    if n.mask & _TOTAL_BIT:
         raise TotalVorticityZeroError(
             "total vorticity is zero; the certification presupposes Γ != 0"
         )
-    subset_check = check_subset_conditions(n)
     matches = tuple(evaluate_diagram_constraints(n))
     notes = []
     if not n.exact:

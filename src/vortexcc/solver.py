@@ -31,6 +31,7 @@ deduplicates them on arrays and finalizes only the rows it keeps.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import partial
@@ -40,13 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quantities import (
-    Invariants,
-    VorticitySet,
-    angular_momentum,
-    invariants_of,
-    total_vorticity,
-)
+from .quantities import Invariants, VorticitySet, invariants_of
 from .system import (
     COLLISION_GUARD,
     _complex_residual,
@@ -680,6 +675,15 @@ def newton_refine(v: VorticitySet, start, regime: str = "physical",
     return search.finalize(search.canonical(x), iters)[0]
 
 
+def _start_count(starts) -> int:
+    """A positive integer start count as a Python int; a bool is not one."""
+    if isinstance(starts, bool) or not isinstance(starts, Integral):
+        raise ValueError("starts must be an integer")
+    if starts <= 0:
+        raise ValueError("starts must be positive")
+    return operator.index(starts)
+
+
 def solve_central_multistart(
     v: VorticitySet,
     regime: str = "physical",
@@ -695,8 +699,7 @@ def solve_central_multistart(
     "found", not proven complete.
     """
     opts = (options or SolverOptions()).validated()
-    if starts <= 0:
-        raise ValueError("starts must be positive")
+    starts = _start_count(starts)
     return _multistart(_central_search(v.as_float(), regime, opts), starts, seed, opts)
 
 
@@ -759,16 +762,19 @@ def _deduplicate(c: _Canonical, opts: SolverOptions) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _vanishes(v: VorticitySet, invariant: Callable, scale: Callable) -> bool:
-    """Zero test of the L and Γ gates: exact, or on Γ/max|Γ| relative to its ``scale``.
+def _vanishes(v: VorticitySet, terms: Callable) -> bool:
+    """Zero test of the L and Γ gates: whether the sum of ``terms(Γ)`` vanishes.
 
-    Float strengths are divided first, so no product overflows or underflows.
+    Exact strengths are tested for == 0.  Float strengths are divided by
+    max|Γ| first, so no product overflows and an entry that underflows to
+    0.0 is zero relative to max|Γ|; the sum then vanishes when it is at most
+    1e-13 of the sum of the terms' magnitudes.
     """
     if v.is_exact:
-        return invariant(v) == 0
+        return sum(terms(v.gammas)) == 0
     peak = max(abs(float(g)) for g in v.gammas)
-    u = VorticitySet(tuple(float(g) / peak for g in v.gammas))
-    return abs(invariant(u)) <= 1e-13 * scale(u.gammas)
+    t = terms([float(g) / peak for g in v.gammas])
+    return abs(sum(t)) <= 1e-13 * sum(map(abs, t))
 
 
 def _velocity_canonical(g: np.ndarray, pos: np.ndarray, velocity: np.ndarray | None) -> _Canonical:
@@ -847,9 +853,8 @@ def solve_equilibria(v: VorticitySet, starts: int = 200, seed: int = 0,
     second vortex can be pinned completely).
     """
     opts = (options or SolverOptions()).validated()
-    if starts <= 0:
-        raise ValueError("starts must be positive")
-    if not _vanishes(v, angular_momentum, lambda g: sum(abs(a * b) for a, b in combinations(g, 2))):
+    starts = _start_count(starts)
+    if not _vanishes(v, lambda g: [a * b for a, b in combinations(g, 2)]):
         return SolveReport((), 0, 0, seed, "physical",
                            reason="necessary condition L=0 fails")
     return _multistart(_equilibria_search(v.as_float(), opts), starts, seed, opts)
@@ -907,9 +912,8 @@ def solve_rigid_translation(v: VorticitySet, starts: int = 200, seed: int = 0,
     fixes the dilation.
     """
     opts = (options or SolverOptions()).validated()
-    if starts <= 0:
-        raise ValueError("starts must be positive")
-    if not _vanishes(v, total_vorticity, lambda g: sum(map(abs, g))):
+    starts = _start_count(starts)
+    if not _vanishes(v, list):  # Γ: the strengths are the terms
         return SolveReport((), 0, 0, seed, "physical",
                            reason="necessary condition Γ=0 fails")
     return _multistart(_translation_search(v.as_float(), opts), starts, seed, opts)

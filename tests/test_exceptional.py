@@ -1,19 +1,21 @@
 """Catalog content, permutation matching, subset conditions, and the verdict.
 
 The brute-force oracle below re-evaluates every clause with plain Fraction
-lambdas and an independent permutation loop; the production path uses the
-polynomial objects and symmetry deduplication.  The two must agree on the
-set of matched (diagram, clause) pairs.
+lambdas and an independent permutation loop; the production path reads
+every verdict off one vanishing-pair mask per tuple.  The two must agree on
+the set of matched (diagram, clause) pairs.  The references further down
+keep their own copy of the zero rule.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +28,10 @@ from vortexcc.exceptional import (
     CatalogMatch,
     ConstraintClause,
     DiagramConstraint,
+    SubsetCheck,
     TotalVorticityZeroError,
-    _PAIR_HI,
-    _PAIR_LO,
+    _CONDITIONS,
+    _MASK_PAIRS,
     _PERMUTATIONS,
     _PLANS,
     _PREIMAGES,
@@ -43,6 +46,12 @@ from vortexcc.exceptional import (
     evaluate_diagram_constraints,
     verdict,
 )
+
+
+_spec = importlib.util.spec_from_file_location(
+    "certify_digest", Path(__file__).resolve().parents[1] / "scripts" / "certify_digest.py")
+certify_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(certify_digest)
 
 
 def F5(*vals):
@@ -496,6 +505,11 @@ def test_catalog_records_bytes_are_pinned():
 # ---------------------------------------------------------------------------
 
 
+def vanishes(n, value) -> bool:
+    """The references' own zero rule on a normalized tuple: exactly 0, or within 1e-9 for floats."""
+    return value == 0 if n.exact else abs(value) <= 1e-9
+
+
 def reference_matches(v: VorticitySet) -> list:
     """Every clause under every relabelling, each polynomial evaluated, keys from Poly.permuted."""
     n = _normalized(v)
@@ -504,9 +518,9 @@ def reference_matches(v: VorticitySet) -> list:
         for ci, cl in enumerate(d.clauses):
             for sigma in permutations(range(5)):
                 g = tuple(n.gammas[i] for i in sigma)
-                if not all(n.vanishes(p.evaluate(g)) for p in cl.equalities):
+                if not all(vanishes(n, p.evaluate(g)) for p in cl.equalities):
                     continue
-                if any(n.vanishes(p.evaluate(g)) for p in cl.inequations):
+                if any(vanishes(n, p.evaluate(g)) for p in cl.inequations):
                     continue
                 key = (d.id, ci,
                        frozenset(p.permuted(sigma).sign_canonical() for p in cl.equalities),
@@ -516,6 +530,85 @@ def reference_matches(v: VorticitySet) -> list:
                     matches.append(CatalogMatch(d.id, ci, cl.lambda_branch,
                                                 tuple(s + 1 for s in sigma)))
     return matches
+
+
+SUBSETS = sorted(J for r in range(1, 6) for J in combinations(range(5), r))
+# The subset check's 57 conditions in its order: (J, whether it is L_J).
+RELATIONS = [(J, momentum) for J in SUBSETS for momentum in (False, True)
+             if len(J) > momentum]
+
+
+def reference_subset_check(v: VorticitySet) -> SubsetCheck:
+    """The subset check as a loop: J lexicographic, Γ_J before L_J, the first that vanishes fails.
+
+    Γ_J and L_J are summed in the order of the subset table, so float sums
+    agree with it bit for bit.
+    """
+    n = _normalized(v)
+    for J, momentum in RELATIONS:
+        g = [n.gammas[j] for j in J]
+        value = sum(a * b for a, b in combinations(g, 2)) if momentum else sum(g)
+        if vanishes(n, value):
+            kind = "vanishing_pair_momentum" if momentum else "vanishing_sum"
+            return SubsetCheck(False, tuple(j + 1 for j in J), kind)
+    return SubsetCheck(True)
+
+
+def _with_zero_relation(draw, J, momentum):
+    """``draw`` with entry J[-1] solved for so that Γ_J, or L_J, is 0; that entry may come out 0."""
+    g, rest = list(draw), J[:-1]
+    total = sum(g[i] for i in rest)
+    if not momentum:
+        g[J[-1]] = -total
+    elif total:
+        g[J[-1]] = -sum(g[a] * g[b] for a, b in combinations(rest, 2)) / total
+    else:
+        g[J[-1]] = 0
+    return tuple(g)
+
+
+def _assert_subset_check_is_the_loop(v: VorticitySet) -> SubsetCheck:
+    expected = reference_subset_check(v)
+    assert check_subset_conditions(v) == expected, v.gammas
+    n = _normalized(v)
+    if vanishes(n, sum(n.gammas)):  # Γ = 0: verdict raises, the check still names the first J
+        with pytest.raises(TotalVorticityZeroError):
+            verdict(v)
+    else:
+        assert verdict(v).subset_check == expected, v.gammas
+    return expected
+
+
+def test_subset_check_equals_the_loop_on_random_and_planted_exact_tuples():
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        assert _assert_subset_check_is_the_loop(_random_rational_tuple(rng)).passed
+    raised = 0
+    # A lone Γ_j or a pair's L_J vanishes only with a zero strength, so it is not planted.
+    for J, momentum in RELATIONS:
+        if len(J) == 1 + momentum:
+            continue
+        vals = (0,)
+        while not all(vals):
+            vals = _with_zero_relation(_random_rational_tuple(rng).gammas, J, momentum)
+        check = _assert_subset_check_is_the_loop(VorticitySet(vals))
+        assert not check.passed and tuple(j - 1 for j in check.witness) <= J, (J, momentum)
+        raised += sum(vals) == 0
+    assert raised == 1  # the planted Γ_12345 = 0
+
+
+def test_subset_check_equals_the_loop_at_the_float_tolerance_edge():
+    # The certify digest's edge tuples, in its order: per relation, Γ_J or L_J
+    # is ±0.5e-9, which vanishes, then ±2e-9, which does not.
+    edges = zip(product(RELATIONS, certify_digest.EDGE_VALUES), certify_digest.edge_inputs())
+    for ((J, momentum), delta), vals in edges:
+        witness = (tuple(j + 1 for j in J), "vanishing_pair_momentum" if momentum else "vanishing_sum")
+        for scale in (1.0, 2.0 ** -30, 2.0 ** 30):  # exact, so the normalized tuple is the same
+            check = _assert_subset_check_is_the_loop(VorticitySet(tuple(g * scale for g in vals)))
+            if abs(delta) < 1e-9:
+                assert not check.passed and tuple(j - 1 for j in check.witness) <= J, (J, delta)
+            else:
+                assert (check.witness, check.witness_kind) != witness, (J, delta)
 
 
 def _plant(family, a, b, c, d, e):
@@ -710,32 +803,38 @@ def test_verdict_evaluates_no_polynomial(monkeypatch):
 
 
 def test_compiled_pairs_equal_the_polynomial_at_every_relabelling():
-    assert len(_PAIR_HI) == len(_PAIR_LO) == 221 and len(_PREIMAGES) == 131
-    compiled = []  # (polynomial, its (hi, lo) table indices) as the plans hold them
+    # 152 distinct unordered pairs, larger index first: the subset check's 57
+    # conditions, each paired with the constant 0, then the catalog's others.
+    assert len(_MASK_PAIRS) == len(set(_MASK_PAIRS)) == len(_PREIMAGES) == 152
+    assert all(a > b for a, b in _MASK_PAIRS)
+    assert _MASK_PAIRS[:57] == tuple((i, 0) for i, _ in _CONDITIONS)
+    assert sum(1 for entries in _PREIMAGES if entries) == 106
+    compiled = []  # (polynomial, its pair bit under each σ) as the plans hold them
     for position, plan in enumerate(_PLANS):
-        cl = plan[2]
+        cl, eqs, neqs = plan[2:]
+        # The preimages hold each σ of the clause once, under its anchor's bit.
         anchor = [None] * len(_PERMUTATIONS)
         for bit, entries in enumerate(_PREIMAGES):
             for at, ks in entries:
-                if at != position:
-                    continue
-                for k in ks:
+                assert list(ks) == sorted(ks)
+                for k in ks if at == position else ():
                     assert anchor[k] is None, plan[:2]
-                    anchor[k] = (_PAIR_HI[bit], _PAIR_LO[bit])
-        assert plan[3] == tuple(zip(*anchor)), plan[:2]
-        compiled += zip(cl.equalities + cl.inequations, plan[3:4] + plan[4] + plan[5])
+                    anchor[k] = bit
+        assert tuple(anchor) == eqs[0], plan[:2]
+        compiled += zip(cl.equalities + cl.inequations, eqs + neqs)
     assert len(compiled) == len(CATALOG_POLYS) == 63
-    # Every compiled pair has one bit in the vanishing-pair mask.
-    assert {pair for _, (hi, lo) in compiled for pair in zip(hi, lo)} == set(zip(_PAIR_HI, _PAIR_LO))
+    # Every pair past the subset check's is the image of a catalog polynomial.
+    assert {bit for _, bits in compiled for bit in bits} >= set(range(57, 152))
     rng = np.random.default_rng(31)
     for _ in range(30):
         x = tuple(int(a) for a in rng.integers(-50, 51, size=5))
         table = _Normalized(True, x).table
-        for p, (hi, lo) in compiled:
-            assert len(hi) == len(lo) == len(_PERMUTATIONS)
-            for h, l, sigma in zip(hi, lo, _PERMUTATIONS):
-                pulled = tuple(x[i] for i in sigma)
-                assert table[h] - table[l] == p.evaluate(pulled), (str(p), sigma, x)
+        for p, bits in compiled:
+            assert len(bits) == len(_PERMUTATIONS)
+            for bit, sigma in zip(bits, _PERMUTATIONS):
+                a, b = _MASK_PAIRS[bit]
+                value = p.evaluate(tuple(x[i] for i in sigma))
+                assert table[a] - table[b] in (value, -value), (str(p), sigma, x)
 
 
 def test_build_plans_rejects_a_polynomial_outside_the_table():

@@ -269,6 +269,18 @@ def test_solve_rejects_bad_arguments():
             solve_rigid_translation(VorticitySet((1.0, 1.0, -2.0)), starts=starts)
         with pytest.raises(ValueError, match="starts must be positive"):
             solve_rigid_translation(THREE, starts=starts)
+    # A start count that is not an integer is refused as max_iter is, before numpy sees it.
+    for starts in (2.5, 1e3, True):
+        with pytest.raises(ValueError, match="starts must be an integer"):
+            solve_central_multistart(THREE, starts=starts)
+        with pytest.raises(ValueError, match="starts must be an integer"):
+            solve_equilibria(COLLAPSE, starts=starts)
+        with pytest.raises(ValueError, match="starts must be an integer"):
+            solve_rigid_translation(VorticitySet((1.0, 1.0, -2.0)), starts=starts)
+    # A numpy integer is a start count, and the report holds it as a Python int.
+    for solve, v in ((solve_central_multistart, THREE), (solve_equilibria, COLLAPSE),
+                     (solve_rigid_translation, VorticitySet((1.0, -1.0)))):
+        assert repr(solve(v, starts=np.int64(5))) == repr(solve(v, starts=5)), solve.__name__
 
 
 def test_complex_regime_contains_embedded_physical():
@@ -318,6 +330,17 @@ def test_equilibria_gate_and_search():
         assert sol.kind == "equilibrium"
         assert sol.residual_norm < 1e-12
         assert sol.lam is None
+
+
+def test_gates_count_an_underflowed_entry_as_zero():
+    # 1e-30 / 1e300 underflows to 0.0.  The gates decide on Γ/max|Γ| without
+    # building a VorticitySet of it, which would reject the zero entry.
+    rep = solve_equilibria(VorticitySet((1e300, 1e-30, -1e300)), starts=5)
+    assert rep.reason == "necessary condition L=0 fails"  # L / max|Γ|² = -1
+    assert rep.starts_attempted == 0
+    rep = solve_rigid_translation(VorticitySet((1e300, 1e-30, 1e300)), starts=5)
+    assert rep.reason == "necessary condition Γ=0 fails"  # Γ / max|Γ| = 2
+    assert rep.starts_attempted == 0
 
 
 def test_rigid_translation_gate_and_search():
