@@ -46,6 +46,7 @@ from .system import (
     COLLISION_GUARD,
     _complex_residual,
     _complexify,
+    _diagonal,
     _min_gap,
     _modulus_norm,
     _realify_columns,
@@ -237,7 +238,7 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
     iterations = np.zeros(len(starts), dtype=int)
     norm = np.full(len(starts), math.inf)
     last = starts.copy()
-    pending = np.flatnonzero(~search.guard(starts))
+    pending = (~search.guard(starts)).nonzero()[0]
     lanes = max(1, min(_LANES, pending.size))
     owner = np.full(lanes, -1)          # row of the lane's start in ``starts``, -1 when free
     x = np.zeros((lanes, d), dtype=starts.dtype)
@@ -259,64 +260,85 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
 
     while True:
         # Free lanes take the next starts, in drawing order.
-        free = np.flatnonzero(owner < 0)
-        if pending.size and free.size:
-            take, pending = pending[: free.size], pending[free.size :]
-            new = free[: take.size]
-            F0 = search.residual(starts[take])
-            if F is None:
-                F = np.zeros((lanes, F0.shape[1]), dtype=F0.dtype)
-            owner[new] = take
-            x[new], F[new], nrm[new] = starts[take], F0, search.norm(F0)
-            damp[new], iters[new], fresh[new] = options.lm_lambda0, 0, True
-        if not (owner >= 0).any():
+        if pending.size:
+            free = (owner < 0).nonzero()[0]
+            if free.size:
+                take, pending = pending[: free.size], pending[free.size :]
+                new = free[: take.size]
+                F0 = search.residual(starts[take])
+                if F is None:
+                    F = np.zeros((lanes, F0.shape[1]), dtype=F0.dtype)
+                owner[new] = take
+                x[new], F[new], nrm[new] = starts[take], F0, search.norm(F0)
+                damp[new], iters[new], fresh[new] = options.lm_lambda0, 0, True
+        busy = owner >= 0
+        if not np.count_nonzero(busy):
             break
 
         # Lanes at the top of an iteration converge, run out of iterations or
-        # take a Jacobian.
-        top = np.flatnonzero((owner >= 0) & fresh)
-        converged = nrm[top] < options.tol
-        finish(top[converged], _CONVERGED)
-        finish(top[~converged & (iters[top] >= options.max_iter)], _MAX_ITERATIONS)
-        top = top[owner[top] >= 0]
+        # take a Jacobian.  Only busy lanes are fresh.
+        top = fresh.nonzero()[0]
         if top.size:
-            J = search.jacobian(x[top])
-            JH = J.transpose(0, 2, 1)
-            if np.iscomplexobj(J):
-                JH = JH.conj()
-            jtj[top] = JH @ J
-            jtf[top] = (JH @ F[top][:, :, None])[:, :, 0]
-            blocked[top] = fresh[top] = False
+            fresh[top] = False
+            converged = nrm[top] < options.tol
+            ended = converged | (iters[top] >= options.max_iter)
+            if np.count_nonzero(ended):
+                finish(top[converged], _CONVERGED)
+                finish(top[ended & ~converged], _MAX_ITERATIONS)
+                busy[top[ended]] = False
+                top = top[~ended]
+            if top.size:
+                J = search.jacobian(x[top])
+                JH = J.transpose(0, 2, 1)
+                if np.iscomplexobj(J):
+                    JH = JH.conj()
+                jtj[top] = JH @ J
+                jtf[top] = (JH @ F[top][:, :, None])[:, :, 0]
+                blocked[top] = False
 
-        # Every lane inside an iteration makes one damped trial step.
-        run = np.flatnonzero((owner >= 0) & ~fresh)
-        spent = run[damp[run] > options.lm_lambda_max]
-        finish(spent[blocked[spent]], _HIT_GUARD)
-        finish(spent[~blocked[spent]], _DIVERGED)
-        run = run[owner[run] >= 0]
+        # Every busy lane is now inside an iteration and makes one damped trial step.
+        run = busy.nonzero()[0]
         if not run.size:
             continue
+        over = damp[run] > options.lm_lambda_max
+        if np.count_nonzero(over):
+            spent = run[over]
+            guarded = blocked[spent]
+            finish(spent[guarded], _HIT_GUARD)
+            finish(spent[~guarded], _DIVERGED)
+            run = run[~over]
+            if not run.size:
+                continue
         step, solved = _damped_steps(jtj[run], jtf[run], damp[run])   # jtj[run] is a copy
-        damp[run[~solved]] *= options.lm_increase
-        xt = x[run[solved]] + step[solved]
-        run = run[solved]
+        if np.count_nonzero(solved) < run.size:
+            damp[run[~solved]] *= options.lm_increase
+            step, run = step[solved], run[solved]
+            if not run.size:
+                continue
+        xt = x[run] + step
         hit = search.guard(xt)
-        blocked[run[hit]] = True
-        damp[run[hit]] *= options.lm_increase
-        xt, run = xt[~hit], run[~hit]
-        if not run.size:
-            continue
+        if np.count_nonzero(hit):
+            blocked[run[hit]] = True
+            damp[run[hit]] *= options.lm_increase
+            xt, run = xt[~hit], run[~hit]
+            if not run.size:
+                continue
         Ft = search.residual(xt)
         nt = search.norm(Ft)
-        better = np.isfinite(nt) & (nt < nrm[run])
-        damp[run[~better]] *= options.lm_increase
-        run = run[better]
-        x[run], F[run], nrm[run] = xt[better], Ft[better], nt[better]
+        better = nt < nrm[run]          # never for a NaN or infinite norm
+        if np.count_nonzero(better) < run.size:
+            damp[run[~better]] *= options.lm_increase
+            xt, Ft, nt, run = xt[better], Ft[better], nt[better], run[better]
+            if not run.size:
+                continue
+        x[run], F[run], nrm[run] = xt, Ft, nt
         damp[run] = np.maximum(damp[run] * options.lm_decrease, 1e-14)
-        far = np.abs(x[run]).max(axis=1) > options.divergence_norm
-        finish(run[far], _DIVERGED)
-        iters[run[~far]] += 1
-        fresh[run[~far]] = True
+        far = np.abs(xt).max(axis=1) > options.divergence_norm
+        if np.count_nonzero(far):
+            finish(run[far], _DIVERGED)
+            run = run[~far]
+        iters[run] += 1
+        fresh[run] = True
 
     return reason, iterations, norm, last
 
@@ -329,7 +351,7 @@ def _damped_steps(a: np.ndarray, jtf: np.ndarray, damp: np.ndarray):
     makes the stacked solve raise; then each lane is solved alone and only
     the singular ones come back unsolved.
     """
-    diagonal = np.arange(a.shape[-1])
+    diagonal = _diagonal(a.shape[-1])
     a[:, diagonal, diagonal] += damp[:, None]
     b = -jtf
     solved = np.ones(len(a), dtype=bool)

@@ -28,6 +28,7 @@ helpers, the one place that knows the layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -120,9 +121,17 @@ class ComplexConfiguration:
         return (self.z[k - 1] - self.z[j - 1]) * (self.w[k - 1] - self.w[j - 1])
 
 
+@cache
+def _diagonal(n: int) -> np.ndarray:
+    """Index array 0..n-1 of the diagonal of an (n, n) matrix; read-only."""
+    i = np.arange(n)
+    i.flags.writeable = False
+    return i
+
+
 def _set_diagonal(a: np.ndarray, value) -> None:
     """Write ``value`` on the diagonal of every (n, n) matrix of the stack ``a``."""
-    i = np.arange(a.shape[-1])
+    i = _diagonal(a.shape[-1])
     a[..., i, i] = value
 
 
@@ -172,10 +181,15 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return j, k
 
 
+def _separations(p: np.ndarray) -> np.ndarray:
+    """D[s, q] = p[s, k] - p[s, j] for the q-th pair (j, k) of :func:`_pairs`, rows p (S, n)."""
+    j, k = _pairs(p.shape[-1])
+    return p[:, k] - p[:, j]
+
+
 def _min_gap(p: np.ndarray) -> np.ndarray:
     """Smallest pair separation of each row of p (S, n)."""
-    j, k = _pairs(p.shape[-1])
-    return np.abs(p[:, k] - p[:, j]).min(axis=1)
+    return np.abs(_separations(p)).min(axis=1)
 
 
 def _velocity_np(g: np.ndarray, wpos: np.ndarray, checked: tuple[str, ...] = ()) -> np.ndarray:
@@ -185,17 +199,20 @@ def _velocity_np(g: np.ndarray, wpos: np.ndarray, checked: tuple[str, ...] = ())
     raise CollisionError if a row has a pair closer than the guard (see
     :func:`_check_separated`).
     """
-    d = _pair_diffs(wpos)
+    s, n = wpos.shape
+    d = _separations(wpos)
     if checked:
         _check_separated(d, *checked)
-    inv = 1.0 / d
-    _set_diagonal(inv, 0.0)
-    # The sum over j in index order from 0, as numpy's sum over axis 1 adds it,
-    # but as n adds of whole (S, n) slices, not S·n inner loops of length n.
-    V = np.zeros_like(inv[:, 0])
-    for j in range(inv.shape[1]):
-        V += g[j] * inv[:, j]
-    return V
+    # One reciprocal per pair: 1 / w_kj is exactly -(1 / w_jk) wherever it is finite.
+    r = (1.0 / d).T
+    j, k = _pairs(n)
+    T = np.zeros((n, s, n), dtype=r.dtype)      # T[j, s, n] = 1 / w_jn, 0 on j = n
+    T[j, :, k] = r
+    T[k, :, j] = -r
+    T *= g[:, None, None]
+    # The sum over the outer axis adds whole (S, n) slices from 0 in j order,
+    # the order numpy's sum over the j axis of a dense (S, n, n) stack takes.
+    return T.sum(axis=0)
 
 
 def _velocity_derivative(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
@@ -208,20 +225,20 @@ def _velocity_derivative(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
 
 
 def _check_separated(d: np.ndarray, *coordinates: str) -> None:
-    """Raise CollisionError if a stack of :func:`_pair_diffs` has a pair closer than the guard.
+    """Raise CollisionError if a stack of :func:`_separations` has a pair closer than the guard.
 
     The stack holds one equal block of rows per coordinate name, in order.  The
     error names the first such pair, in index order, of the first such row, and
     the coordinate of that row's block.  A row with a NaN separation counts as
     separated, as its smallest separation is NaN.
     """
-    j, k = _pairs(d.shape[-1])
-    dist = np.abs(d[:, j, k])
+    dist = np.abs(d)
     close = dist.min(axis=1) < COLLISION_GUARD
     if close.any():
         row = int(np.argmax(close))
         pair = np.argmax(dist[row] < COLLISION_GUARD)
         coordinate = coordinates[row * len(coordinates) // len(d)]
+        j, k = _pairs((1 + math.isqrt(1 + 8 * d.shape[-1])) // 2)   # n from n(n-1)/2
         raise CollisionError(int(j[pair]) + 1, int(k[pair]) + 1, coordinate)
 
 
@@ -240,7 +257,7 @@ def _velocities(v: VorticitySet, z, w) -> tuple[np.ndarray, np.ndarray]:
     zs = np.array([complex(p) for p in z], dtype=complex)
     ws = np.array([complex(p) for p in w], dtype=complex)
     _check_count(v, zs, ws)
-    _check_separated(_pair_diffs(zs[None]), "z")
+    _check_separated(_separations(zs[None]), "z")
     return zs, _velocity_np(_float_gammas(v), ws[None], checked=("w",))[0]
 
 

@@ -20,6 +20,7 @@ from vortexcc.system import (
     _check_separated,
     _min_gap,
     _pair_diffs,
+    _separations,
     _velocity_np,
 )
 from vortexcc.asymptotics import roberts_family, roberts_normalized
@@ -397,10 +398,10 @@ def test_pair_separations_match_full_reference():
             names = tuple(str(r) for r in range(len(p)))
             expected = _full_first_collision(p)
             if expected is None:
-                _check_separated(_pair_diffs(p), *names)
+                _check_separated(_separations(p), *names)
                 continue
             with pytest.raises(CollisionError) as err:
-                _check_separated(_pair_diffs(p), *names)
+                _check_separated(_separations(p), *names)
             assert (int(err.value.coordinate), err.value.pair) == expected
 
 
