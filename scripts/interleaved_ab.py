@@ -1,7 +1,8 @@
 """Time one benchmark workload on two checkouts, alternating in one process.
 
     python scripts/interleaved_ab.py PARENT CHANGE --workload solve-complex --reps 20
-    python scripts/interleaved_ab.py PARENT CHANGE --workload certify --reps 20 --setup
+    python scripts/interleaved_ab.py PARENT CHANGE --workload solve-isolated certify --reps 10
+    python scripts/interleaved_ab.py PARENT CHANGE --workload all --reps 20 --setup
 
 Why in one process: on a shared 2-core x86-64 host the CPU speed was seen to
 shift by about 1.45x from one minute to the next, so two benchmark processes
@@ -18,9 +19,10 @@ after one untimed warm-up round per side.  With ``--setup``, rep r instead
 times one set-up per side as ``perfbench/bench.py`` does: drop the copied
 package's modules, import it, build round 0 and make the workload's warm-up
 call.  Nothing is written under ``perfbench/``.  The script prints each rep's
-times and change/parent ratio, then the median and quartiles of the ratios,
-the number of reps in which the change was faster, and the number whose
-reports were identical (by ``repr``).
+times and change/parent ratio.  It then prints one summary line per workload,
+in the order given (``all`` names every workload): the median and quartiles
+of the ratios, the number of reps in which the change was faster, and the
+number whose reports were identical (by ``repr``).
 """
 
 from __future__ import annotations
@@ -70,11 +72,46 @@ def setup_once(name: str, workload: str, seed: int, warmup) -> tuple[float, list
     return perf_counter() - t0, results
 
 
+def compare(sides, names, workload: str, args) -> str:
+    """Run the reps of one workload on both sides, printing each; returns its summary line."""
+    import numpy as np
+
+    from perfbench import inputs
+    from perfbench.bench import Bench
+
+    if args.setup:
+        warmup = Bench(workload, args.seed, 1.0).warmup
+    else:
+        for vc in sides:
+            run_round(vc, inputs.round_calls(workload, args.seed, 0))
+    ratios, identical = [], 0
+    print(f"{workload}\nrep  parent_s  change_s  change/parent")
+    for rep in range(args.reps):
+        order = (0, 1) if rep % 2 == 0 else (1, 0)
+        if args.setup:
+            timed = {side: setup_once(names[side], workload, args.seed, warmup) for side in order}
+        else:
+            calls = inputs.round_calls(workload, args.seed, rep)
+            timed = {side: run_round(sides[side], calls) for side in order}
+        (t_parent, r_parent), (t_change, r_change) = timed[0], timed[1]
+        ratios.append(t_change / t_parent)
+        identical += repr(r_parent) == repr(r_change)
+        print(f"{rep:3d}  {t_parent:8.3f}  {t_change:8.3f}  {ratios[-1]:.3f}", flush=True)
+
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    faster = sum(r < 1.0 for r in ratios)
+    what = f"{workload} set-up" if args.setup else workload
+    return (f"change/parent time over {args.reps} reps of {what} (seed {args.seed}): "
+            f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}; change faster in "
+            f"{faster}/{args.reps}; reports identical in {identical}/{args.reps}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout timed as the base")
     parser.add_argument("change", type=Path, help="checkout timed against it")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+", required=True,
+                        help="one or more workloads, or 'all'")
     parser.add_argument("--reps", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--setup", action="store_true",
@@ -88,45 +125,20 @@ def main(argv=None) -> int:
     from perfbench.run import cap_blas_threads
 
     cap_blas_threads()                 # as the benchmark does, before numpy loads
-    import numpy as np
-
     from perfbench import inputs
-    from perfbench.bench import Bench
 
-    if args.workload not in inputs.WORKLOADS:
-        parser.error(f"unknown workload {args.workload!r}; choose from {inputs.WORKLOADS}")
+    workloads = list(inputs.WORKLOADS) if args.workload == ["all"] else args.workload
+    for workload in workloads:
+        if workload not in inputs.WORKLOADS:
+            parser.error(f"unknown workload {workload!r}; choose from {inputs.WORKLOADS} or 'all'")
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         names = ("vortexcc_parent", "vortexcc_change")
         sides = (load(args.parent.resolve(), names[0], Path(tmp)),
                  load(args.change.resolve(), names[1], Path(tmp)))
-        if args.setup:
-            warmup = Bench(args.workload, args.seed, 1.0).warmup
-        else:
-            for vc in sides:
-                run_round(vc, inputs.round_calls(args.workload, args.seed, 0))
-        ratios, identical = [], 0
-        print("rep  parent_s  change_s  change/parent")
-        for rep in range(args.reps):
-            order = (0, 1) if rep % 2 == 0 else (1, 0)
-            if args.setup:
-                timed = {side: setup_once(names[side], args.workload, args.seed, warmup)
-                         for side in order}
-            else:
-                calls = inputs.round_calls(args.workload, args.seed, rep)
-                timed = {side: run_round(sides[side], calls) for side in order}
-            (t_parent, r_parent), (t_change, r_change) = timed[0], timed[1]
-            ratios.append(t_change / t_parent)
-            identical += repr(r_parent) == repr(r_change)
-            print(f"{rep:3d}  {t_parent:8.3f}  {t_change:8.3f}  {ratios[-1]:.3f}", flush=True)
-
-    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
-    faster = sum(r < 1.0 for r in ratios)
-    what = f"{args.workload} set-up" if args.setup else args.workload
-    print(f"change/parent time over {args.reps} reps of {what} (seed {args.seed}): "
-          f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}; change faster in "
-          f"{faster}/{args.reps}; reports identical in {identical}/{args.reps}")
+        summaries = [compare(sides, names, workload, args) for workload in workloads]
+    print("\n".join(summaries))
     return 0
 
 

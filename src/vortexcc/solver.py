@@ -51,6 +51,7 @@ from .system import (
     _modulus_norm,
     _realify_columns,
     _realify_vector,
+    _separations,
     _velocity_derivative,
     _velocity_np,
     complex_jacobian,
@@ -119,6 +120,10 @@ class SolverOptions:
             raise ValueError("option lm_decrease must lie in (0, 1]")
         if not self.lm_lambda_max >= self.lm_lambda0:
             raise ValueError("option lm_lambda_max must be at least lm_lambda0")
+        # No two points of the start disk lie 2 * start_radius apart, so a gap that
+        # large is never met and the start sampler would give up.
+        if not self.start_min_gap < 2 * self.start_radius:
+            raise ValueError("option start_min_gap must be less than twice start_radius")
         # The engine evaluates residuals only where the guard holds, and the residual
         # functions raise CollisionError below COLLISION_GUARD; a smaller guard would
         # let that escape the engine instead of a NewtonFailure.
@@ -453,8 +458,7 @@ def _physical_signatures(pos: np.ndarray) -> np.ndarray:
     hypot and float_power round as Python's abs and ``**`` of one numpy
     scalar do; numpy's vectorized abs does not always.
     """
-    j, k = np.triu_indices(pos.shape[1], 1)
-    d = pos[:, k] - pos[:, j]
+    d = _separations(pos)
     return np.sort(np.float_power(np.hypot(d.real, d.imag), 2.0), axis=1)
 
 
@@ -527,8 +531,7 @@ def _complex_signatures(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     The products are spelled out in real arithmetic, as one numpy complex
     scalar product rounds; numpy's vectorized complex multiply rounds differently.
     """
-    j, k = np.triu_indices(z.shape[1], 1)
-    a, b = z[:, k] - z[:, j], w[:, k] - w[:, j]
+    a, b = _separations(z), _separations(w)
     re = a.real * b.real - a.imag * b.imag
     im = a.real * b.imag + a.imag * b.real
     order = np.lexsort((im, re), axis=1)
@@ -697,13 +700,13 @@ def newton_refine(v: VorticitySet, start, regime: str = "physical",
     return search.finalize(search.canonical(x), iters)[0]
 
 
-def _start_count(starts) -> int:
-    """A positive integer start count as a Python int; a bool is not one."""
-    if isinstance(starts, bool) or not isinstance(starts, Integral):
-        raise ValueError("starts must be an integer")
-    if starts <= 0:
-        raise ValueError("starts must be positive")
-    return operator.index(starts)
+def _integer(value, name: str, least: int) -> int:
+    """``value``, an integer of at least ``least`` (0 or 1), as a Python int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}")
+    return operator.index(value)
 
 
 def solve_central_multistart(
@@ -721,7 +724,8 @@ def solve_central_multistart(
     "found", not proven complete.
     """
     opts = (options or SolverOptions()).validated()
-    starts = _start_count(starts)
+    starts = _integer(starts, "starts", 1)
+    seed = _integer(seed, "seed", 0)
     return _multistart(_central_search(v.as_float(), regime, opts), starts, seed, opts)
 
 
@@ -875,7 +879,8 @@ def solve_equilibria(v: VorticitySet, starts: int = 200, seed: int = 0,
     second vortex can be pinned completely).
     """
     opts = (options or SolverOptions()).validated()
-    starts = _start_count(starts)
+    starts = _integer(starts, "starts", 1)
+    seed = _integer(seed, "seed", 0)
     if not _vanishes(v, lambda g: [a * b for a, b in combinations(g, 2)]):
         return SolveReport((), 0, 0, seed, "physical",
                            reason="necessary condition L=0 fails")
@@ -934,7 +939,8 @@ def solve_rigid_translation(v: VorticitySet, starts: int = 200, seed: int = 0,
     fixes the dilation.
     """
     opts = (options or SolverOptions()).validated()
-    starts = _start_count(starts)
+    starts = _integer(starts, "starts", 1)
+    seed = _integer(seed, "seed", 0)
     if not _vanishes(v, list):  # Γ: the strengths are the terms
         return SolveReport((), 0, 0, seed, "physical",
                            reason="necessary condition Γ=0 fails")

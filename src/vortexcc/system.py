@@ -20,10 +20,14 @@ Analytic Jacobians for the first two are exported together with the packed
 numpy forms the solver consumes.  The kernels work on stacks of
 configurations, one per row; the public functions take one point or a stack.
 The complex kernels stack z and w into one point set of 2S rows, so each call
-makes one pass of the velocity kernels, not one per coordinate.  Separations
-are taken over the n(n-1)/2 pairs j < k only.  Every real system, here or in
-``solver``, holds complex entries as (Re, Im) pairs laid out by this module's
-helpers, the one place that knows the layout.
+makes one pass of the velocity kernels, not one per coordinate.  The velocity
+kernel, ``_min_gap`` and the collision checks take the separations of the
+n(n-1)/2 pairs j < k only (``_separations``); the velocity kernel takes one
+reciprocal per pair and its negation for the pair's other order.  The
+derivative kernel squares the dense (S, n, n) differences of ``_pair_diffs``,
+all n² of them.  Every real system, here or in ``solver``, holds complex
+entries as (Re, Im) pairs laid out by this module's helpers, the one place
+that knows the layout.
 """
 
 from __future__ import annotations
@@ -121,14 +125,6 @@ class ComplexConfiguration:
         return (self.z[k - 1] - self.z[j - 1]) * (self.w[k - 1] - self.w[j - 1])
 
 
-@cache
-def _diagonal(n: int) -> np.ndarray:
-    """Index array 0..n-1 of the diagonal of an (n, n) matrix; read-only."""
-    i = np.arange(n)
-    i.flags.writeable = False
-    return i
-
-
 def _set_diagonal(a: np.ndarray, value) -> None:
     """Write ``value`` on the diagonal of every (n, n) matrix of the stack ``a``."""
     i = _diagonal(a.shape[-1])
@@ -171,6 +167,14 @@ def _realify_columns(dx: np.ndarray, dy: np.ndarray, out: np.ndarray) -> np.ndar
 def _modulus_norm(F: np.ndarray) -> np.ndarray:
     """Max modulus over the complex entries of each realified residual row."""
     return np.hypot(F[:, 0::2], F[:, 1::2]).max(axis=1)
+
+
+@cache
+def _diagonal(n: int) -> np.ndarray:
+    """Index array 0..n-1 of the diagonal of an (n, n) matrix; read-only."""
+    i = np.arange(n)
+    i.flags.writeable = False
+    return i
 
 
 @cache

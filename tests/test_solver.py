@@ -283,6 +283,60 @@ def test_solve_rejects_bad_arguments():
         assert repr(solve(v, starts=np.int64(5))) == repr(solve(v, starts=5)), solve.__name__
 
 
+# Each search with a tuple it runs and one its gate refuses.
+_SEARCHES = ((solve_central_multistart, THREE, None), (solve_equilibria, COLLAPSE, THREE),
+             (solve_rigid_translation, VorticitySet((1.0, -1.0)), THREE))
+
+
+def test_seed_is_validated_and_stored_as_python_int():
+    for solve, runs, gated in _SEARCHES:
+        for v in filter(None, (runs, gated)):
+            # A numpy integer seed gives the report of the equal Python int.
+            report = solve(v, starts=5, seed=np.int64(3))
+            assert type(report.seed) is int
+            assert repr(report) == repr(solve(v, starts=5, seed=3)), solve.__name__
+            # A bool, a non-integer or a negative seed is refused, before any gate.
+            for seed, message in ((True, "an integer"), (1.5, "an integer"),
+                                  (np.float64(2.0), "an integer"), (-1, "non-negative")):
+                with pytest.raises(ValueError, match=f"seed must be {message}"):
+                    solve(v, starts=5, seed=seed)
+
+
+def test_start_gap_beyond_the_disk_diameter_is_rejected():
+    # No two points of a disk of radius 1 lie 2 apart, so the sampler could only
+    # give up after its redraws; the options refuse such a gap instead.
+    for gap in (2.0, 2.5):
+        opts = SolverOptions(start_radius=1.0, start_min_gap=gap)
+        with pytest.raises(ValueError, match="start_min_gap must be less than twice start_radius"):
+            opts.validated()
+        for solve, v, _ in _SEARCHES:
+            with pytest.raises(ValueError, match="start_min_gap"):
+                solve(v, starts=5, options=opts)
+    assert SolverOptions(start_radius=1.0, start_min_gap=1.5).validated().start_min_gap == 1.5
+
+
+def test_solves_reach_the_public_kernels_through_solver_attributes(monkeypatch):
+    # The benchmark times the kernels by wrapping these attributes of vortexcc.solver,
+    # so both regimes must call their residual and Jacobian through them.
+    names = ("physical_residual_vector", "physical_jacobian",
+             "complex_residual_vector", "complex_jacobian")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    solve_central_multistart(THREE, regime="physical", starts=4, seed=0)
+    assert calls["physical_residual_vector"] > 0 and calls["physical_jacobian"] > 0
+    assert calls["complex_residual_vector"] == calls["complex_jacobian"] == 0
+    solve_central_multistart(THREE, regime="complex", starts=4, seed=0)
+    assert calls["complex_residual_vector"] > 0 and calls["complex_jacobian"] > 0
+
+
 def test_complex_regime_contains_embedded_physical():
     rep = solve_central_multistart(TWO, regime="complex", starts=100, seed=3)
     sigs = [np.asarray(s.signature, dtype=float).ravel() for s in rep.solutions]

@@ -405,6 +405,57 @@ def test_pair_separations_match_full_reference():
             assert (int(err.value.coordinate), err.value.pair) == expected
 
 
+def _dense_velocity(g, p):
+    """Reference: full N×N reciprocals 1 / w_jn, 0 on the diagonal, summed over j in index order."""
+    n = p.shape[1]
+    inv = 1.0 / _pair_diffs(p)
+    inv[:, np.arange(n), np.arange(n)] = 0.0
+    V = np.zeros_like(inv[:, 0])
+    for j in range(n):
+        V += g[j] * inv[:, j]
+    return V
+
+
+@pytest.mark.parametrize("rows", [1, 7, 700])
+def test_velocity_matches_dense_reference(rows):
+    # One reciprocal per pair, negated for the other order, gives the dense
+    # kernel's bits wherever they are finite, zero signs included.
+    rng = np.random.default_rng(22 + rows)
+    finite = total = 0
+    for n in range(2, 13):
+        for _ in range(max(1, 70 // rows)):
+            p = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+            # Separations from about 1e-9 to 1e150, one scale per row, some rows
+            # a cluster of size 1e-9 about an offset of order 1.
+            p *= 10.0 ** rng.uniform(-9.0, 150.0, (rows, 1))
+            cluster = rng.random(rows) < 0.2
+            p[cluster] = rng.standard_normal() + 1e-9 * p[cluster] / np.abs(p[cluster]).max(
+                axis=1, keepdims=True)
+            # Exact zero parts in the differences: shared real or imaginary
+            # parts, ±0 coordinates and coincident points.
+            for row in rng.integers(rows, size=max(1, rows // 2)):
+                j, k = rng.choice(n, size=2, replace=False)
+                kind = rng.integers(5)
+                if kind == 0:
+                    p[row, k] = complex(p[row, j].real, p[row, k].imag)
+                elif kind == 1:
+                    p[row, k] = complex(p[row, k].real, p[row, j].imag)
+                elif kind == 2:
+                    p[row, j], p[row, k] = complex(0.0, -0.0), complex(-0.0, 0.0)
+                elif kind == 3:
+                    p[row, j] = complex(-0.0, p[row, j].imag)
+                else:
+                    p[row, k] = p[row, j]
+            g = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+            g[rng.integers(n)] = rng.choice([0.0, -0.0, -1.5])
+            with np.errstate(all="ignore"):
+                expected, got = _dense_velocity(g, p), _velocity_np(g, p)
+            keep = np.isfinite(expected)
+            assert got[keep].tobytes() == expected[keep].tobytes()
+            finite, total = finite + keep.sum(), total + keep.size
+    assert finite > 0.8 * total
+
+
 def test_velocity_sum_matches_numpy_reduction():
     # The velocity kernel adds its terms one j at a time, in the order numpy's
     # sum over that axis takes, so the two agree bit for bit, zero signs included.
