@@ -277,6 +277,8 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
                 x[new], F[new], nrm[new] = starts[take], F0, search.norm(F0)
                 damp[new], iters[new], fresh[new] = options.lm_lambda0, 0, True
         busy = owner >= 0
+        # Masks are tested with np.count_nonzero, several times cheaper than
+        # ndarray.any on arrays this small; a round's fixed cost is mostly such calls.
         if not np.count_nonzero(busy):
             break
 
