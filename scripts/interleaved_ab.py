@@ -15,14 +15,16 @@ their time ratio keeps little of the drift.
 
 Rep r runs the calls of round r, from this checkout's
 ``perfbench.inputs.round_calls`` (a pure function of workload, seed and round),
-after one untimed warm-up round per side.  With ``--setup``, rep r instead
-times one set-up per side as ``perfbench/bench.py`` does: drop the copied
-package's modules, import it, build round 0 and make the workload's warm-up
-call.  Nothing is written under ``perfbench/``.  The script prints each rep's
-times and change/parent ratio.  It then prints one summary line per workload,
-in the order given (``all`` names every workload): the median and quartiles
-of the ratios, the number of reps in which the change was faster, and the
-number whose reports were identical (by ``repr``).
+after one untimed warm-up round per side.  As in ``perfbench/bench.py``, each
+call's input is built before the clock starts and only the public calls are
+timed.  With ``--setup``, rep r instead times one set-up per side as
+``perfbench/bench.py`` does: drop the copied package's modules, import it,
+build round 0 and make the workload's warm-up call.  Nothing is written
+under ``perfbench/``.  The script prints each rep's times and change/parent
+ratio.  It then prints one summary line per workload, in the order given
+(``all`` names every workload): the median and quartiles of the ratios, the
+number of reps in which the change was faster, and the number whose reports
+were identical (by ``repr``).
 """
 
 from __future__ import annotations
@@ -48,14 +50,19 @@ def load(checkout: Path, name: str, into: Path):
 
 
 def run_round(vc, calls) -> tuple[float, list]:
-    """Wall time and results of the round's public calls, made as the benchmark makes them."""
-    results = []
-    t0 = perf_counter()
+    """Wall time and results of the round's public calls, made as the benchmark makes them.
+
+    Each call's ``VorticitySet`` is built before the clock starts, as the
+    benchmark builds it, so only the public calls are timed.
+    """
+    prepared = []
     for call in calls:
         kwargs = {} if call.api == "verdict" else {"starts": call.starts, "seed": call.seed}
         if call.api == "solve_central_multistart":
             kwargs["regime"] = call.regime
-        results.append(getattr(vc, call.api)(vc.VorticitySet(call.gammas), **kwargs))
+        prepared.append((getattr(vc, call.api), vc.VorticitySet(call.gammas), kwargs))
+    t0 = perf_counter()
+    results = [fn(v, **kwargs) for fn, v, kwargs in prepared]
     return perf_counter() - t0, results
 
 

@@ -171,15 +171,27 @@ def verify_roberts(a: float, branch: str = "real") -> float:
     return complex_system_residual(conf, ROBERTS_VORTICITIES).norm
 
 
+# The longest ladder whose every member is a collision-free configuration in
+# floats.  Past 26 "ainf" steps b = sqrt(a² − 1) rounds to a, so vortices 1
+# and 2 coincide; past 32 "a0" steps a drops below 1e-10 and vortex 1 meets
+# vortex 5 at the origin.
+_MAX_STEPS = {"a0": 32, "ainf": 26}
+
+
 def roberts_parameter_sequence(limit: str, steps: int = 12) -> tuple:
-    """Geometric parameter ladders driving the two degenerations."""
+    """Geometric parameter ladders driving the two degenerations.
+
+    ``steps`` runs from 4 to 32 for "a0" and from 4 to 26 for "ainf".
+    """
     if steps < 4:
         raise ValueError("need at least 4 steps")
+    if limit not in _MAX_STEPS:
+        raise ValueError(f"unknown limit {limit!r} (expected 'a0' or 'ainf')")
+    if steps > _MAX_STEPS[limit]:
+        raise ValueError(f"limit {limit!r} allows at most {_MAX_STEPS[limit]} steps, got {steps}")
     if limit == "a0":
         return tuple(0.4 * 0.5**k for k in range(steps))
-    if limit == "ainf":
-        return tuple(2.0 * 2.0**k for k in range(steps))
-    raise ValueError(f"unknown limit {limit!r} (expected 'a0' or 'ainf')")
+    return tuple(2.0 * 2.0**k for k in range(steps))
 
 
 def roberts_degeneration(limit: str, steps: int = 12):

@@ -36,7 +36,11 @@ set bits, 106 of which are anchor pairs.  The search stays exhaustive and
 over-approximates each diagram's own symmetry soundly.  Under each such
 relabelling the clause is decided by two mask tests: every bit of its
 equalities is set and no bit of its inequations is.  Those masks also key
-the label classes that deduplicate matches.
+the clause's label classes, the relabellings that map it onto the same
+polynomials up to sign; the members of a class match together, so only the
+first of each class is tried, and one match is reported per class.  A
+clause's masks and classes, and a bit's candidates, are built on first use,
+not at import.
 
 Notation: L_J = sum over unordered pairs of J of Γ_jΓ_k, L = L_{12345}.
 """
@@ -541,10 +545,32 @@ def _label_classes(position: int) -> tuple:
     and its inequations, to the same polynomials up to sign: the classes are
     the cosets of the clause's label stabilizer.  Distinct pairs are
     distinct polynomials up to sign, so the clause's two masks under σ
-    decide its class.  Built on the clause's first match, not at import.
+    decide its class, and every σ of a class matches when one does.  Built
+    on the clause's first candidate, with its masks, not at import.
     """
     first: dict = {}
     return tuple(first.setdefault(masks, k) for k, masks in enumerate(zip(*_clause_masks(position))))
+
+
+@cache
+def _candidates(bit: int) -> tuple:
+    """The relabellings tried when bit ``bit`` of the mask is set: one per label class.
+
+    One entry for each clause and σ of _PREIMAGES[bit] that is the first σ
+    of its label class: the match's place in catalog order, then
+    permutation order; the clause's equality and inequation masks under σ;
+    and the CatalogMatch reported when the clause matches under σ, built
+    once and shared, since it is frozen.  Built on the bit's first use.
+    """
+    entries = []
+    for position, ks in _PREIMAGES[bit]:
+        diagram_id, ci, cl, *_ = _PLANS[position]
+        eqs, neqs = _clause_masks(position)
+        classes = _label_classes(position)
+        entries += ((position * len(_PERMUTATIONS) + k, eqs[k], neqs[k],
+                     CatalogMatch(diagram_id, ci, cl.lambda_branch, _LABELS[k]))
+                    for k in ks if classes[k] == k)
+    return tuple(entries)
 
 
 def evaluate_diagram_constraints(v: VorticitySet) -> list:
@@ -553,34 +579,27 @@ def evaluate_diagram_constraints(v: VorticitySet) -> list:
     Read off the tuple's vanishing-pair mask; no polynomial is evaluated.
     A clause is tried only under the relabellings that make its anchor
     vanish, the preimages of the mask's set bits, so a generic tuple tries
-    none.  Under each, it matches when the mask holds every bit of its
-    equalities and none of its inequations (:func:`_clause_masks`).  Float
-    inputs count a polynomial of degree d as zero when it is at most 1e-9
-    relative to max|Γ|^d (the caller should treat those results as
-    approximate).  Matches come in catalog order, then permutation order,
-    deduplicated up to each clause's own label symmetry: every σ of a label
-    class matches when one does, and the match is reported only for the
-    first σ of its class (:func:`_label_classes`).
+    none, and only under the first σ of each label class
+    (:func:`_label_classes`, :func:`_candidates`): the σ of a class share
+    both masks, so they match together.  Under each, the clause matches
+    when the mask holds every bit of its equalities and none of its
+    inequations (:func:`_clause_masks`).  Float inputs count a polynomial
+    of degree d as zero when it is at most 1e-9 relative to max|Γ|^d (the
+    caller should treat those results as approximate).  Matches come in
+    catalog order, then permutation order, one per label class, each at
+    the first σ of its class.
     """
     zero = _normalized(v).mask
-    candidates: dict = {}  # plan position -> the σ indices that make its anchor vanish
+    nonzero = ~zero
+    found = []
     rest = zero
     while rest:
         low = rest & -rest
-        for position, ks in _PREIMAGES[low.bit_length() - 1]:
-            candidates.setdefault(position, []).extend(ks)
+        found += [(order, match) for order, eqs, neqs, match in _candidates(low.bit_length() - 1)
+                  if not (eqs & nonzero or neqs & zero)]
         rest ^= low
-    nonzero = ~zero
-    matches = []
-    for position in sorted(candidates):
-        diagram_id, ci, cl, *_ = _PLANS[position]
-        eqs, neqs = _clause_masks(position)
-        for k in sorted(candidates[position]):
-            if eqs[k] & nonzero or neqs[k] & zero:
-                continue
-            if _label_classes(position)[k] == k:
-                matches.append(CatalogMatch(diagram_id, ci, cl.lambda_branch, _LABELS[k]))
-    return matches
+    found.sort()
+    return [match for _, match in found]
 
 
 def check_subset_conditions(v: VorticitySet) -> SubsetCheck:

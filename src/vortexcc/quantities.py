@@ -39,9 +39,15 @@ __all__ = [
 ]
 
 
+# Scalar types stored and classified without the ``numbers`` ABC checks,
+# which are the slow part of both: True when exact.
+_PLAIN = {int: True, Fraction: True, float: False}
+
+
 def is_exact_scalar(x) -> bool:
     """True for ints and Fractions; floats take the numeric path."""
-    return isinstance(x, Rational)
+    exact = _PLAIN.get(type(x))
+    return isinstance(x, Rational) if exact is None else exact
 
 
 def _coerce_exact(x) -> "ExactComplex":
@@ -115,7 +121,8 @@ class VorticitySet:
     gammas: tuple
 
     def __post_init__(self):
-        gs = tuple(operator.index(g) if isinstance(g, Integral) else g for g in self.gammas)
+        gs = tuple(g if type(g) in _PLAIN else operator.index(g) if isinstance(g, Integral) else g
+                   for g in self.gammas)
         if len(gs) < 2:
             raise ValueError("need at least two vortices")
         for i, g in enumerate(gs, start=1):
@@ -131,7 +138,7 @@ class VorticitySet:
 
     @property
     def is_exact(self) -> bool:
-        return all(is_exact_scalar(g) for g in self.gammas)
+        return all(map(is_exact_scalar, self.gammas))
 
     def as_float(self) -> "VorticitySet":
         return VorticitySet(tuple(float(g) for g in self.gammas))

@@ -291,3 +291,15 @@ def test_parameter_sequences():
         roberts_parameter_sequence("a0", 3)
     with pytest.raises(ValueError):
         roberts_parameter_sequence("elsewhere", 8)
+
+
+@pytest.mark.parametrize("limit, longest", [("a0", 32), ("ainf", 26)])
+def test_parameter_sequences_stop_at_the_last_separated_step(limit, longest):
+    # One step more puts two vortices on top of each other in floats ("ainf":
+    # b = sqrt(a² − 1) rounds to a; "a0": a < 1e-10), and 1025 "ainf" steps
+    # overflow; each is refused up front with the limit named.
+    params, configs = roberts_degeneration(limit, longest)
+    assert len(params) == len(configs) == longest
+    for steps in (longest + 1, 1100):
+        with pytest.raises(ValueError, match=f"allows at most {longest} steps, got {steps}"):
+            roberts_parameter_sequence(limit, steps)

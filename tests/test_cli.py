@@ -248,6 +248,19 @@ def test_diagram_infinity_limit(capsys):
     assert "z-strokes" in out
 
 
+@pytest.mark.parametrize("limit, longest", [("a0", 32), ("ainf", 26)])
+def test_diagram_rejects_a_ladder_past_its_longest(limit, longest, capsys):
+    assert main(["diagram", "--family", "roberts", "--limit", limit,
+                 "--steps", str(longest)]) == 0
+    capsys.readouterr()
+    for steps in (27, 33, 1100):
+        if steps > longest:
+            assert main(["diagram", "--family", "roberts", "--limit", limit,
+                         "--steps", str(steps)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: limit {limit!r} allows at most {longest} steps, got {steps}\n"
+
+
 # ---------------------------------------------------------------------------
 # plot
 # ---------------------------------------------------------------------------

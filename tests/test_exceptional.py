@@ -23,6 +23,7 @@ import pytest
 
 import vortexcc
 from vortexcc.exactpoly import Poly
+from vortexcc import exceptional
 from vortexcc.quantities import VorticitySet
 from vortexcc.exceptional import (
     CatalogMatch,
@@ -37,6 +38,7 @@ from vortexcc.exceptional import (
     _PREIMAGES,
     _Normalized,
     _build_plans,
+    _candidates,
     _clause_masks,
     _label_classes,
     _normalized,
@@ -740,38 +742,121 @@ def test_label_classes_are_the_cosets_of_each_clause_stabilizer():
 
 
 WARM_UP = (1, 2, 3, 5, 7)  # the certify benchmark's warm-up tuple
+LAZY_TABLES = (_candidates, _label_classes, _clause_masks)  # per bit, per clause, per clause
+
+
+def _clear_lazy_tables():
+    for table in LAZY_TABLES:
+        table.cache_clear()
+
+
+def _lazy_table_sizes() -> tuple:
+    return tuple(table.cache_info().currsize for table in LAZY_TABLES)
 
 
 def test_label_tables_are_built_on_first_match_and_in_any_order():
-    # Importing the module builds no clause masks and no label classes.
-    probe = ("import vortexcc.exceptional as e; print(e._clause_masks.cache_info().currsize, "
-             "e._label_classes.cache_info().currsize)")
+    # Importing the module builds no candidates, clause masks or label classes.
+    probe = ("import vortexcc.exceptional as e; print(*(t.cache_info().currsize for t in "
+             "(e._candidates, e._clause_masks, e._label_classes)))")
     env = dict(os.environ, PYTHONPATH=str(Path(vortexcc.__file__).parents[1]))
     imported = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True)
-    assert imported.stdout.split() == ["0", "0"]
-    # The warm-up tuple matches nothing, so it builds no label classes.  Masks
-    # are built for exactly the clauses whose anchor it makes vanish: 7 = 2 + 5
-    # and 5 = 2 + 3 zero g1 − Γ_45 (clause 15.0) and g1 − Γ_23 (clause 14.0).
+    assert imported.stdout.split() == ["0", "0", "0"]
+    # The warm-up tuple matches nothing.  Each of its set bits gets its
+    # candidates, and with them the masks and label classes of exactly the
+    # clauses whose anchor it makes vanish: 7 = 2 + 5 and 5 = 2 + 3 zero
+    # g1 − Γ_45 (clause 15.0) and g1 − Γ_23 (clause 14.0).
     anchored = _anchored(WARM_UP)
     assert anchored == {(14, 0), (15, 0)}
-    _label_classes.cache_clear()
-    _clause_masks.cache_clear()
+    _clear_lazy_tables()
     assert verdict(F5(*WARM_UP)).matches == ()
-    assert _label_classes.cache_info().currsize == 0
-    assert _clause_masks.cache_info().currsize == len(anchored)
+    set_bits = bin(_normalized(F5(*WARM_UP)).mask).count("1")
+    assert _lazy_table_sizes() == (set_bits, len(anchored), len(anchored))
+    misses = [table.cache_info().misses for table in LAZY_TABLES[1:]]
+    for position, plan in enumerate(_PLANS):
+        if plan[:2] in anchored:
+            _label_classes(position), _clause_masks(position)
+    assert [table.cache_info().misses for table in LAZY_TABLES[1:]] == misses
     rng = np.random.default_rng(17)
     planted = [F5(*vals) for family in PLANTED_FAMILIES
                for vals in _planted_tuples(family, rng, count=1)]
-    _clause_masks.cache_clear()
+    _clear_lazy_tables()
     forward = [evaluate_diagram_constraints(v) for v in planted]
-    built = _label_classes.cache_info().currsize, _clause_masks.cache_info().currsize
-    _label_classes.cache_clear()
-    _clause_masks.cache_clear()
+    built = _lazy_table_sizes()
+    _clear_lazy_tables()
     backward = [evaluate_diagram_constraints(v) for v in reversed(planted)]
     assert backward[::-1] == forward
-    assert (_label_classes.cache_info().currsize, _clause_masks.cache_info().currsize) == built
-    assert built[0] > 0 and built[1] >= built[0]
+    assert _lazy_table_sizes() == built
+    assert built[1] == built[2] > 0  # a clause's label classes come with its masks
+
+
+def every_preimage_matches(v: VorticitySet) -> list:
+    """The catalog matches, trying every σ that sends a clause's anchor to a vanishing pair.
+
+    A match is kept when its σ is the first of its label class.
+    """
+    zero = _normalized(v).mask
+    candidates: dict = {}
+    rest = zero
+    while rest:
+        low = rest & -rest
+        for position, ks in _PREIMAGES[low.bit_length() - 1]:
+            candidates.setdefault(position, []).extend(ks)
+        rest ^= low
+    matches = []
+    for position in sorted(candidates):
+        diagram_id, ci, cl, *_ = _PLANS[position]
+        eqs, neqs = _clause_masks(position)
+        for k in sorted(candidates[position]):
+            if eqs[k] & ~zero or neqs[k] & zero:
+                continue
+            if _label_classes(position)[k] == k:
+                matches.append(CatalogMatch(diagram_id, ci, cl.lambda_branch,
+                                            tuple(s + 1 for s in _PERMUTATIONS[k])))
+    return matches
+
+
+def _verdict_repr(v: VorticitySet) -> str:
+    try:
+        return repr(verdict(v))
+    except TotalVorticityZeroError as exc:
+        return repr(exc)
+
+
+# Tuples that match clauses no planted family reaches: 2.0, 13.0, 15.1, 18.0
+# and 20.0 with 27.0 in integers; 14.0, whose g1 = Γ_23 and L_123 = 0 make g2
+# and g3 (1 ± √5)/2 · g1, and 3.1 (g1g2 = L_345, L = 0), in floats only.
+CLAUSE_WITNESSES = ((-9, -8, -1, 1, 8), (-2, -2, -2, -2, 1), (-3, -2, -1, 1, 1), (-2, -2, -2, 1, 2),
+                    (-1, -1, -1, -1, 1), (1.0, (1 + 5 ** 0.5) / 2, (1 - 5 ** 0.5) / 2, 2.0, 3.0),
+                    (1.0, -2.0, (-5 + 13 ** 0.5) / 2, (-5 - 13 ** 0.5) / 2, 1.0))
+
+
+def test_one_candidate_per_label_class_equals_every_preimage(monkeypatch):
+    rng = np.random.default_rng(89)
+    tuples = []
+    while len(tuples) < 40:  # small entries, so relations among them are common
+        vals = tuple(Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(5))
+        if all(vals):
+            tuples.append(vals)
+    orderings = list(CLAUSE_WITNESSES)  # each in all 120 orders, so matches land on every anchor
+    for family in PLANTED_FAMILIES:
+        vals = _planted_tuples(family, rng, count=1)[0]
+        orderings.append(vals)
+        tuples += [tuple(g * Fraction(10) ** k for g in vals) for k in (-100, -3, 3, 100)]
+        tuples += [tuple(float(g) * 10.0 ** k for g in vals) for k in (-5, 0, 5)]
+    tuples += [tuple(vals[i] for i in sigma) for vals in orderings for sigma in _PERMUTATIONS]
+    tuples += certify_digest.edge_inputs()
+    matched = 0
+    for vals in tuples:
+        v = VorticitySet(vals)
+        got = evaluate_diagram_constraints(v)
+        assert got == every_preimage_matches(v), vals
+        matched += len(got)
+        report = _verdict_repr(v)
+        with monkeypatch.context() as patched:
+            patched.setattr(exceptional, "evaluate_diagram_constraints", every_preimage_matches)
+            assert _verdict_repr(v) == report, vals
+    assert matched > 0
 
 
 def test_verdict_evaluates_no_polynomial(monkeypatch):

@@ -1,5 +1,8 @@
 """Conserved-quantity definitions, subset momenta, and the exact identities."""
 
+import numbers
+import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +18,7 @@ from vortexcc.quantities import (
     angular_momentum,
     conjugate_positions,
     invariants_of,
+    is_exact_scalar,
     total_vorticity,
 )
 
@@ -54,6 +58,40 @@ def test_vorticity_validation():
         VorticitySet((1,))
     assert VorticitySet((Fraction(1, 2), 3)).is_exact
     assert not VorticitySet((0.5, 3)).is_exact
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+class _RegisteredRational:
+    """A class that is a numbers.Rational by registration only."""
+
+    def __eq__(self, other):
+        return other is self
+
+    __hash__ = object.__hash__
+
+
+numbers.Rational.register(_RegisteredRational)
+
+SCALARS = [3, True, np.int64(-4), Fraction(2, 3), _FractionSubclass(5, 7), _RegisteredRational(),
+           2.5, np.float64(-1.25), Decimal("0.1")]
+
+
+@pytest.mark.parametrize("x", SCALARS, ids=lambda x: type(x).__name__)
+def test_exact_scalar_fast_path_agrees_with_the_rational_abc(x):
+    # int, Fraction and float are classified by their exact type; every other
+    # type, subclasses and registered classes included, by numbers.Rational.
+    assert is_exact_scalar(x) == isinstance(x, numbers.Rational)
+    # Stored as before the fast path: an Integral becomes a Python int, any
+    # other entry is kept as it is.
+    v = VorticitySet((x, 1))
+    expected = operator.index(x) if isinstance(x, numbers.Integral) else x
+    assert type(v.gammas[0]) is type(expected) and v.gammas[0] == expected
+    assert v.is_exact == isinstance(x, numbers.Rational)
+    if isinstance(x, (bool, np.integer)):
+        assert type(v.gammas[0]) is int and v.gammas[0] == int(x)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
