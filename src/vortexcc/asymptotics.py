@@ -24,7 +24,13 @@ from typing import Sequence
 import numpy as np
 
 from .quantities import VorticitySet
-from .system import CollisionError, ComplexConfiguration, complex_system_residual, velocity_field
+from .system import (
+    COLLISION_GUARD,
+    CollisionError,
+    ComplexConfiguration,
+    complex_system_residual,
+    velocity_field,
+)
 
 __all__ = [
     "NotSingularError",
@@ -172,16 +178,18 @@ def verify_roberts(a: float, branch: str = "real") -> float:
 
 
 # The longest ladder whose every member is a collision-free configuration in
-# floats.  Past 26 "ainf" steps b = sqrt(a² − 1) rounds to a, so vortices 1
-# and 2 coincide; past 32 "a0" steps a drops below 1e-10 and vortex 1 meets
-# vortex 5 at the origin.
-_MAX_STEPS = {"a0": 32, "ainf": 26}
+# floats.  On "a0", vortex 1 sits at distance a from vortex 5 at the origin,
+# so a = 0.4·0.5^k must stay at or above COLLISION_GUARD (32 steps at 1e-10).
+# Past 26 "ainf" steps b = sqrt(a² − 1) rounds to a in float64, so vortices 1
+# and 2 coincide whatever the guard.
+_MAX_STEPS = {"a0": math.floor(math.log2(0.4 / COLLISION_GUARD)) + 1, "ainf": 26}
 
 
 def roberts_parameter_sequence(limit: str, steps: int = 12) -> tuple:
     """Geometric parameter ladders driving the two degenerations.
 
-    ``steps`` runs from 4 to 32 for "a0" and from 4 to 26 for "ainf".
+    ``steps`` runs from 4 to 32 for "a0" (at the default collision guard)
+    and from 4 to 26 for "ainf".
     """
     if steps < 4:
         raise ValueError("need at least 4 steps")

@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 
-# Scalar types stored and classified without the ``numbers`` ABC checks,
-# which are the slow part of both: True when exact.
+# Scalar types classified without the ``numbers`` ABC check, which is the
+# slow part of is_exact_scalar: True when exact.
 _PLAIN = {int: True, Fraction: True, float: False}
 
 
@@ -121,8 +121,7 @@ class VorticitySet:
     gammas: tuple
 
     def __post_init__(self):
-        gs = tuple(g if type(g) in _PLAIN else operator.index(g) if isinstance(g, Integral) else g
-                   for g in self.gammas)
+        gs = tuple(operator.index(g) if isinstance(g, Integral) else g for g in self.gammas)
         if len(gs) < 2:
             raise ValueError("need at least two vortices")
         for i, g in enumerate(gs, start=1):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vortexcc.quantities import VorticitySet
-from vortexcc.system import complex_system_residual, velocity_field
+from vortexcc.system import COLLISION_GUARD, complex_system_residual, velocity_field
 from vortexcc.asymptotics import (
     ColoredDiagram,
     NotSingularError,
@@ -303,3 +303,10 @@ def test_parameter_sequences_stop_at_the_last_separated_step(limit, longest):
     for steps in (longest + 1, 1100):
         with pytest.raises(ValueError, match=f"allows at most {longest} steps, got {steps}"):
             roberts_parameter_sequence(limit, steps)
+
+
+def test_a0_ladder_limit_follows_the_collision_guard():
+    # Vortex 1 sits at distance a from vortex 5, so the last "a0" member is
+    # the last one at or above the guard.
+    params = roberts_parameter_sequence("a0", 32)
+    assert params[-1] >= COLLISION_GUARD > params[-1] * 0.5

@@ -84,7 +84,7 @@ def test_exact_scalar_fast_path_agrees_with_the_rational_abc(x):
     # int, Fraction and float are classified by their exact type; every other
     # type, subclasses and registered classes included, by numbers.Rational.
     assert is_exact_scalar(x) == isinstance(x, numbers.Rational)
-    # Stored as before the fast path: an Integral becomes a Python int, any
+    # Stored by VorticitySet's rule: an Integral becomes a Python int, any
     # other entry is kept as it is.
     v = VorticitySet((x, 1))
     expected = operator.index(x) if isinstance(x, numbers.Integral) else x
