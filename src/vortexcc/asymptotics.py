@@ -12,13 +12,16 @@ z-side collects the positions z_n together with the reciprocal separations
 the two component vectors by a and 1/a, so there is a unique balancing
 a with equal max-norms; ε is then ‖·‖^(-1/2).  Strokes mark separations of
 order ε², circles mark positions of order ε^(-2), in each color.
+
+A family of T configurations is held as two (T, N) complex stacks, balanced in
+one call on system's pair kernels and fitted one column at a time over its
+trailing rows; family files hold the rows in system's (Re, Im) layout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +31,10 @@ from .system import (
     COLLISION_GUARD,
     CollisionError,
     ComplexConfiguration,
+    _complexify,
+    _pairs,
+    _realify_vector,
+    _separations,
     complex_system_residual,
     velocity_field,
 )
@@ -123,9 +130,12 @@ def _roberts_b(a: float, branch: str) -> complex:
             raise ValueError("real branch requires 0 < a < 1")
         return 1j * math.sqrt(1.0 - a * a)
     if branch == "complex":
-        if not a > 1.0:
-            raise ValueError("complex branch requires a > 1")
-        return complex(math.sqrt(a * a - 1.0))
+        # b rounds to a from 2^27 (for some a above 2^26) and overflows past 1.34e154,
+        # so vortices 1 and 2 coincide; b < a fails there and, as b = a, for a <= 1.
+        b = math.sqrt(a * a - 1.0) if a > 1.0 else a
+        if not b < a:
+            raise ValueError("complex branch requires a > 1 with sqrt(a*a - 1) < a (true up to 2^26)")
+        return complex(b)
     raise ValueError(f"unknown branch {branch!r}")
 
 
@@ -218,18 +228,30 @@ def roberts_degeneration(limit: str, steps: int = 12):
 # ---------------------------------------------------------------------------
 
 
-def _component_norms(z: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    n = len(z)
-    z_side = [abs(p) for p in z]
-    w_side = [abs(p) for p in w]
-    for j, k in combinations(range(n), 2):
-        wjk = w[k] - w[j]
-        zjk = z[k] - z[j]
-        if abs(wjk) == 0.0 or abs(zjk) == 0.0:
-            raise CollisionError(j + 1, k + 1, "w" if abs(wjk) == 0.0 else "z")
-        z_side.append(1.0 / abs(wjk))  # reciprocal separations join the z-side
-        w_side.append(1.0 / abs(zjk))
-    return max(z_side), max(w_side)
+def _moduli(p: np.ndarray) -> np.ndarray:
+    # hypot rounds as Python's abs of one numpy complex does; numpy's
+    # vectorized abs does not always.
+    return np.hypot(p.real, p.imag)
+
+
+def _balanced(z: np.ndarray, w: np.ndarray):
+    """Balance every row of the (T, N) stacks z, w: (z', w', ε) with ε of shape (T,).
+
+    A zero separation raises CollisionError for the first such row and pair, in w if w_jk = 0.
+    """
+    zsep, wsep = _moduli(_separations(z)), _moduli(_separations(w))
+    zero = (zsep == 0.0) | (wsep == 0.0)
+    if zero.any():
+        row = int(np.argmax(zero.any(axis=1)))
+        q = int(np.argmax(zero[row]))
+        j, k = _pairs(z.shape[1])
+        raise CollisionError(int(j[q]) + 1, int(k[q]) + 1, "w" if wsep[row, q] == 0.0 else "z")
+    # Reciprocal separations of one color join the other color's side.
+    nz = np.concatenate([_moduli(z), 1.0 / wsep], axis=1).max(axis=1)
+    nw = np.concatenate([_moduli(w), 1.0 / zsep], axis=1).max(axis=1)
+    a = np.sqrt(nw / nz)[:, None]
+    # float_power rounds as Python's float ** does; numpy's ** does not always.
+    return z * a, w / a, np.float_power(np.sqrt(nz * nw), -0.5)
 
 
 def balance_normalize(z: Sequence, w: Sequence):
@@ -238,13 +260,8 @@ def balance_normalize(z: Sequence, w: Sequence):
     Returns (z', w', ε) with ε = ‖components‖^(-1/2).  Squared distances
     z_jk·w_jk are exactly invariant; the map is idempotent.
     """
-    zs = np.asarray(z, dtype=complex)
-    ws = np.asarray(w, dtype=complex)
-    nz, nw = _component_norms(zs, ws)
-    a = math.sqrt(nw / nz)
-    zb, wb = zs * a, ws / a
-    shared = math.sqrt(nz * nw)
-    return tuple(zb), tuple(wb), shared ** -0.5
+    zb, wb, eps = _balanced(np.asarray(z, dtype=complex)[None], np.asarray(w, dtype=complex)[None])
+    return tuple(zb[0]), tuple(wb[0]), float(eps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -256,71 +273,62 @@ def _slope(log_eps: np.ndarray, values: np.ndarray) -> float:
     return float(np.polyfit(log_eps, np.log(values), 1)[0])
 
 
-def extract_diagram(configurations: Sequence, parameters: Sequence | None = None,
-                    band: float = EXPONENT_BAND) -> DiagramExtraction:
+def _near(slope: float | None, target: float) -> bool:
+    return slope is not None and abs(slope - target) <= EXPONENT_BAND
+
+
+def extract_diagram(configurations: Sequence, parameters: Sequence | None = None) -> DiagramExtraction:
     """Classify strokes and circles from order exponents along a family.
 
     `configurations` is a sequence of (z, w) pairs indexed by a parameter
-    running toward the degeneration.  Each configuration is balanced; the
-    εs must decrease strictly toward zero, otherwise NotSingularError.
-    Exponents are least-squares slopes of log|·| against log ε over the
-    trailing half of the sequence.  Strokes of z-color sit on pairs whose
-    w-separation exponent is within `band` of 2 (and symmetrically); circles
-    of z-color sit on vertices whose z-position exponent is within `band`
-    of -2 (and symmetrically).
+    running toward the degeneration; `parameters` is accepted and unused.
+    The family is balanced as one stack; the εs must decrease strictly
+    toward zero, otherwise NotSingularError.  Exponents are least-squares
+    slopes of log|·| against log ε over the trailing half of the sequence,
+    one fit per separation or position.  Strokes of z-color sit on pairs
+    whose w-separation exponent is within EXPONENT_BAND of 2 (and
+    symmetrically); circles of z-color sit on vertices whose z-position
+    exponent is within EXPONENT_BAND of -2 (and symmetrically).
     """
     if len(configurations) < 4:
         raise ValueError("fewer than 4 sequence points")
-    balanced = []
-    epsilons = []
-    for z, w in configurations:
-        zb, wb, eps = balance_normalize(z, w)
-        balanced.append((np.asarray(zb), np.asarray(wb)))
-        epsilons.append(eps)
-    eps = np.asarray(epsilons)
+    zb, wb, eps = _balanced(np.array([z for z, _ in configurations], dtype=complex),
+                            np.array([w for _, w in configurations], dtype=complex))
     if any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] > 0.5 * eps[0]:
         raise NotSingularError("not singular: ε does not decrease toward zero")
 
-    n = len(balanced[0][0])
-    tail = slice(len(balanced) - math.ceil(len(balanced) / 2), len(balanced))
+    n = zb.shape[1]
+    tail = slice(len(eps) - math.ceil(len(eps) / 2), None)
     log_eps = np.log(eps[tail])
 
-    sep_exponents = {}
-    z_strokes, w_strokes = set(), set()
-    for j, k in combinations(range(1, n + 1), 2):
-        zsep = np.array([abs(zb[k - 1] - zb[j - 1]) for zb, _ in balanced])[tail]
-        wsep = np.array([abs(wb[k - 1] - wb[j - 1]) for _, wb in balanced])[tail]
-        z_slope = _slope(log_eps, zsep)
-        w_slope = _slope(log_eps, wsep)
-        sep_exponents[(j, k)] = (z_slope, w_slope)
-        if abs(w_slope - 2.0) <= band:
-            z_strokes.add((j, k))
-        if abs(z_slope - 2.0) <= band:
-            w_strokes.add((j, k))
+    def columns(p: np.ndarray) -> np.ndarray:
+        # The tail moduli, one row per column of p.
+        return _moduli(p[tail]).T
 
-    pos_exponents = {}
-    z_circles, w_circles = set(), set()
-    for j in range(1, n + 1):
-        zpos = np.array([abs(zb[j - 1]) for zb, _ in balanced])[tail]
-        wpos = np.array([abs(wb[j - 1]) for _, wb in balanced])[tail]
-        z_slope = _slope(log_eps, zpos) if np.all(zpos > 0.0) else None
-        w_slope = _slope(log_eps, wpos) if np.all(wpos > 0.0) else None
-        pos_exponents[j] = (z_slope, w_slope)
-        if z_slope is not None and abs(z_slope + 2.0) <= band:
-            z_circles.add(j)
-        if w_slope is not None and abs(w_slope + 2.0) <= band:
-            w_circles.add(j)
+    def slope(column: np.ndarray) -> float | None:
+        # A position that reaches 0 has no exponent; a separation never does.
+        return _slope(log_eps, column) if np.all(column > 0.0) else None
 
+    j, k = _pairs(n)
+    sep_exponents = {
+        pair: (_slope(log_eps, zsep), _slope(log_eps, wsep))
+        for pair, zsep, wsep in zip(zip((j + 1).tolist(), (k + 1).tolist()),
+                                    columns(_separations(zb)), columns(_separations(wb)))
+    }
+    pos_exponents = {
+        vertex: (slope(zpos), slope(wpos))
+        for vertex, zpos, wpos in zip(range(1, n + 1), columns(zb), columns(wb))
+    }
     diagram = ColoredDiagram(
         n_vertices=n,
-        z_strokes=frozenset(z_strokes),
-        w_strokes=frozenset(w_strokes),
-        z_circles=frozenset(z_circles),
-        w_circles=frozenset(w_circles),
+        z_strokes=frozenset({p for p, (_, ws) in sep_exponents.items() if _near(ws, 2.0)}),
+        w_strokes=frozenset({p for p, (zs, _) in sep_exponents.items() if _near(zs, 2.0)}),
+        z_circles=frozenset({v for v, (zs, _) in pos_exponents.items() if _near(zs, -2.0)}),
+        w_circles=frozenset({v for v, (_, ws) in pos_exponents.items() if _near(ws, -2.0)}),
     )
     return DiagramExtraction(
         diagram=diagram,
-        epsilons=tuple(epsilons),
+        epsilons=tuple(eps.tolist()),
         separation_exponents=sep_exponents,
         position_exponents=pos_exponents,
     )
@@ -353,33 +361,29 @@ def four_product(z: Sequence, w: Sequence, pair: tuple) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Family file format: columnar text, one configuration per row:
+# Family file format: columnar text, one configuration per row, the parameter
+# and then z and w in system's (Re, Im) layout:
 #   parameter, Re z_1, Im z_1, ..., Re z_N, Im z_N, Re w_1, Im w_1, ..., Re w_N, Im w_N
 # ---------------------------------------------------------------------------
 
 
 def save_family(path, parameters: Sequence, configurations: Sequence) -> None:
-    rows = []
-    for t, (z, w) in zip(parameters, configurations):
-        row = [float(t)]
-        for p in z:
-            row.extend((complex(p).real, complex(p).imag))
-        for p in w:
-            row.extend((complex(p).real, complex(p).imag))
-        rows.append(row)
+    rows = list(zip(parameters, configurations))
+    z = np.array([z for _, (z, _) in rows], dtype=complex)
+    w = np.array([w for _, (_, w) in rows], dtype=complex)
+    table = np.column_stack([[float(t) for t, _ in rows], _realify_vector(z), _realify_vector(w)])
     header = "parameter, then interleaved re/im of z_1..z_N, then re/im of w_1..w_N"
-    np.savetxt(path, np.asarray(rows), header=header)
+    np.savetxt(path, table, header=header)
 
 
 def load_family(path):
+    """(parameters, configurations) from a family file; ValueError if it is malformed."""
     data = np.atleast_2d(np.loadtxt(path))
     if data.shape[1] < 9 or (data.shape[1] - 1) % 4 != 0:
         raise ValueError("malformed family file: need 1 + 4N columns")
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise ValueError(f"malformed family file: data row {np.argmax(bad) + 1} has a non-finite entry")
     n = (data.shape[1] - 1) // 4
-    params = tuple(data[:, 0])
-    configs = []
-    for row in data:
-        z = tuple(row[1 + 2 * i] + 1j * row[2 + 2 * i] for i in range(n))
-        w = tuple(row[1 + 2 * n + 2 * i] + 1j * row[2 + 2 * n + 2 * i] for i in range(n))
-        configs.append((z, w))
-    return params, tuple(configs)
+    z, w = _complexify(data[:, 1 : 1 + 2 * n]), _complexify(data[:, 1 + 2 * n :])
+    return tuple(data[:, 0]), tuple(zip(map(tuple, z), map(tuple, w)))

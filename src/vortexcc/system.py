@@ -27,7 +27,8 @@ reciprocal per pair and its negation for the pair's other order.  The
 derivative kernel squares the dense (S, n, n) differences of ``_pair_diffs``,
 all n² of them.  Every real system, here or in ``solver``, holds complex
 entries as (Re, Im) pairs laid out by this module's helpers, the one place
-that knows the layout.
+that knows the layout; ``asymptotics`` lays out its family files with them
+too, and balances families on ``_pairs`` and ``_separations``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,18 @@
 """Rhombus continuum, balancing normalization, diagram extraction, 4-products."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from vortexcc.quantities import VorticitySet
-from vortexcc.system import COLLISION_GUARD, complex_system_residual, velocity_field
+from vortexcc.system import (
+    COLLISION_GUARD,
+    CollisionError,
+    complex_system_residual,
+    velocity_field,
+)
 from vortexcc.asymptotics import (
     ColoredDiagram,
     NotSingularError,
@@ -53,6 +61,13 @@ def test_roberts_domain_errors():
         roberts_family(0.5, "complex")
     with pytest.raises(ValueError, match="branch"):
         roberts_family(0.5, "imaginary")
+    # b = sqrt(a² − 1) stays below a up to 2^26, the last "ainf" ladder
+    # member; from 2^27 it rounds to a, and past about 1.34e154 it overflows.
+    _, conf, _ = roberts_family(2.0**26, "complex")
+    assert conf.z[1].real < conf.z[0].real
+    for a in (2.0**27, 1e8, 1e155, 1e200, math.inf):
+        with pytest.raises(ValueError, match=r"complex branch requires a > 1 with sqrt\(a\*a - 1\) < a"):
+            roberts_family(a, "complex")
 
 
 @pytest.mark.parametrize("a,branch,bound", [
@@ -280,6 +295,18 @@ def test_family_file_rejects_malformed(tmp_path):
     path.write_text("1.0 2.0 3.0\n")
     with pytest.raises(ValueError, match="malformed"):
         load_family(path)
+    # A NaN or infinity anywhere, the parameter included, is named by its data row.
+    params, configs = roberts_degeneration("a0", 6)
+    for entry in ("nan", "inf", "-inf"):
+        for column in (0, 5, 20):
+            save_family(path, params, configs)
+            header, *rows = path.read_text().splitlines()
+            cells = rows[2].split()
+            cells[column] = entry
+            rows[2] = " ".join(cells)
+            path.write_text("\n".join([header, *rows]) + "\n")
+            with pytest.raises(ValueError, match=r"^malformed family file: data row 3 has a non-finite entry$"):
+                load_family(path)
 
 
 def test_parameter_sequences():
@@ -310,3 +337,87 @@ def test_a0_ladder_limit_follows_the_collision_guard():
     # the last one at or above the guard.
     params = roberts_parameter_sequence("a0", 32)
     assert params[-1] >= COLLISION_GUARD > params[-1] * 0.5
+
+
+# ---------------------------------------------------------------------------
+# Pinned bytes
+# ---------------------------------------------------------------------------
+
+
+def _outcome(call, *args):
+    """repr of the result, or the error's type, message and named pair."""
+    try:
+        return repr(call(*args))
+    except CollisionError as exc:
+        return f"CollisionError: {exc} {exc.pair} {exc.coordinate}"
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _random_family(rng, independent_w):
+    """One family z_n(t) = c_n t^e_n + d_n over t = 2^-k, with w conj z or drawn alike.
+
+    Exponents e_n run over -2..2, some offsets d_n are zero, and vertex 1 sits
+    at the origin in one family of four.
+    """
+    n = int(rng.integers(2, 7))
+    t = 0.5 ** np.arange(int(rng.integers(4, 17)))
+
+    def positions():
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        d = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (rng.random(n) < 0.5)
+        return c * t[:, None] ** rng.integers(-2, 3, size=n) + d
+
+    at_origin = rng.random() < 0.25
+    z = positions()
+    w = positions() if independent_w else np.conj(z)
+    if at_origin:
+        z[:, 0] = w[:, 0] = 0.0
+    return tuple(t), tuple(zip(z, w))
+
+
+def _pinned_lines(tmp_path):
+    for limit, longest in (("a0", 32), ("ainf", 26)):
+        for steps in range(4, longest + 1):
+            params, configs = roberts_degeneration(limit, steps)
+            yield _outcome(extract_diagram, configs, params)
+        yield from (_outcome(balance_normalize, z, w) for z, w in configs)
+
+    rng = np.random.default_rng(20260)
+    for i in range(200):
+        params, configs = _random_family(rng, independent_w=i % 2 == 1)
+        yield _outcome(extract_diagram, configs, params)
+        yield from (_outcome(balance_normalize, z, w) for z, w in configs)
+
+    z, w = (0j, 1 + 0j, 2j, 3 - 1j), (0j, 2 + 1j, -1j, 1 + 1j)
+    for zc, wc in (((0j, 1 + 0j, 1 + 0j, 2j), w),          # z only
+                   (z, (0j, 2 + 1j, -1j, -1j)),            # w only
+                   ((0j, 0j, 2j, 1j), (1j, 1j, 2 + 0j, 3 + 0j)),    # both, one pair
+                   ((0j, 1 + 0j, 0j, 1j), (1j, 2 + 0j, 2 + 0j, 0j))):  # both, two pairs
+        yield _outcome(balance_normalize, zc, wc)
+        family = [(z, w), (z, w), (zc, wc), (z, w), ((0j, 0j, 1j, 2j), w)]
+        yield _outcome(extract_diagram, family, None)       # a later row
+    bounded = tuple(np.exp(2j * np.pi * np.arange(3) / 3))
+    yield _outcome(extract_diagram, [(bounded, np.conj(bounded))] * 6, None)
+
+    rng = np.random.default_rng(7)
+    families = [roberts_degeneration("a0", 8), roberts_degeneration("ainf", 8),
+                _random_family(rng, True), _random_family(rng, False)]
+    for k, (params, configs) in enumerate(families):
+        path = tmp_path / f"family{k}.txt"
+        save_family(path, params, configs)
+        yield path.read_text()
+        loaded = load_family(path)
+        yield repr(loaded)
+        yield _outcome(extract_diagram, loaded[1], loaded[0])
+
+
+def test_extraction_bytes_are_pinned(tmp_path):
+    # One digest over the reprs of every allowed Roberts ladder, 200 seeded
+    # random families, the collision messages and four family files with
+    # their loads.  Any change to a bit of ε, a slope, a balanced coordinate
+    # or a file byte moves it.
+    digest = hashlib.sha256()
+    for line in _pinned_lines(tmp_path):
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == "bcc12a61e3e2d65d4795fbea13aab17640513a7bbb906b3ed39c38a228e0745a"

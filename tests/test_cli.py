@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -200,6 +201,16 @@ def test_roberts_complex_branch(capsys):
 
 def test_roberts_domain_error(capsys):
     assert main(["roberts", "--a", "1.5", "--branch", "real"]) == 2
+    # a = 2^26 keeps b = sqrt(a² − 1) below a; from 2^27 on it does not, and
+    # from 1e155 b overflows to inf.
+    assert main(["roberts", "--a", str(2.0**26), "--branch", "complex"]) == 0
+    capsys.readouterr()
+    for a in (str(2.0**27), "1e8", "1e155", "1e200", "inf"):
+        for verify in ([], ["--verify"]):
+            assert main(["roberts", "--a", a, "--branch", "complex", *verify]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: complex branch requires a > 1 with sqrt(a*a - 1) < a")
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +238,28 @@ def test_diagram_from_file(tmp_path, capsys):
     fam = tmp_path / "family.txt"
     save_family(fam, params, configs)
     assert main(["diagram", "--from", str(fam)]) == 0
+
+
+@pytest.mark.parametrize("entry, column", [("nan", 1), ("nan", 3), ("inf", 11)])
+def test_diagram_rejects_a_non_finite_family_file(tmp_path, capfd, entry, column):
+    # The last row is in the fitted tail.  Extraction once ran on it: a NaN in
+    # Re z_1 made LAPACK print, numpy warn and the fit fail; one in Re z_2
+    # gave exit 0 with a NaN exponent.
+    from vortexcc.asymptotics import roberts_degeneration, save_family
+
+    params, configs = roberts_degeneration("a0", 6)
+    fam = tmp_path / "family.txt"
+    save_family(fam, params, configs)
+    header, *rows = fam.read_text().splitlines()
+    cells = rows[5].split()
+    cells[column] = entry
+    rows[5] = " ".join(cells)
+    fam.write_text("\n".join([header, *rows]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["diagram", "--from", str(fam)]) == 2
+    assert caught == []
+    assert capfd.readouterr() == ("", "error: malformed family file: data row 6 has a non-finite entry\n")
 
 
 def test_diagram_not_singular_exit_5(tmp_path, capsys):

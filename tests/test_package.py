@@ -1,5 +1,6 @@
 """The public API of ``vortexcc`` and the modules each entry point loads."""
 
+import ast
 import importlib
 import json
 import os
@@ -86,3 +87,28 @@ def test_solve_api_loads_no_catalog():
     )
     assert "vortexcc.solver" in loaded
     assert not loaded & {"vortexcc.exceptional", "vortexcc.exactpoly", "vortexcc.asymptotics"}
+
+
+def test_diagram_command_loads_neither_the_solver_nor_the_catalog():
+    loaded = _loaded_after(
+        "from vortexcc import cli\n"
+        "assert cli.main(['diagram', '--family', 'roberts']) == 0"
+    )
+    assert "vortexcc.asymptotics" in loaded
+    assert not loaded & {"vortexcc.solver", "vortexcc.exceptional", "vortexcc.exactpoly"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(vortexcc.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # Every name a module binds by import, at any depth, is read somewhere in
+    # that module; the __future__ flags bind no name.
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, sorted(imported - used)
