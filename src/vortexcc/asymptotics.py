@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -182,7 +183,10 @@ def roberts_normalized(a: float, branch: str = "real") -> ComplexConfiguration:
 
 
 def verify_roberts(a: float, branch: str = "real") -> float:
-    """Residual max-modulus of the normalized family member in the full system."""
+    """Residual max-modulus of the normalized family member in the full system.
+
+    On the complex branch it grows like a⁴ times the float64 roundoff (1.06e-10 at a = 20).
+    """
     conf = roberts_normalized(a, branch)
     return complex_system_residual(conf, ROBERTS_VORTICITIES).norm
 
@@ -201,6 +205,9 @@ def roberts_parameter_sequence(limit: str, steps: int = 12) -> tuple:
     ``steps`` runs from 4 to 32 for "a0" (at the default collision guard)
     and from 4 to 26 for "ainf".
     """
+    # As in the solver's counts, a bool is not an integer.
+    if isinstance(steps, bool) or not isinstance(steps, Integral):
+        raise ValueError("steps must be an integer")
     if steps < 4:
         raise ValueError("need at least 4 steps")
     if limit not in _MAX_STEPS:
@@ -237,8 +244,14 @@ def _moduli(p: np.ndarray) -> np.ndarray:
 def _balanced(z: np.ndarray, w: np.ndarray):
     """Balance every row of the (T, N) stacks z, w: (z', w', ε) with ε of shape (T,).
 
-    A zero separation raises CollisionError for the first such row and pair, in w if w_jk = 0.
+    A NaN or infinite entry raises ValueError for the first such row, in z if
+    z has one; a zero separation raises CollisionError for the first such row
+    and pair, in w if w_jk = 0.
     """
+    zfinite, wfinite = np.isfinite(z).all(axis=1), np.isfinite(w).all(axis=1)
+    if not (zfinite & wfinite).all():
+        row = int(np.argmin(zfinite & wfinite))
+        raise ValueError(f"row {row} has a non-finite entry in {'w' if zfinite[row] else 'z'}")
     zsep, wsep = _moduli(_separations(z)), _moduli(_separations(w))
     zero = (zsep == 0.0) | (wsep == 0.0)
     if zero.any():

@@ -161,7 +161,7 @@ def _report_csv(doc: dict) -> str:
 
 
 def _options_from_args(args) -> tuple[SolverOptions, dict]:
-    """Solver options from the tolerance flags; the solve validates them."""
+    """Solver options from the tolerance flags; building them checks their values."""
     from .solver import SolverOptions
 
     overrides = {

@@ -85,26 +85,20 @@ class SolverOptions:
     collision_guard: float = COLLISION_GUARD
     dedup_tol: float = 1e-6         # relative, on sorted squared-distance signature
     class_tol: float = 1e-8         # |Im Λ| threshold for the collapse branch
-    collapse_tol: float = 1e-8      # |S|, |I|, |L| bound required of collapse solutions
-    start_radius: float = 2.0
     start_min_gap: float = 1e-3
-    lm_lambda0: float = 1e-3
-    lm_increase: float = 10.0
-    lm_decrease: float = 0.25
     lm_lambda_max: float = 1e12
     divergence_norm: float = 1e8
 
-    def validated(self) -> "SolverOptions":
+    def __post_init__(self):
         # Written as `not ... < inf` so that NaN fails it too.  An infinite tol
         # converges every start; an infinite lm_lambda_max never ends a trial loop.
         for f in fields(self):
             if not abs(getattr(self, f.name)) < math.inf:
                 raise ValueError(f"option {f.name} must be finite")
         # Written as `not ... > ...` so that NaN fails every check.
-        # A start disk of radius 0 or NaN, or a NaN gap, never yields a separated
-        # start; a divergence bound of 0 fails every step, a NaN one none.
-        for name in ("tol", "dedup_tol", "class_tol", "collapse_tol", "lm_lambda0",
-                     "start_radius", "divergence_norm"):
+        # A NaN gap never yields a separated start; a divergence bound of 0
+        # fails every step, a NaN one none.
+        for name in ("tol", "dedup_tol", "class_tol", "divergence_norm"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"option {name} must be positive")
         for name in ("max_iter", "start_min_gap"):
@@ -112,24 +106,17 @@ class SolverOptions:
                 raise ValueError(f"option {name} must be non-negative")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral):
             raise ValueError("option max_iter must be an integer")
-        # Each rejected trial multiplies λ by lm_increase until it passes
-        # lm_lambda_max; without growth that never happens and the solve never ends.
-        if not self.lm_increase > 1:
-            raise ValueError("option lm_increase must be greater than 1")
-        if not 0 < self.lm_decrease <= 1:
-            raise ValueError("option lm_decrease must lie in (0, 1]")
-        if not self.lm_lambda_max >= self.lm_lambda0:
+        if not self.lm_lambda_max >= _LM_LAMBDA0:
             raise ValueError("option lm_lambda_max must be at least lm_lambda0")
-        # No two points of the start disk lie 2 * start_radius apart, so a gap that
+        # No two points of the start disk lie 2 * _START_RADIUS apart, so a gap that
         # large is never met and the start sampler would give up.
-        if not self.start_min_gap < 2 * self.start_radius:
+        if not self.start_min_gap < 2 * _START_RADIUS:
             raise ValueError("option start_min_gap must be less than twice start_radius")
         # The engine evaluates residuals only where the guard holds, and the residual
         # functions raise CollisionError below COLLISION_GUARD; a smaller guard would
         # let that escape the engine instead of a NewtonFailure.
         if not self.collision_guard >= COLLISION_GUARD:
             raise ValueError(f"option collision_guard must be at least {COLLISION_GUARD:g}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -216,6 +203,13 @@ class _Search:
 # per-call memory about 4x for little more.
 _LANES = 512
 
+# Fixed damping schedule: λ₀, ×10 on a rejected trial (so λ passes lm_lambda_max
+# and the trial loop ends), ×¼ on an accepted one; the start disk radius; the
+# |S|, |I|, |L| bound required of collapse solutions.
+_LM_LAMBDA0, _LM_INCREASE, _LM_DECREASE = 1e-3, 10.0, 0.25
+_START_RADIUS = 2.0
+_COLLAPSE_TOL = 1e-8
+
 # How a start ends; the engine records each start's end as an index into this tuple.
 _REASONS = ("converged", "diverged", "hit_collision_guard", "max_iterations")
 _CONVERGED, _DIVERGED, _HIT_GUARD, _MAX_ITERATIONS = range(len(_REASONS))
@@ -275,7 +269,7 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
                     F = np.zeros((lanes, F0.shape[1]), dtype=F0.dtype)
                 owner[new] = take
                 x[new], F[new], nrm[new] = starts[take], F0, search.norm(F0)
-                damp[new], iters[new], fresh[new] = options.lm_lambda0, 0, True
+                damp[new], iters[new], fresh[new] = _LM_LAMBDA0, 0, True
         busy = owner >= 0
         # Masks are tested with np.count_nonzero, several times cheaper than
         # ndarray.any on arrays this small; a round's fixed cost is mostly such calls.
@@ -318,7 +312,7 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
                 continue
         step, solved = _damped_steps(jtj[run], jtf[run], damp[run])   # jtj[run] is a copy
         if np.count_nonzero(solved) < run.size:
-            damp[run[~solved]] *= options.lm_increase
+            damp[run[~solved]] *= _LM_INCREASE
             step, run = step[solved], run[solved]
             if not run.size:
                 continue
@@ -326,7 +320,7 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
         hit = search.guard(xt)
         if np.count_nonzero(hit):
             blocked[run[hit]] = True
-            damp[run[hit]] *= options.lm_increase
+            damp[run[hit]] *= _LM_INCREASE
             xt, run = xt[~hit], run[~hit]
             if not run.size:
                 continue
@@ -334,12 +328,12 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
         nt = search.norm(Ft)
         better = nt < nrm[run]          # never for a NaN or infinite norm
         if np.count_nonzero(better) < run.size:
-            damp[run[~better]] *= options.lm_increase
+            damp[run[~better]] *= _LM_INCREASE
             xt, Ft, nt, run = xt[better], Ft[better], nt[better], run[better]
             if not run.size:
                 continue
         x[run], F[run], nrm[run] = xt, Ft, nt
-        damp[run] = np.maximum(damp[run] * options.lm_decrease, 1e-14)
+        damp[run] = np.maximum(damp[run] * _LM_DECREASE, 1e-14)
         far = np.abs(xt).max(axis=1) > options.divergence_norm
         if np.count_nonzero(far):
             finish(run[far], _DIVERGED)
@@ -563,7 +557,7 @@ def _classify(lam: complex, inv: Invariants, opts: SolverOptions):
         return KIND_RELATIVE_EQUILIBRIUM, ()
     flags = []
     # Necessary conditions for the collapse branch: Γ != 0 and S = I = L = 0.
-    if abs(inv.S) > opts.collapse_tol or abs(inv.I) > opts.collapse_tol or abs(inv.L) > opts.collapse_tol:
+    if abs(inv.S) > _COLLAPSE_TOL or abs(inv.I) > _COLLAPSE_TOL or abs(inv.L) > _COLLAPSE_TOL:
         flags.append("collapse_invariant_violation")
     if inv.gamma == 0:
         flags.append("collapse_gamma_zero")
@@ -635,16 +629,16 @@ def _solution_assertions(inv: Invariants, opts: SolverOptions) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _disk_positions(u: np.ndarray, opts: SolverOptions) -> np.ndarray:
+def _disk_positions(u: np.ndarray) -> np.ndarray:
     """Positions in the start disk from uniforms u (..., 2, n): radius draws, then angle draws."""
-    r = opts.start_radius * np.sqrt(u[..., 0, :])
+    r = _START_RADIUS * np.sqrt(u[..., 0, :])
     phi = 2.0 * np.pi * u[..., 1, :]
     return r * np.exp(1j * phi)
 
 
 def _sample_disk(rng: np.random.Generator, n: int, opts: SolverOptions) -> np.ndarray:
     for _ in range(10_000):
-        pos = _disk_positions(rng.random((2, n)), opts)
+        pos = _disk_positions(rng.random((2, n)))
         if _min_gap(pos[None])[0] >= opts.start_min_gap:
             return pos
     raise RuntimeError("could not sample a well-separated start")
@@ -662,7 +656,7 @@ def _draw_starts(rng: np.random.Generator, count: int, n: int, disks: int, angle
     """
     state = rng.bit_generator.state
     u = rng.random((count, disks * 2 * n + angles))
-    pos = _disk_positions(u[:, : disks * 2 * n].reshape(count, disks, 2, n), opts)
+    pos = _disk_positions(u[:, : disks * 2 * n].reshape(count, disks, 2, n))
     if (_min_gap(pos.reshape(-1, n)) >= opts.start_min_gap).all():
         return pos, 2.0 * np.pi * u[:, disks * 2 * n :]
     rng.bit_generator.state = state
@@ -689,13 +683,15 @@ def newton_refine(v: VorticitySet, start, regime: str = "physical",
 
     Physical starts are ``(positions, theta)``; complex starts are
     ``(z, w, lam)``.  Raises ValueError unless positions, or z and w, hold
-    one entry per vortex.
+    one entry per vortex, and unless every entry of the start is finite.
     """
-    opts = (options or SolverOptions()).validated()
+    opts = options or SolverOptions()
     search = _central_search(v.as_float(), regime, opts)
     if any(np.shape(p) != (v.n,) for p in (start[:1] if regime == "physical" else start[:2])):
         raise ValueError("positions must match the vorticity count")
     x0 = _pack_physical(start) if regime == "physical" else _pack_complex(start)
+    if not np.isfinite(x0).all():
+        raise ValueError("start entries must be finite")
     reason, iters, norm, x = _refine(search, x0[None], opts)
     if reason[0] != _CONVERGED:
         return NewtonFailure(_REASONS[reason[0]], int(iters[0]), float(norm[0]))
@@ -725,7 +721,7 @@ def solve_central_multistart(
     the sorted squared-distance signature together with Λ.  Counts are
     "found", not proven complete.
     """
-    opts = (options or SolverOptions()).validated()
+    opts = options or SolverOptions()
     starts = _integer(starts, "starts", 1)
     seed = _integer(seed, "seed", 0)
     return _multistart(_central_search(v.as_float(), regime, opts), starts, seed, opts)
@@ -880,7 +876,7 @@ def solve_equilibria(v: VorticitySet, starts: int = 200, seed: int = 0,
     root set of V is translation-, rotation- and dilation-invariant, so the
     second vortex can be pinned completely).
     """
-    opts = (options or SolverOptions()).validated()
+    opts = options or SolverOptions()
     starts = _integer(starts, "starts", 1)
     seed = _integer(seed, "seed", 0)
     if not _vanishes(v, lambda g: [a * b for a, b in combinations(g, 2)]):
@@ -940,7 +936,7 @@ def solve_rigid_translation(v: VorticitySet, starts: int = 200, seed: int = 0,
     positive; the common velocity is parametrized as V = e^{iφ} so |V| = 1
     fixes the dilation.
     """
-    opts = (options or SolverOptions()).validated()
+    opts = options or SolverOptions()
     starts = _integer(starts, "starts", 1)
     seed = _integer(seed, "seed", 0)
     if not _vanishes(v, list):  # Γ: the strengths are the terms

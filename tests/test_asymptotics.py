@@ -318,6 +318,11 @@ def test_parameter_sequences():
         roberts_parameter_sequence("a0", 3)
     with pytest.raises(ValueError):
         roberts_parameter_sequence("elsewhere", 8)
+    # A step count that is not an integer reached range() and raised TypeError there.
+    for steps in (12.0, 8.5, True, "12"):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            roberts_parameter_sequence("a0", steps)
+    assert roberts_parameter_sequence("ainf", np.int64(8)) == ainf
 
 
 @pytest.mark.parametrize("limit, longest", [("a0", 32), ("ainf", 26)])
@@ -337,6 +342,29 @@ def test_a0_ladder_limit_follows_the_collision_guard():
     # the last one at or above the guard.
     params = roberts_parameter_sequence("a0", 32)
     assert params[-1] >= COLLISION_GUARD > params[-1] * 0.5
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+def test_non_finite_coordinates_are_refused_before_any_arithmetic(entry, capfd):
+    # Regression: NaN balanced to all-NaN tuples with a RuntimeWarning, an
+    # infinite w entry gave ε = 0.0, and a NaN in a family made LAPACK print
+    # DLASCL lines before extract_diagram raised LinAlgError.
+    _, configs = roberts_degeneration("a0", 8)
+    for coordinate, side in (("z", 0), ("w", 1)):
+        for row in (0, 5, 7):
+            family = [tuple(map(list, c)) for c in configs]
+            family[row][side][2] = entry
+            if row == 0:
+                with pytest.raises(ValueError, match=f"^row 0 has a non-finite entry in {coordinate}$"):
+                    balance_normalize(*family[0])
+            with pytest.raises(ValueError, match=f"^row {row} has a non-finite entry in {coordinate}$"):
+                extract_diagram(family)
+    # The first row is named, and z before w within it.
+    family = [tuple(map(list, c)) for c in configs]
+    family[6][0][0] = family[3][1][4] = family[3][0][1] = entry
+    with pytest.raises(ValueError, match="^row 3 has a non-finite entry in z$"):
+        extract_diagram(family)
+    assert capfd.readouterr() == ("", "")
 
 
 # ---------------------------------------------------------------------------

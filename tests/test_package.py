@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,41 @@ def test_every_imported_name_is_used(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, sorted(imported - used)
+
+
+def _references(tree):
+    """Every name the tree reads, as a name or an attribute, or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.name for a in node.names)
+
+
+def _private_definitions(tree):
+    """(name, node) of each private function, class or constant a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+@pytest.mark.parametrize("path", sorted(Path(vortexcc.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_private_name_is_referenced(path):
+    # A refactor that leaves an old helper or constant behind shows here: every
+    # private top-level name of a module is read or imported somewhere in the
+    # package outside its own definition.
+    package = Path(vortexcc.__file__).parent
+    references = Counter(name for source in package.glob("*.py")
+                         for name in _references(ast.parse(source.read_text())))
+    dead = sorted(name for name, node in _private_definitions(ast.parse(path.read_text()))
+                  if references[name] == Counter(_references(node))[name])
+    assert not dead, dead

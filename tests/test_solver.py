@@ -193,6 +193,24 @@ def test_wrong_size_positions_are_rejected():
             call()
 
 
+def test_newton_refine_rejects_non_finite_starts():
+    # Regression: such a start reached the kernels, which warned (an error under
+    # this suite's RuntimeWarning filter) or returned NewtonFailure('diverged', 0, nan).
+    v = VorticitySet((1.0, 2.0, 3.0))
+    z = np.array([0.0, 1.0, 1j])
+    nan, inf = float("nan"), float("inf")
+    starts = [((np.array([0.0, 1.0, nan]), 0.0), "physical"),
+              ((z, inf), "physical"),
+              ((np.array([0.0, 1.0, complex(0.0, inf)]), 0.0), "physical"),
+              ((np.array([nan, 1.0, 1j]), z.conj(), 1.0), "complex"),
+              ((z, np.array([0.0, 1.0, -inf]), 1.0), "complex"),
+              ((z, z.conj(), complex(1.0, nan)), "complex"),
+              ((z, z.conj(), inf), "complex")]
+    for start, regime in starts:
+        with pytest.raises(ValueError, match="start entries must be finite"):
+            newton_refine(v, start, regime=regime)
+
+
 def test_newton_refine_perturbed_equilateral():
     z = np.exp(2j * np.pi * np.arange(3) / 3)
     rng = np.random.default_rng(4)
@@ -226,24 +244,20 @@ def test_solve_rejects_bad_arguments():
     with pytest.raises(ValueError):
         solve_central_multistart(TWO, regime="imaginary")
     with pytest.raises(ValueError):
-        SolverOptions(tol=-1.0).validated()
-    # Damping that cannot grow past lm_lambda_max never gives up on a start;
-    # damping that shrinks past zero or starts above its cap converges nothing.
-    for bad in (dict(lm_increase=1.0), dict(lm_increase=0.5), dict(lm_lambda0=0.0),
-                dict(lm_lambda0=-1.0), dict(lm_lambda0=float("nan")), dict(lm_decrease=0.0),
-                dict(lm_decrease=1.5), dict(lm_lambda_max=1e-6), dict(max_iter=-3),
-                dict(max_iter=1.5), dict(max_iter=True)):
+        SolverOptions(tol=-1.0)
+    # A cap below the initial damping λ₀ ends every start before its first step.
+    for bad in (dict(lm_lambda_max=1e-6), dict(max_iter=-3), dict(max_iter=1.5),
+                dict(max_iter=True)):
         with pytest.raises(ValueError, match=next(iter(bad))):
-            SolverOptions(**bad).validated()
+            SolverOptions(**bad)
     # Below COLLISION_GUARD the kernels raise, which would escape newton_refine.
     for guard in (1e-12, 0.0):
         with pytest.raises(ValueError, match="collision_guard"):
-            SolverOptions(collision_guard=guard).validated()
-    # A start disk that is a point or NaN, or a NaN gap, never yields a separated
-    # start; a divergence bound of 0 fails every start, a NaN one fails none.
+            SolverOptions(collision_guard=guard)
+    # A NaN gap never yields a separated start; a divergence bound of 0 fails
+    # every start, a NaN one fails none.
     nan = float("nan")
-    for bad in (dict(start_radius=0.0), dict(start_radius=-1.0), dict(start_radius=nan),
-                dict(start_min_gap=-1e-3), dict(start_min_gap=nan),
+    for bad in (dict(start_min_gap=-1e-3), dict(start_min_gap=nan),
                 dict(divergence_norm=0.0), dict(divergence_norm=-1.0), dict(divergence_norm=nan)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             solve_central_multistart(VorticitySet((1.0, 2.0, -0.5)), starts=20, seed=0,
@@ -252,13 +266,12 @@ def test_solve_rejects_bad_arguments():
     # ends a trial loop.  Every option must be finite, and NaN fails that too.
     inf = float("inf")
     for bad in (dict(tol=inf), dict(lm_lambda_max=inf), dict(dedup_tol=inf),
-                dict(class_tol=-inf), dict(collision_guard=inf), dict(lm_increase=inf),
-                dict(start_min_gap=inf), dict(divergence_norm=inf), dict(max_iter=inf),
-                dict(collapse_tol=nan)):
+                dict(class_tol=-inf), dict(collision_guard=inf), dict(start_min_gap=inf),
+                dict(divergence_norm=inf), dict(max_iter=inf), dict(lm_lambda_max=nan)):
         with pytest.raises(ValueError, match=f"option {next(iter(bad))} must be finite"):
-            SolverOptions(**bad).validated()
+            SolverOptions(**bad)
     # Starts may touch: a zero gap stays legal.
-    assert SolverOptions(start_min_gap=0.0).validated().start_min_gap == 0.0
+    assert SolverOptions(start_min_gap=0.0).start_min_gap == 0.0
     # Every search refuses a non-positive start count, before its L or Γ gate.
     for starts in (0, -5):
         with pytest.raises(ValueError, match="starts must be positive"):
@@ -288,7 +301,7 @@ _SEARCHES = ((solve_central_multistart, THREE, None), (solve_equilibria, COLLAPS
              (solve_rigid_translation, VorticitySet((1.0, -1.0)), THREE))
 
 
-def test_seed_is_validated_and_stored_as_python_int():
+def test_seed_is_checked_and_stored_as_python_int():
     for solve, runs, gated in _SEARCHES:
         for v in filter(None, (runs, gated)):
             # A numpy integer seed gives the report of the equal Python int.
@@ -303,16 +316,38 @@ def test_seed_is_validated_and_stored_as_python_int():
 
 
 def test_start_gap_beyond_the_disk_diameter_is_rejected():
-    # No two points of a disk of radius 1 lie 2 apart, so the sampler could only
-    # give up after its redraws; the options refuse such a gap instead.
-    for gap in (2.0, 2.5):
-        opts = SolverOptions(start_radius=1.0, start_min_gap=gap)
+    # No two points of the start disk (radius 2) lie 4 apart, so the sampler could
+    # only give up after its redraws; the options refuse such a gap instead.
+    for gap in (4.0, 5.0):
         with pytest.raises(ValueError, match="start_min_gap must be less than twice start_radius"):
-            opts.validated()
-        for solve, v, _ in _SEARCHES:
-            with pytest.raises(ValueError, match="start_min_gap"):
-                solve(v, starts=5, options=opts)
-    assert SolverOptions(start_radius=1.0, start_min_gap=1.5).validated().start_min_gap == 1.5
+            SolverOptions(start_min_gap=gap)
+    assert SolverOptions(start_min_gap=3.9).start_min_gap == 3.9
+
+
+def test_options_hold_the_eight_settings_and_are_checked_when_built():
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == [
+        "tol", "max_iter", "collision_guard", "dedup_tol", "class_tol", "start_min_gap",
+        "lm_lambda_max", "divergence_norm"]
+    # The damping schedule, start disk and collapse bound are fixed, not settings.
+    for name in ("lm_lambda0", "lm_increase", "lm_decrease", "start_radius", "collapse_tol"):
+        with pytest.raises(TypeError):
+            SolverOptions(**{name: 1.0})
+    # No public method is left beside the settings.
+    assert {name for name in vars(SolverOptions) if not name.startswith("_")} == {
+        f.name for f in dataclasses.fields(SolverOptions)}
+    # dataclasses.replace builds new options, so it checks them too.
+    with pytest.raises(ValueError, match="option tol must be positive"):
+        dataclasses.replace(SolverOptions(), tol=0.0)
+
+
+def test_classify_cannot_take_invalid_options():
+    # Regression: classify took options unchecked, and a NaN class_tol turned a
+    # Λ = 1 relative equilibrium of (1, 1, 1) into a flagged collapse.
+    sol = solve_central_multistart(THREE, starts=20, seed=0).solutions[0]
+    assert sol.lam == pytest.approx(1.0)
+    assert classify(sol) == ("relative_equilibrium", ())
+    with pytest.raises(ValueError, match="option class_tol must be finite"):
+        classify(sol, SolverOptions(class_tol=float("nan")))
 
 
 def test_solves_reach_the_public_kernels_through_solver_attributes(monkeypatch):
@@ -525,7 +560,7 @@ def test_engine_damps_only_singular_lanes(monkeypatch):
     # Allowed one trial only, a start whose first step is accepted ends at
     # max_iterations, the others diverge.  No start of this set fails the
     # guard at once, so the first stacked solve holds start k in lane k.
-    one_trial = SolverOptions(max_iter=1, lm_lambda_max=opts.lm_lambda0)
+    one_trial = SolverOptions(max_iter=1, lm_lambda_max=solver._LM_LAMBDA0)
     k = _outcomes(solver._refine(search, starts, one_trial)).index("max_iterations")
     real_solve = np.linalg.solve
     singular = []       # the one matrix treated as singular, by its bytes
@@ -736,7 +771,7 @@ def test_windowed_scan_matches_loop_on_random_grids(tol, shape, with_lambda):
 
 def _sample_disk_loop(rng, n, opts):
     for _ in range(10_000):
-        r = opts.start_radius * np.sqrt(rng.uniform(size=n))
+        r = solver._START_RADIUS * np.sqrt(rng.uniform(size=n))
         phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
         pos = r * np.exp(1j * phi)
         if solver._min_gap(pos[None])[0] >= opts.start_min_gap:
