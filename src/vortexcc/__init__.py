@@ -34,9 +34,9 @@ _EXPORTS = {
             "evaluate_diagram_constraints", "verdict",
         ),
         "asymptotics": (
-            "ColoredDiagram", "DiagramExtraction", "NotSingularError", "ScaledSequence",
-            "balance_normalize", "extract_diagram", "four_product", "load_family",
-            "roberts_family", "roberts_normalized", "save_family", "verify_roberts",
+            "ColoredDiagram", "DiagramExtraction", "NotSingularError", "balance_normalize",
+            "extract_diagram", "four_product", "load_family", "roberts_family",
+            "roberts_normalized", "save_family", "verify_roberts",
         ),
     }.items()
     for name in names

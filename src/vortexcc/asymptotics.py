@@ -43,7 +43,6 @@ from .system import (
 __all__ = [
     "NotSingularError",
     "ColoredDiagram",
-    "ScaledSequence",
     "DiagramExtraction",
     "ROBERTS_VORTICITIES",
     "roberts_family",
@@ -94,20 +93,6 @@ class ColoredDiagram:
     @property
     def stroke_pairs(self) -> frozenset:
         return self.z_strokes | self.w_strokes
-
-
-@dataclass(frozen=True)
-class ScaledSequence:
-    """Balanced configurations along a degenerating family."""
-
-    parameters: tuple
-    configurations: tuple  # (z, w) tuples after balancing
-    epsilons: tuple
-
-    def __post_init__(self):
-        eps = self.epsilons
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilons must decrease strictly along the sequence")
 
 
 @dataclass(frozen=True)
@@ -244,10 +229,16 @@ def _moduli(p: np.ndarray) -> np.ndarray:
 def _balanced(z: np.ndarray, w: np.ndarray):
     """Balance every row of the (T, N) stacks z, w: (z', w', ε) with ε of shape (T,).
 
-    A NaN or infinite entry raises ValueError for the first such row, in z if
-    z has one; a zero separation raises CollisionError for the first such row
-    and pair, in w if w_jk = 0.
+    z and w of different widths, or fewer than two vortices, raise ValueError;
+    so does a NaN or infinite entry, for the first such row, in z if z has
+    one.  A zero separation raises CollisionError for the first such row and
+    pair, in w if w_jk = 0.
     """
+    n = z.shape[1]
+    if w.shape[1] != n:
+        raise ValueError(f"z and w must hold the same number of vortices, got {n} and {w.shape[1]}")
+    if n < 2:
+        raise ValueError(f"need at least two vortices, got {n}")
     zfinite, wfinite = np.isfinite(z).all(axis=1), np.isfinite(w).all(axis=1)
     if not (zfinite & wfinite).all():
         row = int(np.argmin(zfinite & wfinite))
@@ -362,9 +353,10 @@ def four_product(z: Sequence, w: Sequence, pair: tuple) -> complex:
     ws = [complex(p) for p in w]
     if len(zs) != 5 or len(ws) != 5:
         raise ValueError("four-products are defined for exactly 5 vortices")
-    j, n_ = pair
-    if not (1 <= j <= 5 and 1 <= n_ <= 5 and j != n_):
+    if not (len(pair) == 2 and pair[0] != pair[1]
+            and all(isinstance(label, Integral) and 1 <= label <= 5 for label in pair)):
         raise ValueError("pair must be two distinct labels in 1..5")
+    j, n_ = pair
     k, m, l = sorted(set(range(1, 6)) - {j, n_})
 
     def r2(a: int, b: int) -> complex:

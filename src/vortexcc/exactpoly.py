@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials with integer coefficients.
 
-The vorticity constraint catalog is held in this one form: it is written with
-``-`` and ``*`` and printed.  The catalog compiles each polynomial into
-subset-table lookups at import, so a verdict evaluates none of them;
+The tests' reference for the vorticity constraint catalog.  The catalog is
+written as relations between subset sums Γ_J and pair momenta L_J
+(:class:`vortexcc.exceptional.Relation`), compiled into subset-table lookups
+at import, so a verdict neither evaluates a polynomial nor loads this module;
+:meth:`Relation.poly` expands a relation into a Poly only to print it.
 :meth:`Poly.evaluate` (in Python ints on int input) is the reference that the
 tests check those lookups against.  :meth:`Poly.permuted` and
 :meth:`Poly.sign_canonical` define a relabelled constraint up to sign, the
@@ -49,14 +51,6 @@ class Poly:
 
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, tuple((-c, idx) for c, idx in self.terms))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return Poly(self.nvars, self.terms + (-other).terms)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        return Poly(self.nvars, tuple(
-            (c1 * c2, i1 + i2) for c1, i1 in self.terms for c2, i2 in other.terms
-        ))
 
     def evaluate(self, values: Sequence):
         """Value at `values`: an int on ints.

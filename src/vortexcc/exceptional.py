@@ -25,14 +25,15 @@ unordered pair of table indices, set when the pair's two entries agree.
 The mask is the one place the zero rule is applied.  Bits 0–56 pair each
 Γ_J and L_J with the table's constant 0, in the subset check's order, so
 the Γ ≠ 0 test is one bit and the check's witness is the lowest set bit.
-The catalog is held as integer-coefficient polynomials
-(:class:`~vortexcc.exactpoly.Poly`), and under every relabelling each is ±
-the difference of two table entries, such as g₁g₃ − g₂g₄ = L_13 − L_24, or
-Γ_J − 0 for a pure Γ_J.  So each is compiled at import into one pair per
-relabelling; the catalog adds 95 pairs to the 57, and no polynomial is
-evaluated at run time.  A clause is tried only under the relabellings that
-make its first equality, its anchor, vanish: the preimages of the mask's
-set bits, 106 of which are anchor pairs.  The search stays exhaustive and
+The catalog is written as relations P − N (:class:`Relation`), each side a
+Γ_J, an L_J or 0, such as g₁g₃ − g₂g₄ = L_13 − L_24, or Γ_J − 0 for a pure
+Γ_J; :meth:`Relation.poly` expands one only to print it.  Under every
+relabelling a relation is the difference of two table entries, so each is
+compiled at import into one pair per relabelling; the catalog adds 95 pairs
+to the 57, and no polynomial is evaluated at run time.  A clause is tried
+only under the relabellings that make its first equality, its anchor,
+vanish: the preimages of the mask's set bits, 106 of which are anchor
+pairs.  The search stays exhaustive and
 over-approximates each diagram's own symmetry soundly.  Under each such
 relabelling the clause is decided by two mask tests: every bit of its
 equalities is set and no bit of its inequations is.  Those masks also key
@@ -54,7 +55,6 @@ from itertools import combinations, compress, permutations, repeat
 from math import gcd, lcm
 from operator import add, eq, itemgetter
 
-from .exactpoly import Poly
 from .quantities import VorticitySet
 
 __all__ = [
@@ -82,9 +82,10 @@ class TotalVorticityZeroError(ValueError):
 class ConstraintClause:
     """One conjunctive branch: equalities that must vanish, inequations that must not.
 
-    ``lambda_branch`` records which rotation multiplier the branch belongs to
-    ("pm1" for Λ = ±1, "pmi" for Λ = ±i, "any" when unconstrained); it is
-    reported, never verified against a configuration.
+    Each equality and inequation is a :class:`Relation`.  ``lambda_branch``
+    records which rotation multiplier the branch belongs to ("pm1" for
+    Λ = ±1, "pmi" for Λ = ±i, "any" when unconstrained); it is reported,
+    never verified against a configuration.
     """
 
     equalities: tuple
@@ -136,21 +137,44 @@ class ExceptionalReport:
 # ---------------------------------------------------------------------------
 
 
-def _gsum(*idx: int) -> Poly:
-    """Γ_J: the sum of the strengths with 1-based indices in J."""
-    return Poly(N_VORTICES, tuple((1, (i - 1,)) for i in idx))
+@dataclass(frozen=True)
+class Relation:
+    """A catalog polynomial P − N, each side a subset sum Γ_J, a pair momentum L_J or 0.
 
+    A side is ``(degree, J)`` with J the 1-based labels, degree 1 for Γ_J
+    and 2 for L_J, or ``()`` for 0; ``plus`` is the polynomial's positive
+    part.  ``-`` joins two sides of one degree, the homogeneity that the
+    one-time rescaling relies on, and refuses anything else.
+    """
 
-_g = _gsum
+    plus: tuple
+    minus: tuple = ()
 
+    def __sub__(self, other: "Relation") -> "Relation":
+        if self.minus or other.minus or self.plus[0] != other.plus[0]:
+            raise ValueError(f"{self!r} - {other!r} is not a difference of two Γ_J or two L_J")
+        return Relation(self.plus, other.plus)
 
-def _lsub(*idx: int) -> Poly:
-    """L_J: the sum of Γ_aΓ_b over the unordered pairs of J."""
-    return Poly(N_VORTICES, tuple((1, (a - 1, b - 1)) for a, b in combinations(idx, 2)))
+    def poly(self):
+        """The expanded :class:`~vortexcc.exactpoly.Poly`, built to print the relation."""
+        from .exactpoly import Poly
+
+        def terms(side, sign):
+            degree, J = side or (1, ())
+            return tuple((sign, tuple(j - 1 for j in js)) for js in combinations(J, degree))
+
+        return Poly(N_VORTICES, terms(self.plus, 1) + terms(self.minus, -1))
+
+    def __str__(self) -> str:
+        return str(self.poly())
 
 
 def _build_catalog() -> tuple:
-    L = _lsub(1, 2, 3, 4, 5)
+    def G(*J):  # Γ_J
+        return Relation((1, J))
+
+    def L(*J):  # L_J
+        return Relation((2, J))
 
     def clause(eqs, neqs=(), branch="any"):
         return ConstraintClause(tuple(eqs), tuple(neqs), branch)
@@ -161,152 +185,152 @@ def _build_catalog() -> tuple:
         entries.append(DiagramConstraint(id_, tuple(clauses), strokes, circles))
 
     add(1, [
-        clause([_gsum(1, 2, 5), _gsum(1, 2) - _gsum(3, 4)], [_gsum(1, 2)], "pm1"),
-        clause([_g(1) * _g(2) - _lsub(3, 4, 5), _g(3) * _g(4) - _lsub(1, 2, 5), L],
-               [_gsum(1, 2), _gsum(3, 4)], "pmi"),
+        clause([G(1, 2, 5), G(1, 2) - G(3, 4)], [G(1, 2)], "pm1"),
+        clause([L(1, 2) - L(3, 4, 5), L(3, 4) - L(1, 2, 5), L(1, 2, 3, 4, 5)],
+               [G(1, 2), G(3, 4)], "pmi"),
     ],
         strokes="isolated stroke 1-2 and isolated stroke 3-4, opposite colors",
         circles="ends of each stroke circled in its own color; vertex 5 bare")
     add(2, [
-        clause([_gsum(3, 4, 5), _gsum(1, 2) - _g(5)], [_gsum(1, 2), _gsum(3, 4)], "pm1"),
+        clause([G(3, 4, 5), G(1, 2) - G(5)], [G(1, 2), G(3, 4)], "pm1"),
     ],
         strokes="isolated stroke 1-2; isolated one-color triangle 3-4-5",
         circles="1,2 circled; two triangle vertices (3,4) circled")
     add(3, [
-        clause([_gsum(3, 4, 5)], [_gsum(1, 2)], "pm1"),
-        clause([_g(1) * _g(2) - _lsub(3, 4, 5), L], [_gsum(1, 2)], "pmi"),
+        clause([G(3, 4, 5)], [G(1, 2)], "pm1"),
+        clause([L(1, 2) - L(3, 4, 5), L(1, 2, 3, 4, 5)], [G(1, 2)], "pmi"),
     ],
         strokes="isolated stroke 1-2; one-color triangle 3-4-5",
         circles="1,2 circled; triangle fully circled in its color")
     add(4, [
-        clause([_gsum(1, 2), _gsum(3, 4)]),
+        clause([G(1, 2), G(3, 4)]),
     ],
         strokes="isolated two-color edge 1-2 and isolated two-color edge 3-4",
         circles="each pair circled and mutually close; vertex 5 bare")
     add(5, [
-        clause([_g(1) * _g(3) - _g(2) * _g(4)]),
+        clause([L(1, 3) - L(2, 4)]),
     ],
         strokes="alternating-color four-cycle: edges 1-2 and 3-4 in one color, 1-4 and 2-3 in the other; vertex 5 isolated",
         circles="1,2,3,4 at maximal order")
     add(6, [
-        clause([_lsub(1, 2, 3)]),
+        clause([L(1, 2, 3)]),
     ],
         strokes="isolated one-color triangle on 1,2,3",
         circles="triangle uncircled")
     add(7, [
-        clause([_gsum(1, 2, 3)]),
+        clause([G(1, 2, 3)]),
     ],
         strokes="single-color-close cluster {1,2,3}",
         circles="1,2,3 circled in that color")
     add(8, [
-        clause([_gsum(1, 2, 3)]),
+        clause([G(1, 2, 3)]),
     ],
         strokes="single-color-close cluster {1,2,3}, second variant",
         circles="1,2,3 circled in that color")
     add(9, [
-        clause([_lsub(1, 2, 4), _lsub(1, 3, 4)]),
+        clause([L(1, 2, 4), L(1, 3, 4)]),
     ],
         strokes="two one-color triangles 1-2-4 and 1-3-4 sharing the edge 1-4",
         circles="shared triangles uncircled")
     add(10, [
-        clause([_lsub(1, 2, 4)]),
+        clause([L(1, 2, 4)]),
     ],
         strokes="one-color triangle 1-2-4 attached to further strokes",
         circles="triangle uncircled")
     add(11, [
-        clause([_g(2) - _g(3), _gsum(1, 4) - _g(5)]),
+        clause([G(2) - G(3), G(1, 4) - G(5)]),
     ],
         strokes="butterfly around the two-color edge 1-4; vertex 5 attached to 2 and 3 by one stroke of each color",
         circles="none")
     add(12, [
-        clause([_gsum(1, 2), _gsum(4, 5)]),
+        clause([G(1, 2), G(4, 5)]),
     ],
         strokes="isolated two-color edge 1-2; isolated two-color edge 4-5",
         circles="each pair circled and mutually close")
     add(13, [
-        clause([_lsub(1, 2, 3), _lsub(1, 4, 5)]),
+        clause([L(1, 2, 3), L(1, 4, 5)]),
     ],
         strokes="two one-color triangles 1-2-3 and 1-4-5 attached at vertex 1",
         circles="uncircled")
     add(14, [
-        clause([_g(1) - _gsum(2, 3), _lsub(1, 2, 3)], [_gsum(4, 5)], "pm1"),
-        clause([_lsub(1, 4, 5), L, _lsub(1, 2, 3)], [_gsum(4, 5)], "pmi"),
+        clause([G(1) - G(2, 3), L(1, 2, 3)], [G(4, 5)], "pm1"),
+        clause([L(1, 4, 5), L(1, 2, 3, 4, 5), L(1, 2, 3)], [G(4, 5)], "pmi"),
     ],
         strokes="triangles 1-2-3 and 1-4-5 attached at 1; 1-4-5 isolated in its color",
         circles="two circles on the isolated triangle (4,5)")
     add(15, [
-        clause([_g(1) - _gsum(4, 5), _g(1) - _gsum(2, 3)], [_gsum(2, 3)], "pm1"),
-        clause([L, _lsub(1, 4, 5) - _lsub(1, 2, 3)], [_gsum(2, 3), _gsum(4, 5)], "pmi"),
+        clause([G(1) - G(4, 5), G(1) - G(2, 3)], [G(2, 3)], "pm1"),
+        clause([L(1, 2, 3, 4, 5), L(1, 4, 5) - L(1, 2, 3)], [G(2, 3), G(4, 5)], "pmi"),
     ],
         strokes="triangles 1-2-3 and 1-4-5 attached at 1, each isolated in its color",
         circles="two circles on each triangle (2,3 and 4,5)")
     add(16, [
-        clause([_lsub(1, 2, 3)]),
+        clause([L(1, 2, 3)]),
     ],
         strokes="one-color triangle 1-2-3, isolated in its color",
         circles="triangle uncircled")
     add(17, [
-        clause([_gsum(1, 2, 3)]),
+        clause([G(1, 2, 3)]),
     ],
         strokes="single-color-close cluster {1,2,3}",
         circles="1,2,3 circled")
     add(18, [
-        clause([_lsub(1, 3, 5), _lsub(1, 2, 3, 4)]),
+        clause([L(1, 3, 5), L(1, 2, 3, 4)]),
     ],
         strokes="fully stroked one-color quadrilateral 1-2-3-4 plus triangle 1-3-5",
         circles="uncircled")
     add(19, [
-        clause([_lsub(1, 3, 5)]),
+        clause([L(1, 3, 5)]),
     ],
         strokes="one-color triangle 1-3-5, isolated in its color",
         circles="uncircled triangle")
     add(20, [
-        clause([_lsub(1, 2, 3, 4), _gsum(2, 4)]),
+        clause([L(1, 2, 3, 4), G(2, 4)]),
     ],
         strokes="fully one-color-stroked quadrilateral on 1,2,3,4",
         circles="2 and 4 circled and mutually close in the other color")
     add(21, [
-        clause([_lsub(1, 2, 3, 4)]),
+        clause([L(1, 2, 3, 4)]),
     ],
         strokes="fully one-color-stroked quadrilateral on 1,2,3,4",
         circles="uncircled")
     add(22, [
-        clause([_gsum(1, 2, 3, 4)]),
+        clause([G(1, 2, 3, 4)]),
     ],
         strokes="single-color-close cluster {1,2,3,4}",
         circles="1,2,3,4 circled")
     add(23, [
-        clause([_lsub(1, 2, 3)]),
+        clause([L(1, 2, 3)]),
     ],
         strokes="isolated one-color triangle 1-2-3, variant a",
         circles="uncircled")
     add(24, [
-        clause([_lsub(1, 2, 3)]),
+        clause([L(1, 2, 3)]),
     ],
         strokes="isolated one-color triangle 1-2-3, variant b",
         circles="uncircled")
     add(25, [
-        clause([_lsub(1, 2, 3)]),
+        clause([L(1, 2, 3)]),
     ],
         strokes="isolated one-color triangle 1-2-3, variant c",
         circles="uncircled")
     add(26, [
-        clause([_lsub(1, 2, 3)]),
+        clause([L(1, 2, 3)]),
     ],
         strokes="isolated one-color triangle 1-2-3, variant d",
         circles="uncircled")
     add(27, [
-        clause([_lsub(1, 2, 3, 4), _lsub(1, 2, 3, 5)]),
+        clause([L(1, 2, 3, 4), L(1, 2, 3, 5)]),
     ],
         strokes="two fully stroked quadrilaterals 1-2-3-4 and 1-2-3-5 sharing a triangle",
         circles="uncircled")
     add(28, [
-        clause([_lsub(1, 2, 3, 4)]),
+        clause([L(1, 2, 3, 4)]),
     ],
         strokes="fully stroked quadrilateral 1-2-3-4 attached to vertex 5",
         circles="uncircled")
     add(29, [
-        clause([L]),
+        clause([L(1, 2, 3, 4, 5)]),
     ],
         strokes="every pair close in both colors (fully clustered five)",
         circles="uncircled")
@@ -455,14 +479,12 @@ _LABELS = tuple(tuple(s + 1 for s in sigma) for sigma in _PERMUTATIONS)
 
 
 def _build_plans(diagrams: tuple) -> tuple:
-    """Each clause polynomial compiled to one pair of subset-table indices per σ.
+    """Each clause relation compiled to one pair of subset-table indices per σ.
 
-    A catalog polynomial is P − N, where P is the sum of its positive terms
-    and N the negated sum of its negative ones, and each of P and N must be a
-    Γ_J, an L_J or empty (the table's constant 0); any other polynomial
-    raises ValueError.  Catalog label i stands for input vortex σ[i], so Γ_J
-    of the pulled-back tuple is Γ_σ(J) of the input, and the polynomial there
-    is ± the difference of the table entries of P and N relabelled by σ.
+    A relation P − N has each side a Γ_J, an L_J or 0, the table's constant.
+    Catalog label i stands for input vortex σ[i], so Γ_J of the pulled-back
+    tuple is Γ_σ(J) of the input, and the relation there is the difference
+    of the table entries of P and N relabelled by σ.
 
     Returns the plans, the pairs and the preimages.  The plans hold one
     (diagram id, clause index, clause, equalities, inequations) per clause
@@ -473,30 +495,21 @@ def _build_plans(diagrams: tuple) -> tuple:
     bit, one (plan position, ascending _PERMUTATIONS indices) entry per
     clause whose anchor those σ send to that pair.
     """
-    images: dict = {}  # terms of Γ_J or L_J -> its table index under each σ
+    images: dict = {}  # a side -> its table index under each σ
     bits = {(i, 0): bit for bit, (i, _) in enumerate(_CONDITIONS)}  # pair -> its bit
 
-    def index(p, terms):
-        if terms not in images:
-            J = tuple(sorted({i for _, idx in terms for i in idx}))
-            if terms == tuple((1, (j,)) for j in J):  # Γ_J, or the constant 0 when empty
-                offset = 0
-            elif terms == tuple((1, pair) for pair in combinations(J, 2)):  # L_J
-                offset = _MOMENTUM
-            else:
-                raise ValueError(f"catalog polynomial {p} is not a difference of two "
-                                 "subset sums or pair momenta")
-            image = repeat(offset, len(_PERMUTATIONS))
+    def index(side):
+        if side not in images:
+            degree, J = side or (1, ())  # the empty side is Γ of no labels, the constant 0
+            image = repeat(_MOMENTUM if degree == 2 else 0, len(_PERMUTATIONS))
             for j in J:
-                image = map(add, image, _BIT_OF[j])
-            images[terms] = tuple(image)
-        return images[terms]
+                image = map(add, image, _BIT_OF[j - 1])
+            images[side] = tuple(image)
+        return images[side]
 
-    @cache  # a polynomial recurs in many clauses
-    def compiled(p):
-        hi = index(p, tuple((c, idx) for c, idx in p.terms if c > 0))
-        lo = index(p, tuple((-c, idx) for c, idx in p.terms if c < 0))
-        pairs = tuple(zip(hi, lo))
+    @cache  # a relation recurs in many clauses
+    def compiled(r):
+        pairs = tuple(zip(index(r.plus), index(r.minus)))
         bit = {(h, l): bits.setdefault((h, l) if h > l else (l, h), len(bits))
                for h, l in dict.fromkeys(pairs)}
         return tuple(map(bit.__getitem__, pairs))

@@ -107,11 +107,13 @@ class SolverOptions:
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral):
             raise ValueError("option max_iter must be an integer")
         if not self.lm_lambda_max >= _LM_LAMBDA0:
-            raise ValueError("option lm_lambda_max must be at least lm_lambda0")
+            raise ValueError("option lm_lambda_max must be at least the initial damping "
+                             f"λ₀ = {_LM_LAMBDA0}")
         # No two points of the start disk lie 2 * _START_RADIUS apart, so a gap that
         # large is never met and the start sampler would give up.
         if not self.start_min_gap < 2 * _START_RADIUS:
-            raise ValueError("option start_min_gap must be less than twice start_radius")
+            raise ValueError("option start_min_gap must be less than the start disk's diameter "
+                             f"{2 * _START_RADIUS}")
         # The engine evaluates residuals only where the guard holds, and the residual
         # functions raise CollisionError below COLLISION_GUARD; a smaller guard would
         # let that escape the engine instead of a NewtonFailure.
@@ -596,7 +598,7 @@ def _central_solutions(v: VorticitySet, regime: str, c: _Canonical, iters: np.nd
     records = []
     for s, inv in enumerate(invariants_of(v, c.z, c.w, lam=lams)):
         kind, flags = _classify(lams[s], inv, opts)
-        flags += _solution_assertions(inv, opts)
+        flags += _solution_assertions(inv)
         if nonunit[s]:
             flags += ("nonunit_lambda",)
         records.append(CentralConfigSolution(
@@ -614,7 +616,7 @@ def _central_solutions(v: VorticitySet, regime: str, c: _Canonical, iters: np.nd
     return records
 
 
-def _solution_assertions(inv: Invariants, opts: SolverOptions) -> tuple:
+def _solution_assertions(inv: Invariants) -> tuple:
     flags = []
     if abs(inv.M) > 1e-10:
         flags.append("moment_not_zero")

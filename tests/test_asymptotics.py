@@ -16,7 +16,6 @@ from vortexcc.system import (
 from vortexcc.asymptotics import (
     ColoredDiagram,
     NotSingularError,
-    ScaledSequence,
     balance_normalize,
     extract_diagram,
     four_product,
@@ -182,11 +181,6 @@ def test_extract_rejects_short_sequences():
         extract_diagram(configs[:3])
 
 
-def test_scaled_sequence_requires_decreasing_epsilons():
-    with pytest.raises(ValueError, match="decrease"):
-        ScaledSequence((1.0, 2.0), ((), ()), (0.5, 0.5))
-
-
 def test_rule_one_checker():
     bad = ColoredDiagram(3, frozenset(), frozenset(), frozenset({1}), frozenset())
     assert not bad.satisfies_rule_one
@@ -268,6 +262,10 @@ def test_four_product_validation():
         four_product(conf.z[:4], conf.w[:4], (1, 2))
     with pytest.raises(ValueError, match="distinct"):
         four_product(conf.z, conf.w, (2, 2))
+    # Regression: a non-integer label raised "too many values to unpack" or a TypeError.
+    for pair in ((1, 1.5), (1.0, 2), (0, 2), (1, 2, 3)):
+        with pytest.raises(ValueError, match="pair must be two distinct labels in 1..5"):
+            four_product(conf.z, conf.w, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +363,33 @@ def test_non_finite_coordinates_are_refused_before_any_arithmetic(entry, capfd):
     with pytest.raises(ValueError, match="^row 3 has a non-finite entry in z$"):
         extract_diagram(family)
     assert capfd.readouterr() == ("", "")
+
+
+# Regression: unequal lengths balanced to tuples of two lengths or raised
+# numpy's broadcast error; one vortex gave ε = 1.0 and none a reduction error.
+MISSHAPEN = {
+    "2-3": ((0, 1), (0, 1, 2), "the same number of vortices, got 2 and 3"),
+    "3-4": ((0, 1, 2), (0, 1, 2, 3), "the same number of vortices, got 3 and 4"),
+    "one": ((1,), (1,), "at least two vortices, got 1"),
+    "none": ((), (), "at least two vortices, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", MISSHAPEN)
+def test_balance_refuses_unequal_lengths_and_fewer_than_two_vortices(case, capfd):
+    z, w, message = MISSHAPEN[case]
+    with pytest.raises(ValueError, match=message):
+        balance_normalize(z, w)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_extract_refuses_unequal_lengths_and_fewer_than_two_vortices():
+    # Rows cut to (z[:2], w[:3]) once gave a 2-vertex diagram with a w-stroke (1, 2).
+    _, configs = roberts_degeneration("a0", 12)
+    with pytest.raises(ValueError, match="the same number of vortices, got 2 and 3"):
+        extract_diagram([(z[:2], w[:3]) for z, w in configs])
+    with pytest.raises(ValueError, match="at least two vortices, got 1"):
+        extract_diagram([(z[:1], w[:1]) for z, w in configs])
 
 
 # ---------------------------------------------------------------------------

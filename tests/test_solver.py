@@ -319,7 +319,8 @@ def test_start_gap_beyond_the_disk_diameter_is_rejected():
     # No two points of the start disk (radius 2) lie 4 apart, so the sampler could
     # only give up after its redraws; the options refuse such a gap instead.
     for gap in (4.0, 5.0):
-        with pytest.raises(ValueError, match="start_min_gap must be less than twice start_radius"):
+        with pytest.raises(ValueError,
+                           match="start_min_gap must be less than the start disk's diameter 4.0"):
             SolverOptions(start_min_gap=gap)
     assert SolverOptions(start_min_gap=3.9).start_min_gap == 3.9
 
@@ -855,7 +856,7 @@ def _central_solution_row(v, regime, z, w, lam, residual, signature, iters, opts
     z, w, lam = tuple(z), tuple(w), complex(lam)
     inv = invariants_of(v, z, w, lam=lam)
     kind, flags = solver._classify(lam, inv, opts)
-    flags += solver._solution_assertions(inv, opts)
+    flags += solver._solution_assertions(inv)
     if abs(abs(lam) - 1.0) > 1e-6:
         flags += ("nonunit_lambda",)
     return CentralConfigSolution(regime=regime, z=z, w=w, lam=lam,
