@@ -22,6 +22,11 @@ approximate.
 Each tuple gets one subset table, its 31 subset sums Γ_J and 26 pair
 momenta L_J, and one vanishing-pair mask: an integer with a bit per
 unordered pair of table indices, set when the pair's two entries agree.
+Both are built in the one pass that rescales the tuple, and only the mask
+is kept.  Each Γ_J is Γ_{J∖j} + g_j, j the largest index of J.  Exact tables
+take each L_J by the recurrence L_J = L_{J∖j} + g_j·Γ_{J∖j}, one
+multiply-add per subset; float tables sum each L_J over J's pair products
+in combinations order, whose bits the float verdicts keep.
 The mask is the one place the zero rule is applied.  Bits 0–56 pair each
 Γ_J and L_J with the table's constant 0, in the subset check's order, so
 the Γ ≠ 0 test is one bit and the check's witness is the lowest set bit.
@@ -50,10 +55,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, compress, permutations, repeat
 from math import gcd, lcm
 from operator import add, eq, itemgetter
+from typing import NamedTuple
 
 from .quantities import VorticitySet
 
@@ -391,14 +397,12 @@ _SUBSETS = tuple(
 )
 _MOMENTUM = 1 << N_VORTICES
 _PAIRS = tuple(combinations(range(N_VORTICES), 2))
-# The table is filled with the additions of sum(), in the same order, so that
-# float tables keep their bits.  Γ_J is Γ of J without its last index plus
-# that strength.  L_J sums the products of the pairs of J in combinations
-# order, from the list of the ten pair products.  That list ends in a 0, which
-# each getter reads first: it then returns a tuple even for one pair, and
-# sum((0, *p)) == sum(p).
-_GAMMA_STEPS = tuple((m, m - (1 << J[-1]), J[-1]) for J, m, _ in _SUBSETS)
-_MOMENTUM_STEPS = tuple((_MOMENTUM + m, itemgetter(len(_PAIRS), *map(_PAIRS.index, pairs)))
+# The table's fill order: each nonempty J after J∖j, as its bitmask m, m
+# without J's largest index j, and j.  Float L_J are summed from the list of
+# the ten pair products.  That list ends in a 0, which each getter reads
+# first: it then returns a tuple even for one pair, and sum((0, *p)) == sum(p).
+_STEPS = tuple((m, m - (1 << J[-1]), J[-1]) for J, m, _ in _SUBSETS)
+_MOMENTUM_STEPS = tuple((m, itemgetter(len(_PAIRS), *map(_PAIRS.index, pairs)))
                         for _, m, pairs in _SUBSETS if pairs)
 # The subset check's 57 conditions in its order, J lexicographic and Γ_J
 # before L_J: each as the table index that must not vanish and the check it
@@ -409,67 +413,76 @@ _CONDITIONS = tuple(
     for offset, kind in ((0, "vanishing_sum"), (_MOMENTUM, "vanishing_pair_momentum"))
     if pairs or not offset
 )
+_PASSED = SubsetCheck(True)
+_EXACT_NOTES = ("diagram 29 lists only L=0; its Γ=0 alternative is excluded by assumption",)
+_FLOAT_NOTES = ("float input: equalities tested against a scale-aware tolerance",) + _EXACT_NOTES
 
 
-@dataclass(frozen=True)
-class _Normalized:
-    """A five-tuple rescaled once on entry; same verdict as the input.
+class _Normalized(NamedTuple):
+    """A five-tuple rescaled once on entry, with its vanishing-pair mask; same verdict as the input.
 
     Exact input: ``gammas`` is the primitive integer vector (denominators
     cleared, divided by the gcd, signs kept), on which every catalog
-    polynomial is a Python int.  Float input: ``gammas`` is the input over max|Γ|; an entry
-    that underflows to 0.0 is zero relative to max|Γ|.
+    polynomial is a Python int.  Float input: ``gammas`` is the input over
+    max|Γ|; an entry that underflows to 0.0 is zero relative to max|Γ|.
+
+    ``mask`` has bit i set when pair i's two table entries agree: equal for
+    exact input, within ZERO_TOL of each other for float input.
     """
 
     exact: bool
     gammas: tuple
+    mask: int
 
-    @cached_property
-    def mask(self) -> int:
-        """The vanishing-pair mask: bit i is set when pair i's two table entries agree.
 
-        This is the one zero rule: the entries are equal for exact input, or
-        within ZERO_TOL of each other for float input.  Built on first use
-        and shared by the Γ test, the subset check and the catalog.
-        """
-        a, b = (ends(self.table) for ends in _ENDS)
-        if self.exact:
-            hits = map(eq, a, b)
-        else:
-            hits = (abs(x - y) <= ZERO_TOL for x, y in zip(a, b))
-        return sum(compress(_BITS, hits))
+def _subset_table(gammas: tuple, exact: bool) -> list:
+    """The subset table of a normalized tuple: the 31 Γ_J and 26 L_J at their indices, 0 elsewhere.
 
-    @cached_property
-    def table(self) -> list:
-        """The subset table: the 31 Γ_J and 26 L_J at their indices, 0 elsewhere.
-
-        Each Γ_J is summed in index order and each L_J in pair order, from
-        the ten pair products.
-        """
-        g = self.gammas
-        products = [g[a] * g[b] for a, b in _PAIRS] + [0]
-        table = [0] * (2 * _MOMENTUM)
-        for m, rest, j in _GAMMA_STEPS:
-            table[m] = table[rest] + g[j]
-        for i, terms in _MOMENTUM_STEPS:
-            table[i] = sum(terms(products))
-        return table
+    Γ_J = Γ_{J∖j} + g_j, the additions of sum() in index order.  Exact input
+    takes L_J = L_{J∖j} + g_j·Γ_{J∖j}, exact in Python ints; float input sums
+    J's pair products in combinations order, so float verdicts keep their bits.
+    """
+    sums = [0] * _MOMENTUM
+    momenta = [0] * _MOMENTUM
+    if exact:
+        for m, rest, j in _STEPS:
+            g = gammas[j]
+            s = sums[rest]
+            sums[m] = s + g
+            momenta[m] = momenta[rest] + g * s
+    else:
+        for m, rest, j in _STEPS:
+            sums[m] = sums[rest] + gammas[j]
+        products = [gammas[a] * gammas[b] for a, b in _PAIRS] + [0]
+        for m, terms in _MOMENTUM_STEPS:
+            momenta[m] = sum(terms(products))
+    return sums + momenta
 
 
 def _normalized(v) -> _Normalized:
-    """Normalize a VorticitySet; :func:`verdict` passes the result on as is."""
+    """Normalize a VorticitySet and build its mask; :func:`verdict` passes the result on as is."""
     if isinstance(v, _Normalized):
         return v
     _require_five(v)
-    if v.is_exact:
-        fractions = [g if isinstance(g, (int, Fraction)) else Fraction(g) for g in v.gammas]
-        common = lcm(*(f.denominator for f in fractions))
-        ints = [f.numerator * (common // f.denominator) for f in fractions]
+    exact = v.is_exact
+    if exact:
+        ratios = [(g if isinstance(g, (int, Fraction)) else Fraction(g)).as_integer_ratio()
+                  for g in v.gammas]
+        common = lcm(*(d for _, d in ratios))
+        ints = [n * (common // d) for n, d in ratios]
         divisor = gcd(*ints)
-        return _Normalized(True, tuple(i // divisor for i in ints))
-    floats = tuple(float(g) for g in v.gammas)
-    top = max(abs(f) for f in floats)
-    return _Normalized(False, tuple(f / top for f in floats))
+        gammas = tuple(i // divisor for i in ints)
+    else:
+        floats = tuple(float(g) for g in v.gammas)
+        top = max(abs(f) for f in floats)
+        gammas = tuple(f / top for f in floats)
+    table = _subset_table(gammas, exact)
+    a, b = (ends(table) for ends in _ENDS)
+    if exact:
+        hits = map(eq, a, b)
+    else:
+        hits = [abs(x - y) <= ZERO_TOL for x, y in zip(a, b)]
+    return _Normalized(exact, gammas, sum(compress(_BITS, hits)))
 
 
 _PERMUTATIONS = tuple(permutations(range(N_VORTICES)))
@@ -626,7 +639,7 @@ def check_subset_conditions(v: VorticitySet) -> SubsetCheck:
     """
     failed = _normalized(v).mask & _SUBSET_BITS
     if not failed:
-        return SubsetCheck(True)
+        return _PASSED
     return _CONDITIONS[(failed & -failed).bit_length() - 1][1]
 
 
@@ -636,21 +649,16 @@ def verdict(v: VorticitySet) -> ExceptionalReport:
     Certification rests on :func:`check_subset_conditions` alone; raw catalog
     matches are included for diagnostics.  Requires Γ != 0.
     """
-    n = _normalized(v)
-    subset_check = check_subset_conditions(n)  # builds the vanishing-pair mask
+    n = _normalized(v)  # the subset table and its vanishing-pair mask, built once
+    subset_check = check_subset_conditions(n)
     if n.mask & _TOTAL_BIT:
         raise TotalVorticityZeroError(
             "total vorticity is zero; the certification presupposes Γ != 0"
         )
-    matches = tuple(evaluate_diagram_constraints(n))
-    notes = []
-    if not n.exact:
-        notes.append("float input: equalities tested against a scale-aware tolerance")
-    notes.append("diagram 29 lists only L=0; its Γ=0 alternative is excluded by assumption")
     return ExceptionalReport(
         verdict="certified_finite" if subset_check.passed else "exceptional_suspect",
         subset_check=subset_check,
-        matches=matches,
+        matches=tuple(evaluate_diagram_constraints(n)),
         approximate=not n.exact,
-        notes=tuple(notes),
+        notes=_EXACT_NOTES if n.exact else _FLOAT_NOTES,
     )

@@ -35,11 +35,11 @@ from vortexcc.exceptional import (
     _PERMUTATIONS,
     _PLANS,
     _PREIMAGES,
-    _Normalized,
     _candidates,
     _clause_masks,
     _label_classes,
     _normalized,
+    _subset_table,
     catalog,
     catalog_records,
     check_subset_conditions,
@@ -913,7 +913,7 @@ def test_compiled_pairs_equal_the_polynomial_at_every_relabelling():
     rng = np.random.default_rng(31)
     for _ in range(30):
         x = tuple(int(a) for a in rng.integers(-50, 51, size=5))
-        table = _Normalized(True, x).table
+        table = _subset_table(x, True)
         for p, bits in compiled:
             assert len(bits) == len(_PERMUTATIONS)
             for bit, sigma in zip(bits, _PERMUTATIONS):
@@ -936,3 +936,59 @@ def test_relation_is_a_difference_of_two_sides_of_one_degree():
                  lambda: (G(1) - G(2)) - G(3), lambda: G(3) - (G(1) - G(2))):
         with pytest.raises(ValueError, match="is not a difference of two"):
             make()
+
+
+def _defined_table(g) -> list:
+    """Γ_J and L_J by their definitions at the subset table's indices, summed from 0 in order.
+
+    Γ_J sums J's strengths in index order and L_J the products of J's pairs
+    in combinations order, as float tables must, bit for bit.
+    """
+    table = [0] * 64
+    for J in SUBSETS:
+        m = sum(1 << j for j in J)
+        table[m] = sum(g[j] for j in J)
+        table[32 + m] = sum(g[a] * g[b] for a, b in combinations(J, 2))
+    return table
+
+
+def test_exact_table_holds_every_subset_sum_and_pair_momentum():
+    rng = np.random.default_rng(43)
+    for scale in (1, 10**400):  # near 10^400, L_J cancels down from about 10^800
+        for _ in range(200):
+            g = tuple(int(s) * scale + int(d) for s, d in zip(rng.choice((-1, 1), size=5),
+                                                              rng.integers(-20, 21, size=5)))
+            table = _subset_table(g, True)
+            assert table == _defined_table(g), g
+            assert all(type(x) is int for x in table)
+
+
+def test_float_table_sums_in_pair_order_bit_for_bit():
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        g = tuple(float(x) for x in rng.uniform(-1, 1, size=5) * 10.0 ** rng.integers(-8, 9, size=5))
+        got = [float(x).hex() for x in _subset_table(g, False)]
+        assert got == [float(x).hex() for x in _defined_table(g)], g
+
+
+def test_verdict_builds_one_table_and_reaches_each_helper_once(monkeypatch):
+    # The benchmark times the subset check and the catalog match by wrapping
+    # these names of vortexcc.exceptional, so verdict must call both through
+    # them, and build its tuple's one subset table before either.
+    names = ("_subset_table", "check_subset_conditions", "evaluate_diagram_constraints")
+    calls = []
+
+    def counted(name, helper):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return helper(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(exceptional, name, counted(name, getattr(exceptional, name)))
+    witness = CLAUSE_WITNESSES[0]
+    for vals in (WARM_UP, (1, -1, 3, 5, 9), witness, tuple(map(float, witness))):
+        calls.clear()
+        report = verdict(VorticitySet(vals))
+        assert calls == list(names), vals
+    assert report.matches and report.approximate
