@@ -21,6 +21,7 @@ trailing rows; family files hold the rows in system's (Re, Im) layout.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence
@@ -383,7 +384,11 @@ def save_family(path, parameters: Sequence, configurations: Sequence) -> None:
 
 def load_family(path):
     """(parameters, configurations) from a family file; ValueError if it is malformed."""
-    data = np.atleast_2d(np.loadtxt(path))
+    with warnings.catch_warnings():  # an empty file is reported below, as malformed
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, ndmin=2)
+    if not data.size:
+        raise ValueError("malformed family file: no data rows")
     if data.shape[1] < 9 or (data.shape[1] - 1) % 4 != 0:
         raise ValueError("malformed family file: need 1 + 4N columns")
     bad = ~np.isfinite(data).all(axis=1)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -353,7 +354,7 @@ def _svg_solution(sol: dict, gammas: list, origin_x: float, origin_y: float, sca
                 f'<text x="{(x1 + x2) / 2:.3f}" y="{(y1 + y2) / 2:.3f}" font-size="7" '
                 f'fill="#888888">r2={r2:.4g}</text>'
             )
-    gmax = max(abs(g) for g in gammas) if gammas else 1.0
+    gmax = max(map(abs, gammas), default=0.0) or 1.0  # no strengths, or all zero
     for i, (x, y) in enumerate(pts):
         g = gammas[i] if i < len(gammas) else 1.0
         radius = 3.0 + 6.0 * abs(g) / gmax
@@ -371,15 +372,42 @@ def _svg_solution(sol: dict, gammas: list, origin_x: float, origin_y: float, sca
     return parts
 
 
+def _number(x) -> float:
+    """A number of a report as a finite float; ValueError otherwise."""
+    if type(x) not in (int, float) or not math.isfinite(x):
+        raise ValueError(f"{x!r} is not a finite number")
+    return float(x)
+
+
+def _point(p) -> tuple:
+    """An [x, y] pair of a report as two finite floats."""
+    x, y = p
+    return _number(x), _number(y)
+
+
+def _read_report(path: str) -> tuple[list, list]:
+    """The solutions and strengths of a solve report, checked; CliError 1 when it cannot be read.
+
+    Each solution keeps the fields the plot draws: its kind, its positions
+    as (x, y) and its λ as (re, im) or None.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        gammas = [_number(g) for g in doc["input"]["gamma"]]
+        solutions = [{
+            "kind": str(sol["kind"]),
+            "positions": [_point(p) for p in sol["positions"]],
+            "lambda": None if sol["lambda"] is None else _point(sol["lambda"]),
+        } for sol in doc["solutions"]]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(1, f"cannot read report {path}: {exc}")
+    return solutions, gammas
+
+
 def cmd_plot(args) -> int:
     """Exit 0 on success, 1 on unreadable report."""
-    try:
-        with open(args.report, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        solutions = doc["solutions"]
-        gammas = doc["input"]["gamma"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise CliError(1, f"cannot read report {args.report}: {exc}")
+    solutions, gammas = _read_report(args.report)
     cell = 220.0
     cols = max(1, min(4, len(solutions)))
     rows = max(1, (len(solutions) + cols - 1) // cols)

@@ -23,10 +23,10 @@ Each tuple gets one subset table, its 31 subset sums Γ_J and 26 pair
 momenta L_J, and one vanishing-pair mask: an integer with a bit per
 unordered pair of table indices, set when the pair's two entries agree.
 Both are built in the one pass that rescales the tuple, and only the mask
-is kept.  Each Γ_J is Γ_{J∖j} + g_j, j the largest index of J.  Exact tables
-take each L_J by the recurrence L_J = L_{J∖j} + g_j·Γ_{J∖j}, one
-multiply-add per subset; float tables sum each L_J over J's pair products
-in combinations order, whose bits the float verdicts keep.
+is kept.  Every table, exact or float, is built by one recurrence: with j
+the largest index of J, Γ_J = Γ_{J∖j} + g_j and L_J = L_{J∖j} + g_j·Γ_{J∖j},
+one multiply-add per subset.  A verdict depends on the table only through
+the mask, so float verdicts keep their masks, not the bits of the table.
 The mask is the one place the zero rule is applied.  Bits 0–56 pair each
 Γ_J and L_J with the table's constant 0, in the subset check's order, so
 the Γ ≠ 0 test is one bit and the check's witness is the lowest set bit.
@@ -61,7 +61,7 @@ from math import gcd, lcm
 from operator import add, eq, itemgetter
 from typing import NamedTuple
 
-from .quantities import VorticitySet
+from .quantities import VorticitySet, _as_floats
 
 __all__ = [
     "ConstraintClause",
@@ -388,30 +388,25 @@ def _require_five(v: VorticitySet) -> None:
 ZERO_TOL = 1e-9  # float input: |P(Γ / max|Γ|)| <= ZERO_TOL counts as zero
 
 # Nonempty 0-based index subsets J in lexicographic order, each with its
-# bitmask m and its pairs.  A tuple's subset table holds Γ_J at index m and
-# L_J at _MOMENTUM + m; index 0, the empty sum, holds the constant 0.
+# bitmask m.  A tuple's subset table holds Γ_J at index m and L_J at
+# _MOMENTUM + m; index 0, the empty sum, holds the constant 0.
 _SUBSETS = tuple(
-    (J, sum(1 << j for j in J), tuple(combinations(J, 2)))
+    (J, sum(1 << j for j in J))
     for J in sorted(J for r in range(1, N_VORTICES + 1)
                     for J in combinations(range(N_VORTICES), r))
 )
 _MOMENTUM = 1 << N_VORTICES
-_PAIRS = tuple(combinations(range(N_VORTICES), 2))
 # The table's fill order: each nonempty J after J∖j, as its bitmask m, m
-# without J's largest index j, and j.  Float L_J are summed from the list of
-# the ten pair products.  That list ends in a 0, which each getter reads
-# first: it then returns a tuple even for one pair, and sum((0, *p)) == sum(p).
-_STEPS = tuple((m, m - (1 << J[-1]), J[-1]) for J, m, _ in _SUBSETS)
-_MOMENTUM_STEPS = tuple((m, itemgetter(len(_PAIRS), *map(_PAIRS.index, pairs)))
-                        for _, m, pairs in _SUBSETS if pairs)
+# without J's largest index j, and j.
+_STEPS = tuple((m, m - (1 << J[-1]), J[-1]) for J, m in _SUBSETS)
 # The subset check's 57 conditions in its order, J lexicographic and Γ_J
 # before L_J: each as the table index that must not vanish and the check it
 # fails with.  They are the first 57 pairs of the vanishing-pair mask.
 _CONDITIONS = tuple(
     (offset + m, SubsetCheck(False, tuple(j + 1 for j in J), kind))
-    for J, m, pairs in _SUBSETS
+    for J, m in _SUBSETS
     for offset, kind in ((0, "vanishing_sum"), (_MOMENTUM, "vanishing_pair_momentum"))
-    if pairs or not offset
+    if len(J) > 1 or not offset
 )
 _PASSED = SubsetCheck(True)
 _EXACT_NOTES = ("diagram 29 lists only L=0; its Γ=0 alternative is excluded by assumption",)
@@ -435,27 +430,21 @@ class _Normalized(NamedTuple):
     mask: int
 
 
-def _subset_table(gammas: tuple, exact: bool) -> list:
+def _subset_table(gammas: tuple) -> list:
     """The subset table of a normalized tuple: the 31 Γ_J and 26 L_J at their indices, 0 elsewhere.
 
-    Γ_J = Γ_{J∖j} + g_j, the additions of sum() in index order.  Exact input
-    takes L_J = L_{J∖j} + g_j·Γ_{J∖j}, exact in Python ints; float input sums
-    J's pair products in combinations order, so float verdicts keep their bits.
+    Γ_J = Γ_{J∖j} + g_j and L_J = L_{J∖j} + g_j·Γ_{J∖j}, j the largest index
+    of J, for exact and float tuples alike.  Exact tables are exact in
+    Python ints; a float L_J lies within |J|·u·Σ|g_a·g_b| of its exact
+    value (u the unit roundoff), far inside ZERO_TOL.
     """
     sums = [0] * _MOMENTUM
     momenta = [0] * _MOMENTUM
-    if exact:
-        for m, rest, j in _STEPS:
-            g = gammas[j]
-            s = sums[rest]
-            sums[m] = s + g
-            momenta[m] = momenta[rest] + g * s
-    else:
-        for m, rest, j in _STEPS:
-            sums[m] = sums[rest] + gammas[j]
-        products = [gammas[a] * gammas[b] for a, b in _PAIRS] + [0]
-        for m, terms in _MOMENTUM_STEPS:
-            momenta[m] = sum(terms(products))
+    for m, rest, j in _STEPS:
+        g = gammas[j]
+        s = sums[rest]
+        sums[m] = s + g
+        momenta[m] = momenta[rest] + g * s
     return sums + momenta
 
 
@@ -473,10 +462,10 @@ def _normalized(v) -> _Normalized:
         divisor = gcd(*ints)
         gammas = tuple(i // divisor for i in ints)
     else:
-        floats = tuple(float(g) for g in v.gammas)
+        floats = _as_floats(v.gammas)
         top = max(abs(f) for f in floats)
         gammas = tuple(f / top for f in floats)
-    table = _subset_table(gammas, exact)
+    table = _subset_table(gammas)
     a, b = (ends(table) for ends in _ENDS)
     if exact:
         hits = map(eq, a, b)

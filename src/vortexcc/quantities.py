@@ -50,6 +50,23 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, Rational) if exact is None else exact
 
 
+def _as_floats(gammas) -> tuple:
+    """Strengths as floats, the one float conversion of every float path.
+
+    A rational entry beyond the float range raises a ValueError that names
+    it, where ``float`` alone raises OverflowError.
+    """
+    try:
+        return tuple(map(float, gammas))
+    except OverflowError:
+        for i, g in enumerate(gammas, start=1):
+            try:
+                float(g)
+            except OverflowError:
+                raise ValueError(f"vorticity entry {i} is beyond the float range") from None
+        raise
+
+
 def _coerce_exact(x) -> "ExactComplex":
     if isinstance(x, ExactComplex):
         return x
@@ -140,7 +157,7 @@ class VorticitySet:
         return all(map(is_exact_scalar, self.gammas))
 
     def as_float(self) -> "VorticitySet":
-        return VorticitySet(tuple(float(g) for g in self.gammas))
+        return VorticitySet(_as_floats(self.gammas))
 
     def as_exact(self) -> "VorticitySet":
         """Exact view; float entries convert to their binary-exact Fraction."""

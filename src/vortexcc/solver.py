@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quantities import Invariants, VorticitySet, invariants_of
+from .quantities import Invariants, VorticitySet, _as_floats, invariants_of
 from .system import (
     COLLISION_GUARD,
     _complex_residual,
@@ -798,8 +798,9 @@ def _vanishes(v: VorticitySet, terms: Callable) -> bool:
     """
     if v.is_exact:
         return sum(terms(v.gammas)) == 0
-    peak = max(abs(float(g)) for g in v.gammas)
-    t = terms([float(g) / peak for g in v.gammas])
+    floats = _as_floats(v.gammas)
+    peak = max(map(abs, floats))
+    t = terms([g / peak for g in floats])
     return abs(sum(t)) <= 1e-13 * sum(map(abs, t))
 
 

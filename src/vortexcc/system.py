@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quantities import VorticitySet
+from .quantities import VorticitySet, _as_floats
 
 __all__ = [
     "COLLISION_GUARD",
@@ -248,7 +248,7 @@ def _check_separated(d: np.ndarray, *coordinates: str) -> None:
 
 
 def _float_gammas(v: VorticitySet) -> np.ndarray:
-    return np.array([float(g) for g in v.gammas])
+    return np.array(_as_floats(v.gammas))
 
 
 def _check_count(v: VorticitySet, *positions: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 """The inputs and totals of scripts/certify_digest.py."""
 
+import hashlib
 import importlib.util
 import sys
 from itertools import combinations
@@ -86,3 +87,19 @@ def test_edge_inputs_plant_each_relation_at_each_edge_value():
                 got = sum(a * b for a, b in combinations(sub, 2)) if momentum else sum(sub)
                 assert abs(got - value) < 1e-15, (J, momentum, value, got)
     assert next(edges, None) is None
+
+
+def test_vanishing_masks_are_pinned():
+    # Two subset tables can give one verdict and still differ in a mask bit,
+    # so this pin is stricter than the totals: it holds every input's
+    # vanishing-pair mask, the one thing a verdict reads off its table.
+    from vortexcc import VorticitySet, exceptional
+
+    digest = hashlib.sha256()
+    count = 0
+    for _, tuples in certify_digest.groups():
+        for t in tuples:
+            digest.update(b"%x;" % exceptional._normalized(VorticitySet(t)).mask)
+            count += 1
+    assert count == 4327
+    assert digest.hexdigest() == "eeca0a07f1d8179d206abb639ca1900ca7f08d4edef9e93b826fef99dbf59930"

@@ -169,6 +169,16 @@ def test_check_exact_beyond_float_range(capsys):
     assert "verdict: certified_finite" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--gamma", f"{10**400}/1,2,3,5,7"],  # no --exact: a mixed, float-decided tuple
+    ["solve", "--gamma", f"{10**400}/1,2,3", "--starts", "4"],
+])
+def test_strength_beyond_the_float_range_exit_2(argv, capfd):
+    # These printed an OverflowError traceback and exited 1 once.
+    assert main(argv) == 2
+    assert capfd.readouterr() == ("", "error: vorticity entry 1 is beyond the float range\n")
+
+
 def test_check_gamma_zero_exit_4(capsys):
     assert main(["check", "--gamma", "1,-1,2,3,-5"]) == 4
 
@@ -262,6 +272,22 @@ def test_diagram_rejects_a_non_finite_family_file(tmp_path, capfd, entry, column
     assert capfd.readouterr() == ("", "error: malformed family file: data row 6 has a non-finite entry\n")
 
 
+@pytest.mark.parametrize("keep_header", [False, True])
+def test_diagram_rejects_a_family_file_without_data_rows(tmp_path, capfd, keep_header):
+    # numpy warned "loadtxt: input contained no data" on stderr before the error once.
+    from vortexcc.asymptotics import roberts_degeneration, save_family
+
+    fam = tmp_path / "family.txt"
+    save_family(fam, *roberts_degeneration("a0", 6))
+    header = fam.read_text().splitlines()[0]
+    fam.write_text(header + "\n" if keep_header else "")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["diagram", "--from", str(fam)]) == 2
+    assert caught == []
+    assert capfd.readouterr() == ("", "error: malformed family file: no data rows\n")
+
+
 def test_diagram_not_singular_exit_5(tmp_path, capsys):
     import numpy as np
     from vortexcc.asymptotics import save_family
@@ -323,6 +349,46 @@ def test_plot_unreadable_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["plot", str(bad), "--out", str(tmp_path / "y.svg")]) == 1
+
+
+GOOD_SOLUTION = {"kind": "relative_equilibrium", "positions": [[-0.5, 0.0], [0.5, 0.0]],
+                 "lambda": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"solutions": [{"kind": "relative_equilibrium", "lambda": None}], "input": {"gamma": [1.0, 1.0]}},
+    {"solutions": [dict(GOOD_SOLUTION, positions=[[0.0, "x"], [1.0, 0.0]])],
+     "input": {"gamma": [1.0, 1.0]}},
+    [GOOD_SOLUTION],
+    {"solutions": [dict(GOOD_SOLUTION, positions=[[0.0, float("nan")], [1.0, 0.0]])],
+     "input": {"gamma": [1.0, 1.0]}},
+    {"solutions": [dict(GOOD_SOLUTION, positions=[[0.0], [1.0, 0.0]])], "input": {"gamma": [1.0, 1.0]}},
+    {"solutions": [dict(GOOD_SOLUTION, **{"lambda": "one"})], "input": {"gamma": [1.0, 1.0]}},
+    {"solutions": [GOOD_SOLUTION], "input": {"gamma": [1.0, None]}},
+], ids=["no-positions", "string-coordinate", "top-level-list", "nan-coordinate",
+        "one-coordinate", "string-lambda", "null-gamma"])
+def test_plot_malformed_report_exit_1(tmp_path, capfd, doc):
+    # The first three printed a traceback once.
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(doc))
+    svg = tmp_path / "bad.svg"
+    assert main(["plot", str(rep), "--out", str(svg)]) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read report {rep}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not svg.exists()
+    # The well-formed report it was cut from plots.
+    rep.write_text(json.dumps({"solutions": [GOOD_SOLUTION], "input": {"gamma": [1.0, 1.0]}}))
+    assert main(["plot", str(rep), "--out", str(svg)]) == 0
+
+
+def test_plot_zero_strengths(tmp_path):
+    # All-zero strengths divided by zero once; the disks then take the smallest radius.
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"solutions": [GOOD_SOLUTION], "input": {"gamma": [0, 0]}}))
+    svg = tmp_path / "zero.svg"
+    assert main(["plot", str(rep), "--out", str(svg)]) == 0
+    assert svg.read_text().count('r="3.000"') == 2
 
 
 def test_plot_deterministic_bytes(tmp_path):

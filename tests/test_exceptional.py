@@ -322,6 +322,15 @@ def test_verdict_requires_nonzero_total():
         verdict(F5(1, -1, 2, 3, -5))
 
 
+def test_mixed_verdict_names_a_strength_beyond_the_float_range():
+    # A tuple with a float entry is decided in floats; float() of the huge
+    # rational raised OverflowError once.
+    for v in (VorticitySet((Fraction(10**400, 1), 2.0, 3.0, 5.0, 7.0)),
+              VorticitySet((1.0, 2, 3, 5, 10**400))):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            verdict(v)
+
+
 def test_verdict_flags_float_path_as_approximate():
     rep = verdict(VorticitySet((1.0, 1.0, 1.0, 1.0, 1.0)))
     assert rep.approximate
@@ -913,7 +922,7 @@ def test_compiled_pairs_equal_the_polynomial_at_every_relabelling():
     rng = np.random.default_rng(31)
     for _ in range(30):
         x = tuple(int(a) for a in rng.integers(-50, 51, size=5))
-        table = _subset_table(x, True)
+        table = _subset_table(x)
         for p, bits in compiled:
             assert len(bits) == len(_PERMUTATIONS)
             for bit, sigma in zip(bits, _PERMUTATIONS):
@@ -942,7 +951,8 @@ def _defined_table(g) -> list:
     """Γ_J and L_J by their definitions at the subset table's indices, summed from 0 in order.
 
     Γ_J sums J's strengths in index order and L_J the products of J's pairs
-    in combinations order, as float tables must, bit for bit.
+    in combinations order: the reference in exact arithmetic, and the
+    pair-order table that float masks are checked against.
     """
     table = [0] * 64
     for J in SUBSETS:
@@ -952,23 +962,76 @@ def _defined_table(g) -> list:
     return table
 
 
+def _recurrence_table(g) -> list:
+    """Γ_J = Γ_{J∖j} + g_j and L_J = L_{J∖j} + g_j·Γ_{J∖j}, j = max J, J in lexicographic order."""
+    table = [0] * 64
+    for J in SUBSETS:
+        m, j = sum(1 << i for i in J), J[-1]
+        rest = m - (1 << j)
+        table[m] = table[rest] + g[j]
+        table[32 + m] = table[32 + rest] + g[j] * table[rest]
+    return table
+
+
+def _pair_order_mask(vals) -> int:
+    """The vanishing-pair mask of a float tuple off its pair-order table, the zero rule applied anew."""
+    top = max(abs(x) for x in vals)
+    table = _defined_table([x / top for x in vals])
+    return sum(1 << bit for bit, (a, b) in enumerate(_MASK_PAIRS)
+               if abs(table[a] - table[b]) <= 1e-9)
+
+
 def test_exact_table_holds_every_subset_sum_and_pair_momentum():
     rng = np.random.default_rng(43)
     for scale in (1, 10**400):  # near 10^400, L_J cancels down from about 10^800
         for _ in range(200):
             g = tuple(int(s) * scale + int(d) for s, d in zip(rng.choice((-1, 1), size=5),
                                                               rng.integers(-20, 21, size=5)))
-            table = _subset_table(g, True)
+            table = _subset_table(g)
             assert table == _defined_table(g), g
             assert all(type(x) is int for x in table)
 
 
-def test_float_table_sums_in_pair_order_bit_for_bit():
-    rng = np.random.default_rng(47)
-    for _ in range(300):
-        g = tuple(float(x) for x in rng.uniform(-1, 1, size=5) * 10.0 ** rng.integers(-8, 9, size=5))
-        got = [float(x).hex() for x in _subset_table(g, False)]
-        assert got == [float(x).hex() for x in _defined_table(g)], g
+def _random_float_tuples(seed, count):
+    """Floats whose magnitudes spread over 10^-8 to 10^8, so every L_J mixes scales."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield tuple(float(x) for x in rng.uniform(-1, 1, size=5) * 10.0 ** rng.integers(-8, 9, size=5))
+
+
+def test_float_table_is_the_recurrence_bit_for_bit():
+    for g in _random_float_tuples(47, 300):
+        got = [float(x).hex() for x in _subset_table(g)]
+        assert got == [float(x).hex() for x in _recurrence_table(g)], g
+
+
+def test_float_table_lies_within_the_recursive_summation_bound():
+    # Γ_J rounds |J| − 1 additions and L_J adds |J|-fold roundings of J's pair
+    # products: within (|J| − 1)·u·Σ|g_j| and |J|·u·Σ|g_a·g_b| of the exact values.
+    u = Fraction(1, 2**53)
+    for g in _random_float_tuples(53, 300):
+        table = _subset_table(g)
+        exact = _defined_table([Fraction(x) for x in g])
+        for J in SUBSETS:
+            m = sum(1 << j for j in J)
+            bound = (len(J) - 1) * u * sum(abs(Fraction(g[j])) for j in J)
+            assert abs(Fraction(table[m]) - exact[m]) <= bound, (g, J)
+            bound = len(J) * u * sum(abs(Fraction(g[a]) * Fraction(g[b])) for a, b in combinations(J, 2))
+            assert abs(Fraction(table[32 + m]) - exact[32 + m]) <= bound, (g, J)
+
+
+def test_float_masks_equal_the_pair_order_table():
+    # Float tables are built by the recurrence, not in pair order; the masks,
+    # all a verdict reads, are the same.  Small rationals plant many exact
+    # relations, and the edge tuples put one relation at each side of the rule.
+    rng = np.random.default_rng(59)
+    small = []
+    while len(small) < 2000:
+        vals = tuple(int(rng.integers(-6, 7)) / int(rng.integers(1, 5)) for _ in range(5))
+        if all(vals):
+            small.append(vals)
+    for vals in small + certify_digest.edge_inputs():
+        assert _normalized(VorticitySet(vals)).mask == _pair_order_mask(vals), vals
 
 
 def test_verdict_builds_one_table_and_reaches_each_helper_once(monkeypatch):

@@ -101,6 +101,14 @@ def test_vorticity_rejects_non_finite(bad):
         VorticitySet((1.0, 2.0, bad, 3.0, 5.0))
 
 
+def test_as_float_names_an_entry_beyond_the_float_range():
+    # float() of such an entry raised OverflowError once.
+    with pytest.raises(ValueError, match="^vorticity entry 2 is beyond the float range$"):
+        VorticitySet((2, Fraction(10**400, 3), 1.5)).as_float()
+    # A ratio of huge integers inside the range converts.
+    assert VorticitySet((Fraction(10**400 + 1, 10**400), 2)).as_float().gammas == (1.0, 2.0)
+
+
 def test_configuration_rejects_collisions():
     with pytest.raises(ValueError, match="collision"):
         PlanarConfiguration((1 + 0j, 1 + 0j, 2j))

@@ -32,6 +32,20 @@ THREE = VorticitySet((1.0, 1.0, 1.0))
 COLLAPSE = VorticitySet((1.0, 1.0, -0.5))
 
 
+def test_solves_name_a_strength_beyond_the_float_range():
+    # float() of the strengths raised OverflowError once.  The mixed tuple
+    # also takes the float L and Γ gates of the equilibria and translation
+    # searches; an exact one passes them in Python ints.
+    mixed = VorticitySet((10**400, 2.0, 3.0))
+    for call in (lambda: solve_central_multistart(VorticitySet((10**400, 2, 3)), starts=4),
+                 lambda: solve_central_multistart(mixed, starts=4),
+                 lambda: solve_central_multistart(mixed, regime="complex", starts=4),
+                 lambda: solve_equilibria(mixed, starts=4),
+                 lambda: solve_rigid_translation(mixed, starts=4)):
+        with pytest.raises(ValueError, match="^vorticity entry 1 is beyond the float range$"):
+            call()
+
+
 @pytest.fixture(scope="module")
 def two_vortex_report():
     return solve_central_multistart(TWO, starts=200, seed=1)

@@ -469,3 +469,18 @@ def test_velocity_sum_matches_numpy_reduction():
             inv[:, np.arange(n), np.arange(n)] = 0.0
             reference = (g[:, None] * inv).sum(axis=1)
             assert _velocity_np(g, p).tobytes() == reference.tobytes()
+
+
+def test_kernels_name_a_strength_beyond_the_float_range():
+    # float() of the strengths raised OverflowError once.
+    v = VorticitySet((2, 10**400, 3))
+    z = (0j, 1 + 0j, 2j)
+    w = conjugate_positions(z)
+    for call in (lambda: velocity_field(v, z, w),
+                 lambda: stationary_residual(v, z, w, 1.0),
+                 lambda: complex_system_residual(ComplexConfiguration(z, w, 1.0), v),
+                 lambda: physical_residual_vector(v, np.array(z), 0.0),
+                 lambda: physical_jacobian(v, np.array(z), 0.0),
+                 lambda: complex_jacobian(v, z, w, 1.0)):
+        with pytest.raises(ValueError, match="^vorticity entry 2 is beyond the float range$"):
+            call()
