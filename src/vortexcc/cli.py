@@ -283,15 +283,19 @@ def cmd_diagram(args) -> int:
     """Exit 0 with the extracted diagram, 5 if the family is not singular."""
     from . import asymptotics
 
-    if args.family is None and args.from_file is None:
-        raise CliError(2, "need --family roberts or --from FILE")
     if args.from_file is not None:
+        given = [f"--{name}" for name in ("family", "limit", "steps") if getattr(args, name) is not None]
+        if given:
+            raise CliError(2, f"--from cannot be combined with {', '.join(given)}")
         try:
             params, configs = asymptotics.load_family(args.from_file)
         except OSError as exc:
             raise CliError(1, f"cannot read {args.from_file}: {exc}")
+    elif args.family is None:
+        raise CliError(2, "need --family roberts or --from FILE")
     else:
-        params, configs = asymptotics.roberts_degeneration(args.limit, args.steps)
+        params, configs = asymptotics.roberts_degeneration(
+            "a0" if args.limit is None else args.limit, 12 if args.steps is None else args.steps)
     try:
         extraction = asymptotics.extract_diagram(configs, params)
     except asymptotics.NotSingularError as exc:
@@ -344,8 +348,9 @@ def _svg_solution(sol: dict, gammas: list, origin_x: float, origin_y: float, sca
         for k in range(j + 1, n):
             x1, y1 = pts[j]
             x2, y2 = pts[k]
-            r2 = (sol["positions"][k][0] - sol["positions"][j][0]) ** 2 + \
-                 (sol["positions"][k][1] - sol["positions"][j][1]) ** 2
+            dx = sol["positions"][k][0] - sol["positions"][j][0]
+            dy = sol["positions"][k][1] - sol["positions"][j][1]
+            r2 = dx * dx + dy * dy  # inf past the float range, where ** 2 raises
             parts.append(
                 f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
                 f'stroke="#bbbbbb" stroke-width="0.8"/>'
@@ -474,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagram", help="stroke/circle extraction from a degenerating family")
     p.add_argument("--family", choices=("roberts",), default=None)
-    p.add_argument("--limit", choices=("a0", "ainf"), default="a0")
-    p.add_argument("--steps", type=int, default=12)
+    p.add_argument("--limit", choices=("a0", "ainf"), default=None, help="with --family; default a0")
+    p.add_argument("--steps", type=int, default=None, help="with --family; default 12")
     p.add_argument("--from", dest="from_file", default=None, metavar="FILE")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_diagram)

@@ -540,31 +540,24 @@ _TOTAL_BIT = 1 << _MASK_PAIRS.index((_MOMENTUM - 1, 0))  # Γ_12345 vanishes
 
 @cache
 def _clause_masks(position: int) -> tuple:
-    """For the clause at _PLANS[position], its equality and inequation masks per σ.
+    """For the clause at _PLANS[position], its equality masks, inequation masks and classes per σ.
 
     Each mask has the bits of the pairs that the clause's equalities, anchor
     included, or its inequations compile to under σ.  Holding the anchor's
     bit costs nothing, since a clause is tried only where its anchor
-    vanishes.  Built on the clause's first candidate, not at import.
+    vanishes.  Each class is the first _PERMUTATIONS index of σ's label
+    class: σ and σ′ share a class exactly when they relabel the clause's
+    equalities, and its inequations, to the same polynomials up to sign, so
+    the classes are the cosets of the clause's label stabilizer.  Distinct
+    pairs are distinct polynomials up to sign, so the two masks under σ
+    decide its class, and every σ of a class matches when one does.  Built
+    on the clause's first candidate, not at import.
     """
     *_, eqs, neqs = _PLANS[position]
-    return tuple(tuple(sum({_BITS[poly[k]] for poly in polys}) for k in range(len(_PERMUTATIONS)))
-                 for polys in (eqs, neqs))
-
-
-@cache
-def _label_classes(position: int) -> tuple:
-    """For the clause at _PLANS[position], the first _PERMUTATIONS index of each σ's label class.
-
-    σ and σ′ share a class exactly when they relabel the clause's equalities,
-    and its inequations, to the same polynomials up to sign: the classes are
-    the cosets of the clause's label stabilizer.  Distinct pairs are
-    distinct polynomials up to sign, so the clause's two masks under σ
-    decide its class, and every σ of a class matches when one does.  Built
-    on the clause's first candidate, with its masks, not at import.
-    """
+    masks = tuple(tuple(sum({_BITS[poly[k]] for poly in polys}) for k in range(len(_PERMUTATIONS)))
+                  for polys in (eqs, neqs))
     first: dict = {}
-    return tuple(first.setdefault(masks, k) for k, masks in enumerate(zip(*_clause_masks(position))))
+    return (*masks, tuple(first.setdefault(pair, k) for k, pair in enumerate(zip(*masks))))
 
 
 @cache
@@ -580,8 +573,7 @@ def _candidates(bit: int) -> tuple:
     entries = []
     for position, ks in _PREIMAGES[bit]:
         diagram_id, ci, cl, *_ = _PLANS[position]
-        eqs, neqs = _clause_masks(position)
-        classes = _label_classes(position)
+        eqs, neqs, classes = _clause_masks(position)
         entries += ((position * len(_PERMUTATIONS) + k, eqs[k], neqs[k],
                      CatalogMatch(diagram_id, ci, cl.lambda_branch, _LABELS[k]))
                     for k in ks if classes[k] == k)
@@ -595,14 +587,14 @@ def evaluate_diagram_constraints(v: VorticitySet) -> list:
     A clause is tried only under the relabellings that make its anchor
     vanish, the preimages of the mask's set bits, so a generic tuple tries
     none, and only under the first σ of each label class
-    (:func:`_label_classes`, :func:`_candidates`): the σ of a class share
+    (:func:`_clause_masks`, :func:`_candidates`): the σ of a class share
     both masks, so they match together.  Under each, the clause matches
     when the mask holds every bit of its equalities and none of its
-    inequations (:func:`_clause_masks`).  Float inputs count a polynomial
-    of degree d as zero when it is at most 1e-9 relative to max|Γ|^d (the
-    caller should treat those results as approximate).  Matches come in
-    catalog order, then permutation order, one per label class, each at
-    the first σ of its class.
+    inequations.  Float inputs count a polynomial of degree d as zero when
+    it is at most 1e-9 relative to max|Γ|^d (the caller should treat those
+    results as approximate).  Matches come in catalog order, then
+    permutation order, one per label class, each at the first σ of its
+    class.
     """
     zero = _normalized(v).mask
     nonzero = ~zero

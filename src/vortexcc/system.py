@@ -22,10 +22,10 @@ configurations, one per row; the public functions take one point or a stack.
 The complex kernels stack z and w into one point set of 2S rows, so each call
 makes one pass of the velocity kernels, not one per coordinate.  The velocity
 kernel, ``_min_gap`` and the collision checks take the separations of the
-n(n-1)/2 pairs j < k only (``_separations``); the velocity kernel takes one
-reciprocal per pair and its negation for the pair's other order.  The
-derivative kernel squares the dense (S, n, n) differences of ``_pair_diffs``,
-all n² of them.  Every real system, here or in ``solver``, holds complex
+n(n-1)/2 pairs j < k only (``_separations``), and so does the derivative
+kernel; the velocity kernel takes one reciprocal per pair and its negation
+for the pair's other order, the derivative kernel one square per pair for
+both orders.  Every real system, here or in ``solver``, holds complex
 entries as (Re, Im) pairs laid out by this module's helpers, the one place
 that knows the layout; ``asymptotics`` lays out its family files with them
 too, and balances families on ``_pairs`` and ``_separations``.
@@ -132,13 +132,6 @@ def _set_diagonal(a: np.ndarray, value) -> None:
     a[..., i, i] = value
 
 
-def _pair_diffs(p: np.ndarray) -> np.ndarray:
-    """D[s, j, n] = p[s, n] - p[s, j] with a harmless 1 on each diagonal."""
-    d = p[:, None, :] - p[:, :, None]
-    _set_diagonal(d, 1.0)
-    return d
-
-
 def _realify_vector(F: np.ndarray) -> np.ndarray:
     """Complex entries as consecutive (Re, Im) pairs, along the last axis."""
     out = np.empty(F.shape[:-1] + (2 * F.shape[-1],))
@@ -222,9 +215,17 @@ def _velocity_np(g: np.ndarray, wpos: np.ndarray, checked: tuple[str, ...] = ())
 
 def _velocity_derivative(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
     """Q[s, n, m] = dV_n/dw_m: Γ_m / w_mn² off the diagonal, minus the row sum on it."""
-    # _pair_diffs gives w_nm = -w_mn, whose complex square is exactly that of w_mn.
-    Q = g / _pair_diffs(wpos) ** 2
-    _set_diagonal(Q, 0.0)
+    s, n = wpos.shape
+    # One square per pair serves both orders: w_kj and -w_jk differ at most in
+    # the signs of zero parts, so do their squares, and a real Γ divided by a
+    # square does not read those signs.
+    d2 = _separations(wpos) ** 2
+    j, k = _pairs(n)
+    Q = np.zeros((s, n, n), dtype=d2.dtype)
+    Q[:, j, k] = g[k] / d2
+    Q[:, k, j] = g[j] / d2
+    # The row sum stays on the dense stack: the solve totals pin numpy's
+    # summation order over its contiguous last axis, zeros included.
     _set_diagonal(Q, -Q.sum(axis=2))
     return Q
 
@@ -291,7 +292,7 @@ def complex_system_residual(conf: ComplexConfiguration, v: VorticitySet) -> Resi
 #              rows (Re E_1, Im E_1, ..., Re E_N, Im E_N, Im z_12).
 #   complex:   unknowns (z_1..z_N, w_1..w_N, Λ) as complex variables;
 #              rows (A_1..A_N, B_1..B_N, z_12 - w_12), all holomorphic.
-# The physical (Re, Im) pairs come from the layout helpers beside _pair_diffs.
+# The physical (Re, Im) pairs come from the layout helpers above.
 # The kernels work on stacks: each row of pos, z, w (S, N) and each entry of
 # theta, lam (S,) is one point.  The complex kernels pass z and w to the
 # velocity kernels as one (2S, N) point set: [z; w] in the residual, so a

@@ -250,6 +250,24 @@ def test_diagram_from_file(tmp_path, capsys):
     assert main(["diagram", "--from", str(fam)]) == 0
 
 
+@pytest.mark.parametrize("flag, value", [("--family", "roberts"), ("--limit", "ainf"), ("--steps", "30")])
+def test_diagram_from_refuses_the_family_options(tmp_path, capfd, flag, value):
+    # --from once ignored these and printed the file's diagram with exit 0.
+    from vortexcc.asymptotics import roberts_degeneration, save_family
+
+    fam = tmp_path / "family.txt"
+    save_family(fam, *roberts_degeneration("a0", 8))
+    assert main(["diagram", "--from", str(fam), flag, value]) == 2
+    assert capfd.readouterr() == ("", f"error: --from cannot be combined with {flag}\n")
+
+
+def test_diagram_family_defaults_to_a0_in_12_steps(capsys):
+    assert main(["diagram", "--family", "roberts"]) == 0
+    default = capsys.readouterr().out
+    assert main(["diagram", "--family", "roberts", "--limit", "a0", "--steps", "12"]) == 0
+    assert capsys.readouterr().out == default
+
+
 @pytest.mark.parametrize("entry, column", [("nan", 1), ("nan", 3), ("inf", 11)])
 def test_diagram_rejects_a_non_finite_family_file(tmp_path, capfd, entry, column):
     # The last row is in the fitted tail.  Extraction once ran on it: a NaN in
@@ -380,6 +398,17 @@ def test_plot_malformed_report_exit_1(tmp_path, capfd, doc):
     # The well-formed report it was cut from plots.
     rep.write_text(json.dumps({"solutions": [GOOD_SOLUTION], "input": {"gamma": [1.0, 1.0]}}))
     assert main(["plot", str(rep), "--out", str(svg)]) == 0
+
+
+def test_plot_coordinate_past_the_square_range(tmp_path, capfd):
+    # (1e200) ** 2 raised OverflowError once; the product is inf and prints as such.
+    rep = tmp_path / "rep.json"
+    far = dict(GOOD_SOLUTION, positions=[[0.0, 0.0], [1e200, 0.0]])
+    rep.write_text(json.dumps({"solutions": [far], "input": {"gamma": [1.0, 1.0]}}))
+    svg = tmp_path / "far.svg"
+    assert main(["plot", str(rep), "--out", str(svg)]) == 0
+    assert capfd.readouterr() == ("", "")
+    assert "r2=inf<" in svg.read_text()
 
 
 def test_plot_zero_strengths(tmp_path):

@@ -37,7 +37,6 @@ from vortexcc.exceptional import (
     _PREIMAGES,
     _candidates,
     _clause_masks,
-    _label_classes,
     _normalized,
     _subset_table,
     catalog,
@@ -744,14 +743,14 @@ def test_label_classes_are_the_cosets_of_each_clause_stabilizer():
         first = {}
         for k, key in enumerate(keys):
             first.setdefault(key, k)
-        classes = _label_classes(position)
+        classes = _clause_masks(position)[2]
         # each σ maps to the smallest σ index with the same key
         assert classes == tuple(first[key] for key in keys), plan[:2]
         assert len(set(Counter(classes).values())) == 1, plan[:2]
 
 
 WARM_UP = (1, 2, 3, 5, 7)  # the certify benchmark's warm-up tuple
-LAZY_TABLES = (_candidates, _label_classes, _clause_masks)  # per bit, per clause, per clause
+LAZY_TABLES = (_candidates, _clause_masks)  # per bit, per clause
 
 
 def _clear_lazy_tables():
@@ -766,11 +765,11 @@ def _lazy_table_sizes() -> tuple:
 def test_label_tables_are_built_on_first_match_and_in_any_order():
     # Importing the module builds no candidates, clause masks or label classes.
     probe = ("import vortexcc.exceptional as e; print(*(t.cache_info().currsize for t in "
-             "(e._candidates, e._clause_masks, e._label_classes)))")
+             "(e._candidates, e._clause_masks)))")
     env = dict(os.environ, PYTHONPATH=str(Path(vortexcc.__file__).parents[1]))
     imported = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True)
-    assert imported.stdout.split() == ["0", "0", "0"]
+    assert imported.stdout.split() == ["0", "0"]
     # The warm-up tuple matches nothing.  Each of its set bits gets its
     # candidates, and with them the masks and label classes of exactly the
     # clauses whose anchor it makes vanish: 7 = 2 + 5 and 5 = 2 + 3 zero
@@ -780,12 +779,12 @@ def test_label_tables_are_built_on_first_match_and_in_any_order():
     _clear_lazy_tables()
     assert verdict(F5(*WARM_UP)).matches == ()
     set_bits = bin(_normalized(F5(*WARM_UP)).mask).count("1")
-    assert _lazy_table_sizes() == (set_bits, len(anchored), len(anchored))
-    misses = [table.cache_info().misses for table in LAZY_TABLES[1:]]
+    assert _lazy_table_sizes() == (set_bits, len(anchored))
+    misses = _clause_masks.cache_info().misses
     for position, plan in enumerate(_PLANS):
         if plan[:2] in anchored:
-            _label_classes(position), _clause_masks(position)
-    assert [table.cache_info().misses for table in LAZY_TABLES[1:]] == misses
+            assert len(_clause_masks(position)) == 3  # the masks and the label classes
+    assert _clause_masks.cache_info().misses == misses
     rng = np.random.default_rng(17)
     planted = [F5(*vals) for family in PLANTED_FAMILIES
                for vals in _planted_tuples(family, rng, count=1)]
@@ -796,7 +795,7 @@ def test_label_tables_are_built_on_first_match_and_in_any_order():
     backward = [evaluate_diagram_constraints(v) for v in reversed(planted)]
     assert backward[::-1] == forward
     assert _lazy_table_sizes() == built
-    assert built[1] == built[2] > 0  # a clause's label classes come with its masks
+    assert built[1] > 0  # each entry holds a clause's masks and its label classes
 
 
 def every_preimage_matches(v: VorticitySet) -> list:
@@ -815,11 +814,11 @@ def every_preimage_matches(v: VorticitySet) -> list:
     matches = []
     for position in sorted(candidates):
         diagram_id, ci, cl, *_ = _PLANS[position]
-        eqs, neqs = _clause_masks(position)
+        eqs, neqs, classes = _clause_masks(position)
         for k in sorted(candidates[position]):
             if eqs[k] & ~zero or neqs[k] & zero:
                 continue
-            if _label_classes(position)[k] == k:
+            if classes[k] == k:
                 matches.append(CatalogMatch(diagram_id, ci, cl.lambda_branch,
                                             tuple(s + 1 for s in _PERMUTATIONS[k])))
     return matches

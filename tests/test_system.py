@@ -19,8 +19,8 @@ from vortexcc.system import (
     velocity_field,
     _check_separated,
     _min_gap,
-    _pair_diffs,
     _separations,
+    _velocity_derivative,
     _velocity_np,
 )
 from vortexcc.asymptotics import roberts_family, roberts_normalized
@@ -354,6 +354,14 @@ def test_complex_systems_reject_zero_lambda():
                 call()
 
 
+def _dense_diffs(p):
+    """Reference layout: D[s, j, n] = p[s, n] - p[s, j] with a harmless 1 on each diagonal."""
+    d = p[:, None, :] - p[:, :, None]
+    i = np.arange(p.shape[1])
+    d[:, i, i] = 1.0
+    return d
+
+
 def _full_min_gap(p):
     """Reference: smallest separation over the full N×N array, diagonal masked."""
     d = np.abs(p[:, None, :] - p[:, :, None])
@@ -364,8 +372,7 @@ def _full_min_gap(p):
 def _full_first_collision(p):
     """Reference: (row, (j, k)) of the first pair below the guard, in index order,
     of the first row whose smallest separation is below it, over the full N×N array."""
-    d = _pair_diffs(p)
-    dist = np.abs(d)
+    dist = np.abs(_dense_diffs(p))
     close = dist.min(axis=(1, 2)) < COLLISION_GUARD
     if not close.any():
         return None
@@ -408,12 +415,39 @@ def test_pair_separations_match_full_reference():
 def _dense_velocity(g, p):
     """Reference: full N×N reciprocals 1 / w_jn, 0 on the diagonal, summed over j in index order."""
     n = p.shape[1]
-    inv = 1.0 / _pair_diffs(p)
+    inv = 1.0 / _dense_diffs(p)
     inv[:, np.arange(n), np.arange(n)] = 0.0
     V = np.zeros_like(inv[:, 0])
     for j in range(n):
         V += g[j] * inv[:, j]
     return V
+
+
+def _adversarial_positions(rng, rows, n):
+    """Stack (rows, n) of points whose differences stress the pair kernels."""
+    p = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    # Separations from about 1e-9 to 1e150, one scale per row, some rows
+    # a cluster of size 1e-9 about an offset of order 1.
+    p *= 10.0 ** rng.uniform(-9.0, 150.0, (rows, 1))
+    cluster = rng.random(rows) < 0.2
+    p[cluster] = rng.standard_normal() + 1e-9 * p[cluster] / np.abs(p[cluster]).max(
+        axis=1, keepdims=True)
+    # Exact zero parts in the differences: shared real or imaginary
+    # parts, ±0 coordinates and coincident points.
+    for row in rng.integers(rows, size=max(1, rows // 2)):
+        j, k = rng.choice(n, size=2, replace=False)
+        kind = rng.integers(5)
+        if kind == 0:
+            p[row, k] = complex(p[row, j].real, p[row, k].imag)
+        elif kind == 1:
+            p[row, k] = complex(p[row, k].real, p[row, j].imag)
+        elif kind == 2:
+            p[row, j], p[row, k] = complex(0.0, -0.0), complex(-0.0, 0.0)
+        elif kind == 3:
+            p[row, j] = complex(-0.0, p[row, j].imag)
+        else:
+            p[row, k] = p[row, j]
+    return p
 
 
 @pytest.mark.parametrize("rows", [1, 7, 700])
@@ -424,32 +458,35 @@ def test_velocity_matches_dense_reference(rows):
     finite = total = 0
     for n in range(2, 13):
         for _ in range(max(1, 70 // rows)):
-            p = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-            # Separations from about 1e-9 to 1e150, one scale per row, some rows
-            # a cluster of size 1e-9 about an offset of order 1.
-            p *= 10.0 ** rng.uniform(-9.0, 150.0, (rows, 1))
-            cluster = rng.random(rows) < 0.2
-            p[cluster] = rng.standard_normal() + 1e-9 * p[cluster] / np.abs(p[cluster]).max(
-                axis=1, keepdims=True)
-            # Exact zero parts in the differences: shared real or imaginary
-            # parts, ±0 coordinates and coincident points.
-            for row in rng.integers(rows, size=max(1, rows // 2)):
-                j, k = rng.choice(n, size=2, replace=False)
-                kind = rng.integers(5)
-                if kind == 0:
-                    p[row, k] = complex(p[row, j].real, p[row, k].imag)
-                elif kind == 1:
-                    p[row, k] = complex(p[row, k].real, p[row, j].imag)
-                elif kind == 2:
-                    p[row, j], p[row, k] = complex(0.0, -0.0), complex(-0.0, 0.0)
-                elif kind == 3:
-                    p[row, j] = complex(-0.0, p[row, j].imag)
-                else:
-                    p[row, k] = p[row, j]
+            p = _adversarial_positions(rng, rows, n)
             g = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
             g[rng.integers(n)] = rng.choice([0.0, -0.0, -1.5])
             with np.errstate(all="ignore"):
                 expected, got = _dense_velocity(g, p), _velocity_np(g, p)
+            keep = np.isfinite(expected)
+            assert got[keep].tobytes() == expected[keep].tobytes()
+            finite, total = finite + keep.sum(), total + keep.size
+    assert finite > 0.8 * total
+
+
+@pytest.mark.parametrize("rows", [1, 7, 700])
+def test_velocity_derivative_matches_dense_reference(rows):
+    # One square per pair, written at both orders, gives the dense kernel's
+    # bits wherever they are finite, and the row sum on the diagonal with them.
+    rng = np.random.default_rng(22 + rows)  # the velocity test's positions
+    finite = total = 0
+    for n in range(2, 13):
+        for _ in range(max(1, 70 // rows)):
+            p = _adversarial_positions(rng, rows, n)
+            # Nonzero strengths only: VorticitySet forbids Γ_j = 0.
+            g = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+            g[rng.integers(n)] = rng.choice([-1.5, 1.0, 1e-300])
+            with np.errstate(all="ignore"):
+                expected = g / _dense_diffs(p) ** 2
+                i = np.arange(n)
+                expected[:, i, i] = 0.0
+                expected[:, i, i] = -expected.sum(axis=2)
+                got = _velocity_derivative(g, p)
             keep = np.isfinite(expected)
             assert got[keep].tobytes() == expected[keep].tobytes()
             finite, total = finite + keep.sum(), total + keep.size
@@ -465,7 +502,7 @@ def test_velocity_sum_matches_numpy_reduction():
         p[::5] = np.linspace(-1.0, 1.0, n)                  # symmetric rows: exact zeros in V
         p[1::5, 0] = complex(-0.0, -0.0)
         for g in (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n), np.full(n, -1.5)):
-            inv = 1.0 / _pair_diffs(p)
+            inv = 1.0 / _dense_diffs(p)
             inv[:, np.arange(n), np.arange(n)] = 0.0
             reference = (g[:, None] * inv).sum(axis=1)
             assert _velocity_np(g, p).tobytes() == reference.tobytes()
