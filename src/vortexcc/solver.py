@@ -20,9 +20,11 @@ starts of a search as one block, the residual, its Jacobian, the residual
 norm, the collision guard, a canonicalizer that puts the stack of converged
 starts in the search's gauge and twin, and a finalizer that builds solution
 records.  One engine, ``_refine``, runs up to ``_LANES`` starts of any spec
-in lockstep on stacked arrays, each with its own damping and each taking the
-steps it would take alone.  It records how each start ends in per-start
-arrays: reason, iterations, last residual norm and last unknowns.
+in lockstep on stacked arrays, each taking the steps it would take alone.  A
+lane holds its start's unknowns, residual norm, damping, steps, guard flag
+and normal equations, but no residual past its next Jacobian; a start ends
+at the trial that lifts its damping past ``lm_lambda_max``.  Per start, the
+engine records its reason, iterations, last residual norm and unknowns.
 ``_multistart`` runs every search: it canonicalizes the converged rows once,
 deduplicates them on arrays and finalizes only the rows it keeps.
 ``newton_refine`` is the one place that builds a :class:`NewtonFailure`.
@@ -36,7 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import combinations
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -93,7 +95,10 @@ class SolverOptions:
         # Written as `not ... < inf` so that NaN fails it too.  An infinite tol
         # converges every start; an infinite lm_lambda_max never ends a trial loop.
         for f in fields(self):
-            if not abs(getattr(self, f.name)) < math.inf:
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"option {f.name} must be a real number, not {type(value).__name__}")
+            if not abs(value) < math.inf:
                 raise ValueError(f"option {f.name} must be finite")
         # Written as `not ... > ...` so that NaN fails every check.
         # A NaN gap never yields a separated start; a divergence bound of 0
@@ -104,7 +109,7 @@ class SolverOptions:
         for name in ("max_iter", "start_min_gap"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"option {name} must be non-negative")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral):
+        if not isinstance(self.max_iter, Integral):
             raise ValueError("option max_iter must be an integer")
         if not self.lm_lambda_max >= _LM_LAMBDA0:
             raise ValueError("option lm_lambda_max must be at least the initial damping "
@@ -225,14 +230,17 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
     at once, with no iterations and norm inf; ``finish`` records the others.
 
     Up to ``_LANES`` starts are in flight, one per lane; no more lanes are
-    allocated than there are starts to run.  Each round, every lane makes
-    one damped trial step with its own damping λ; a lane whose start has
-    finished takes the next start.  A start follows exactly the schedule it
-    would follow alone: at the top of each iteration it converges, runs out
-    of iterations or takes a Jacobian; then it tries steps with growing λ
-    until one lowers the residual norm, or λ passes its maximum.  Unknowns,
-    residuals and the normal equations take the dtype of the starts and
-    residuals, real or complex.
+    allocated than there are starts to run.  A lane holds its start's
+    unknowns, residual norm, damping λ, accepted steps, whether a trial of
+    this iteration crossed the guard, and its iteration's JᴴJ and JᴴF.  A
+    start follows exactly the schedule it would follow alone.  Each round,
+    the lanes at the top of an iteration (refilled this round, or accepted
+    last round) arrive with their residuals: each converges, runs out of
+    iterations or takes a Jacobian.  Then every busy lane makes one damped
+    trial step.  A step that lowers the residual norm is accepted; ``reject``
+    raises λ after any other, and a start whose λ passes its maximum ends at
+    that trial.  Unknowns, residuals and the normal equations take the dtype
+    of the starts and residuals, real or complex.
     """
     d = starts.shape[1]
     reason = np.full(len(starts), _HIT_GUARD)
@@ -247,10 +255,9 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
     damp = np.zeros(lanes)
     iters = np.zeros(lanes, dtype=int)
     blocked = np.zeros(lanes, dtype=bool)   # a trial of this iteration crossed the guard
-    fresh = np.zeros(lanes, dtype=bool)     # at the top of an iteration
     jtj = np.zeros((lanes, d, d), dtype=starts.dtype)
     jtf = np.zeros((lanes, d), dtype=starts.dtype)
-    F = None                                # sized from the first residual
+    top, F = owner[:0], None            # lanes at the top of an iteration, and their residuals
 
     def finish(done, code):
         if done.size:
@@ -259,62 +266,54 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
             last[rows] = x[done]
             owner[done] = -1
 
+    def reject(run):
+        """The trials of ``run`` failed: raise λ, and end each start whose λ is exhausted."""
+        damp[run] *= _LM_INCREASE
+        spent = run[damp[run] > options.lm_lambda_max]
+        finish(spent[blocked[spent]], _HIT_GUARD)
+        finish(spent[~blocked[spent]], _DIVERGED)
+
     while True:
         # Free lanes take the next starts, in drawing order.
-        if pending.size:
-            free = (owner < 0).nonzero()[0]
-            if free.size:
-                take, pending = pending[: free.size], pending[free.size :]
-                new = free[: take.size]
-                F0 = search.residual(starts[take])
-                if F is None:
-                    F = np.zeros((lanes, F0.shape[1]), dtype=F0.dtype)
-                owner[new] = take
-                x[new], F[new], nrm[new] = starts[take], F0, search.norm(F0)
-                damp[new], iters[new], fresh[new] = _LM_LAMBDA0, 0, True
-        busy = owner >= 0
-        # Masks are tested with np.count_nonzero, several times cheaper than
-        # ndarray.any on arrays this small; a round's fixed cost is mostly such calls.
-        if not np.count_nonzero(busy):
+        free = (owner < 0).nonzero()[0]
+        if pending.size and free.size:
+            take, pending = pending[: free.size], pending[free.size :]
+            new = free[: take.size]
+            F0 = search.residual(starts[take])
+            owner[new] = take
+            x[new], nrm[new] = starts[take], search.norm(F0)
+            damp[new], iters[new] = _LM_LAMBDA0, 0
+            top, F = np.concatenate((top, new)), np.concatenate((F, F0)) if top.size else F0
+        elif free.size == lanes:
             break
 
-        # Lanes at the top of an iteration converge, run out of iterations or
-        # take a Jacobian.  Only busy lanes are fresh.
-        top = fresh.nonzero()[0]
+        # Lanes at the top of an iteration converge, run out of iterations or take a
+        # Jacobian.  Masks are tested with np.count_nonzero, several times cheaper than
+        # ndarray.any on arrays this small; a round's fixed cost is mostly such calls.
         if top.size:
-            fresh[top] = False
             converged = nrm[top] < options.tol
             ended = converged | (iters[top] >= options.max_iter)
             if np.count_nonzero(ended):
                 finish(top[converged], _CONVERGED)
                 finish(top[ended & ~converged], _MAX_ITERATIONS)
-                busy[top[ended]] = False
-                top = top[~ended]
+                top, F = top[~ended], F[~ended]
             if top.size:
                 J = search.jacobian(x[top])
                 JH = J.transpose(0, 2, 1)
                 if np.iscomplexobj(J):
                     JH = JH.conj()
                 jtj[top] = JH @ J
-                jtf[top] = (JH @ F[top][:, :, None])[:, :, 0]
+                jtf[top] = (JH @ F[:, :, None])[:, :, 0]
                 blocked[top] = False
+                top = top[:0]           # until steps are accepted
 
         # Every busy lane is now inside an iteration and makes one damped trial step.
-        run = busy.nonzero()[0]
+        run = (owner >= 0).nonzero()[0]
         if not run.size:
             continue
-        over = damp[run] > options.lm_lambda_max
-        if np.count_nonzero(over):
-            spent = run[over]
-            guarded = blocked[spent]
-            finish(spent[guarded], _HIT_GUARD)
-            finish(spent[~guarded], _DIVERGED)
-            run = run[~over]
-            if not run.size:
-                continue
         step, solved = _damped_steps(jtj[run], jtf[run], damp[run])   # jtj[run] is a copy
         if np.count_nonzero(solved) < run.size:
-            damp[run[~solved]] *= _LM_INCREASE
+            reject(run[~solved])
             step, run = step[solved], run[solved]
             if not run.size:
                 continue
@@ -322,7 +321,7 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
         hit = search.guard(xt)
         if np.count_nonzero(hit):
             blocked[run[hit]] = True
-            damp[run[hit]] *= _LM_INCREASE
+            reject(run[hit])
             xt, run = xt[~hit], run[~hit]
             if not run.size:
                 continue
@@ -330,18 +329,16 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
         nt = search.norm(Ft)
         better = nt < nrm[run]          # never for a NaN or infinite norm
         if np.count_nonzero(better) < run.size:
-            damp[run[~better]] *= _LM_INCREASE
+            reject(run[~better])
             xt, Ft, nt, run = xt[better], Ft[better], nt[better], run[better]
             if not run.size:
                 continue
-        x[run], F[run], nrm[run] = xt, Ft, nt
+        x[run], nrm[run] = xt, nt
         damp[run] = np.maximum(damp[run] * _LM_DECREASE, 1e-14)
         far = np.abs(xt).max(axis=1) > options.divergence_norm
-        if np.count_nonzero(far):
-            finish(run[far], _DIVERGED)
-            run = run[~far]
-        iters[run] += 1
-        fresh[run] = True
+        finish(run[far], _DIVERGED)
+        top, F = run[~far], Ft[~far]
+        iters[top] += 1
 
     return reason, iterations, norm, last
 
@@ -370,11 +367,13 @@ def _damped_steps(a: np.ndarray, jtf: np.ndarray, damp: np.ndarray):
         return step, solved
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _multistart(search: _Search, starts: int, seed: int, opts: SolverOptions) -> SolveReport:
     """Draw every start from one rng in turn and refine them all; report the distinct converged rows.
 
     The converged stack is canonicalized once and deduplicated; only the
-    rows dedup keeps are finalized, in kept order.
+    rows dedup keeps are finalized, in kept order.  Extreme strengths overflow
+    the kernels; failures stay values, so numpy's warnings are off here.
     """
     rng = np.random.default_rng(seed)
     reason, iters, _, x = _refine(search, search.sample(rng, starts), opts)
@@ -679,6 +678,7 @@ def _central_search(v: VorticitySet, regime: str, opts: SolverOptions) -> _Searc
     raise ValueError(f"unknown regime {regime!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def newton_refine(v: VorticitySet, start, regime: str = "physical",
                   options: SolverOptions | None = None):
     """Refine one start; returns a CentralConfigSolution or a NewtonFailure.

@@ -91,6 +91,12 @@ def test_solve_rejects_bad_tolerance(capsys):
     assert "option tol must be finite" in capsys.readouterr().err
 
 
+def test_solve_at_extreme_scale_prints_no_warning(capfd):
+    # numpy printed "overflow encountered in matmul" on stderr once.
+    assert main(["solve", "--gamma", "1e300,1e300,1", "--starts", "50"]) == 0
+    assert capfd.readouterr().err == ""
+
+
 def test_solve_unwritable_out(tmp_path):
     assert main(["solve", "--gamma", "1,1", "--starts", "10",
                  "--out", str(tmp_path / "missing" / "rep.json")]) == 1

@@ -286,6 +286,12 @@ def test_solve_rejects_bad_arguments():
             SolverOptions(**bad)
     # Starts may touch: a zero gap stays legal.
     assert SolverOptions(start_min_gap=0.0).start_min_gap == 0.0
+    # Every setting is a real number: tol=True built tol = 1 and reported 96
+    # solutions of (1, 2, 3) at 100 starts, against 4; a string raised TypeError.
+    for f in dataclasses.fields(SolverOptions):
+        for bad in (True, np.False_, "1e-12", 1j, None):
+            with pytest.raises(ValueError, match=f"option {f.name} must be a real number"):
+                SolverOptions(**{f.name: bad})
     # Every search refuses a non-positive start count, before its L or Γ gate.
     for starts in (0, -5):
         with pytest.raises(ValueError, match="starts must be positive"):
@@ -308,6 +314,20 @@ def test_solve_rejects_bad_arguments():
     for solve, v in ((solve_central_multistart, THREE), (solve_equilibria, COLLAPSE),
                      (solve_rigid_translation, VorticitySet((1.0, -1.0)))):
         assert repr(solve(v, starts=np.int64(5))) == repr(solve(v, starts=5)), solve.__name__
+
+
+def test_extreme_scale_searches_return_failures_without_warnings():
+    # Overflow in the Jacobian products and invalid divisions in the velocity
+    # kernel printed numpy RuntimeWarnings once; this suite makes them errors.
+    for report in (solve_central_multistart(VorticitySet((1e300, 1e300, 1.0)), starts=50),
+                   solve_central_multistart(VorticitySet((1e150, -1e150, 3e150)),
+                                            regime="complex", starts=50),
+                   solve_equilibria(VorticitySet((1e200, 1e200, -0.5e200)), starts=50),
+                   solve_rigid_translation(VorticitySet((1e200, 1e200, -2e200)), starts=50)):
+        assert report.starts_attempted == 50 and report.reason is None
+        assert report.starts_converged == 0 and report.solutions == ()
+    failure = newton_refine(VorticitySet((1e300, 1e300, 1.0)), ([0, 1, 0.5 + 0.8j], 0.0))
+    assert isinstance(failure, NewtonFailure) and failure.reason == "diverged"
 
 
 # Each search with a tuple it runs and one its gate refuses.
@@ -545,6 +565,21 @@ def test_engine_refills_a_full_pool_without_changing_results(monkeypatch, name):
     runs = [_refine_with_lanes(monkeypatch, lanes, search, starts, SolverOptions())
             for lanes in (7, 128, solver._LANES)]
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_engine_runs_every_start_after_one_converges_at_once(monkeypatch):
+    # With one lane, a start that converges at its first top leaves no lane
+    # busy while starts are pending; the engine must refill, not stop.
+    opts = SolverOptions()
+    search, starts = _seeded_starts("physical", opts, count=24)
+    reason, _, _, x = solver._refine(search, starts, opts)
+    starts = np.concatenate([x[reason == solver._CONVERGED][:1], starts])
+    runs = [_refine_with_lanes(monkeypatch, lanes, search, starts, opts)
+            for lanes in (1, solver._LANES)]
+    assert runs[0] == runs[1]
+    reason, iterations, _, _ = solver._refine(search, starts, opts)
+    assert reason[0] == solver._CONVERGED and iterations[0] == 0
+    assert (iterations[1:] > 0).all()
 
 
 def test_engine_falls_back_to_per_lane_solves(monkeypatch):
