@@ -21,10 +21,14 @@ timed.  With ``--setup``, rep r instead times one set-up per side as
 ``perfbench/bench.py`` does: drop the copied package's modules, import it,
 build round 0 and make the workload's warm-up call.  Nothing is written
 under ``perfbench/``.  The script prints each rep's times and change/parent
-ratio.  It then prints one summary line per workload, in the order given
-(``all`` names every workload): the median and quartiles of the ratios, the
-number of reps in which the change was faster, and the number whose reports
-were identical (by ``repr``).
+ratio.  It then prints one summary per workload, in the order given (``all``
+names every workload): the median and quartiles of the ratios, the number
+of reps in which the change was faster, and the number whose reports were
+identical (by ``repr``).  Round reps add one line per call slot of the
+round: the median of that slot's change/parent time ratios and the number
+of reps in which the change was faster on it.  The benchmark's
+``call_p50_ms`` is the time of one slot, which a ratio over whole rounds
+dilutes with the other slots' times.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import importlib
 import shutil
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
 
@@ -49,8 +54,8 @@ def load(checkout: Path, name: str, into: Path):
     return importlib.import_module(name)
 
 
-def run_round(vc, calls) -> tuple[float, list]:
-    """Wall time and results of the round's public calls, made as the benchmark makes them.
+def run_round(vc, calls) -> tuple[list, list]:
+    """Wall time and result of each of the round's public calls, made as the benchmark makes them.
 
     Each call's ``VorticitySet`` is built before the clock starts, as the
     benchmark builds it, so only the public calls are timed.
@@ -61,12 +66,15 @@ def run_round(vc, calls) -> tuple[float, list]:
         if call.api == "solve_central_multistart":
             kwargs["regime"] = call.regime
         prepared.append((getattr(vc, call.api), vc.VorticitySet(call.gammas), kwargs))
-    t0 = perf_counter()
-    results = [fn(v, **kwargs) for fn, v, kwargs in prepared]
-    return perf_counter() - t0, results
+    times, results = [], []
+    for fn, v, kwargs in prepared:
+        t0 = perf_counter()
+        results.append(fn(v, **kwargs))
+        times.append(perf_counter() - t0)
+    return times, results
 
 
-def setup_once(name: str, workload: str, seed: int, warmup) -> tuple[float, list]:
+def setup_once(name: str, workload: str, seed: int, warmup) -> tuple[list, list]:
     """Wall time and warm-up result of one set-up of package ``name``, made as the benchmark makes it."""
     from perfbench import inputs
 
@@ -76,7 +84,7 @@ def setup_once(name: str, workload: str, seed: int, warmup) -> tuple[float, list
     vc = importlib.import_module(name)
     inputs.round_calls(workload, seed, 0)
     _, results = run_round(vc, (warmup,))
-    return perf_counter() - t0, results
+    return [perf_counter() - t0], results
 
 
 def compare(sides, names, workload: str, args) -> str:
@@ -92,6 +100,7 @@ def compare(sides, names, workload: str, args) -> str:
         for vc in sides:
             run_round(vc, inputs.round_calls(workload, args.seed, 0))
     ratios, identical = [], 0
+    slot_ratios = defaultdict(list)     # call slot -> change/parent time ratio per rep
     print(f"{workload}\nrep  parent_s  change_s  change/parent")
     for rep in range(args.reps):
         order = (0, 1) if rep % 2 == 0 else (1, 0)
@@ -100,7 +109,14 @@ def compare(sides, names, workload: str, args) -> str:
         else:
             calls = inputs.round_calls(workload, args.seed, rep)
             timed = {side: run_round(sides[side], calls) for side in order}
+            slot_time = [defaultdict(float), defaultdict(float)]
+            for side in (0, 1):
+                for call, dt in zip(calls, timed[side][0]):
+                    slot_time[side][call.slot] += dt
+            for slot, dt in slot_time[0].items():
+                slot_ratios[slot].append(slot_time[1][slot] / dt)
         (t_parent, r_parent), (t_change, r_change) = timed[0], timed[1]
+        t_parent, t_change = sum(t_parent), sum(t_change)
         ratios.append(t_change / t_parent)
         identical += repr(r_parent) == repr(r_change)
         print(f"{rep:3d}  {t_parent:8.3f}  {t_change:8.3f}  {ratios[-1]:.3f}", flush=True)
@@ -108,9 +124,14 @@ def compare(sides, names, workload: str, args) -> str:
     q1, median, q3 = np.percentile(ratios, [25, 50, 75])
     faster = sum(r < 1.0 for r in ratios)
     what = f"{workload} set-up" if args.setup else workload
-    return (f"change/parent time over {args.reps} reps of {what} (seed {args.seed}): "
-            f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}; change faster in "
-            f"{faster}/{args.reps}; reports identical in {identical}/{args.reps}")
+    lines = [f"change/parent time over {args.reps} reps of {what} (seed {args.seed}): "
+             f"median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}; change faster in "
+             f"{faster}/{args.reps}; reports identical in {identical}/{args.reps}"]
+    for slot in sorted(slot_ratios):
+        r = slot_ratios[slot]
+        lines.append(f"  slot {slot}: median {np.median(r):.3f}; change faster in "
+                     f"{sum(x < 1.0 for x in r)}/{len(r)}")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:

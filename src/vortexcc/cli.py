@@ -174,14 +174,18 @@ def _options_from_args(args) -> tuple[SolverOptions, dict]:
 
 
 def cmd_solve(args) -> int:
-    """Exit 0 on success, 2 on malformed vorticities or options, 1 on I/O failure."""
+    """Exit 0 on success, 2 on bad vorticities, options or start count, 1 on I/O failure."""
     from . import solver
 
     v = parse_vorticities(args.gamma)
     opts, overrides = _options_from_args(args)
-    report = solver.solve_central_multistart(
-        v, regime=args.regime, starts=args.starts, seed=args.seed, options=opts
-    )
+    try:
+        report = solver.solve_central_multistart(
+            v, regime=args.regime, starts=args.starts, seed=args.seed, options=opts
+        )
+    except MemoryError:
+        # numpy refuses a start block far past the memory at once.
+        raise CliError(2, f"--starts {args.starts} is too many starts to hold in memory") from None
     doc = _report_dict(report, [float(g) for g in v.gammas], overrides)
     text = _report_csv(doc) if args.format == "csv" else _dump_json(doc)
     _write_text(args.out, text)

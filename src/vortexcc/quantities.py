@@ -11,9 +11,12 @@ rational side.  The physical regime is represented by passing the conjugate
 coordinates ``w`` explicitly (``w = conjugate_positions(z)``); there is no
 hidden regime flag.
 
-The invariants have one arithmetic, :func:`_moments`.  A stack of
-configurations is evaluated row by row by that same loop, so a stacked
-call and the row calls agree bit for bit and type for type.
+The invariants have one arithmetic, the order of operations of
+:func:`_moments`.  A float stack with float strengths is evaluated for all
+rows at once by :func:`_moment_stack`, which writes that arithmetic out in
+real parts as numpy's complex scalars round it, so a stacked call and the
+row calls agree bit for bit, up to the sign of a NaN, and type for type.
+Exact and single configurations, and other stacks, take the loop itself.
 """
 
 from __future__ import annotations
@@ -267,9 +270,11 @@ def invariants_of(v: VorticitySet, z, w, lam=None):
     the physical regime.
 
     Also takes stacks: complex arrays z, w of shape (S, N) give a list of S
-    Invariants, and ``lam`` is then None or one entry per row.  A stack is
-    evaluated row by row by the one :func:`_moments` loop, with Γ and L
-    computed once, so each entry is the call on that row.
+    Invariants, and ``lam`` is then None or one entry per row.  Γ and L are
+    computed once.  With float strengths and complex128 stacks, M, M_w, I
+    and S of all rows come from :func:`_moment_stack`; any other stack is
+    evaluated row by row by :func:`_moments`.  Either way each entry is the
+    call on that row, up to the sign of a NaN.
     """
     if getattr(z, "ndim", None) == 2:
         import numpy as np  # only stacks need numpy; the exact path runs without it
@@ -282,8 +287,12 @@ def invariants_of(v: VorticitySet, z, w, lam=None):
                 f"w-positions {w.shape}, {len(lams)} lambdas"
             )
         gamma, L = total_vorticity(v), angular_momentum(v)
-        return [Invariants(gamma=gamma, L=L, lam=lam_s, **_moments(v.gammas, tuple(zs), tuple(ws)))
-                for zs, ws, lam_s in zip(z, w, lams)]
+        if z.dtype == w.dtype == np.complex128 and all(isinstance(g, float) for g in v.gammas):
+            rows = zip(*_moment_stack(np.array(v.gammas), z, w))
+        else:
+            rows = (_moments(v.gammas, tuple(zs), tuple(ws)).values() for zs, ws in zip(z, w))
+        return [Invariants(gamma=gamma, L=L, M=M, I=I, S=S, lam=lam_s, M_w=M_w)
+                for (M, M_w, I, S), lam_s in zip(rows, lams)]
     zs, ws = _unwrap(z), _unwrap(w)
     if len(zs) != v.n or len(ws) != v.n:
         raise ValueError(
@@ -307,3 +316,34 @@ def _moments(g, zs, ws) -> dict:
         term = g[j] * g[k] * (zs[k] - zs[j]) * (ws[k] - ws[j])
         S = term if S is None else S + term
     return {"M": M, "M_w": M_w, "I": I, "S": S}
+
+
+def _moment_stack(g, z, w) -> tuple:
+    """M, M_w, I and S, as complex128 arrays (S,), of float strengths g (N,) and stacks z, w (S, N).
+
+    Real arithmetic written out as :func:`_moments` rounds on numpy complex
+    scalars: a float g times a complex c is (g + 0j)·c, whose 0·Im c and
+    0·Re c terms carry signed zeros, inf and NaN, and every sum starts from
+    its first term in the loop's order.  The rows agree with the loop in
+    every part that is not NaN.
+    """
+    import numpy as np
+
+    def times(ar, ai, br, bi):
+        return ar * br - ai * bi, ar * bi + ai * br
+
+    def total(parts):       # (Re, Im) parts (S, K), summed over K from the first column
+        re, im = parts
+        sr, si = re[:, 0], im[:, 0]
+        for q in range(1, re.shape[1]):
+            sr, si = sr + re[:, q], si + im[:, q]
+        out = np.empty(len(sr), dtype=complex)
+        out.real, out.imag = sr, si
+        return out
+
+    x, y, u, t = z.real, z.imag, w.real, w.imag
+    gz, gw = times(g, 0.0, x, y), times(g, 0.0, u, t)
+    j, k = (list(a) for a in zip(*combinations(range(len(g)), 2)))
+    gdz = times(g[j] * g[k], 0.0, x[:, k] - x[:, j], y[:, k] - y[:, j])
+    return (total(gz), total(gw), total(times(*gz, u, t)),
+            total(times(*gdz, u[:, k] - u[:, j], t[:, k] - t[:, j])))

@@ -16,17 +16,19 @@ Failures are values, not exceptions.
 
 Each of the four searches (physical, complex, equilibria, rigid
 translation) is a small :class:`_Search` spec: a sampler that draws all
-starts of a search as one block, the residual, its Jacobian, the residual
-norm, the collision guard, a canonicalizer that puts the stack of converged
-starts in the search's gauge and twin, and a finalizer that builds solution
-records.  One engine, ``_refine``, runs up to ``_LANES`` starts of any spec
-in lockstep on stacked arrays, each taking the steps it would take alone.  A
-lane holds its start's unknowns, residual norm, damping, steps, guard flag
-and normal equations, but no residual past its next Jacobian; a start ends
-at the trial that lifts its damping past ``lm_lambda_max``.  Per start, the
-engine records its reason, iterations, last residual norm and unknowns.
-``_multistart`` runs every search: it canonicalizes the converged rows once,
-deduplicates them on arrays and finalizes only the rows it keeps.
+starts of a search as one block, the residual, which also returns the
+collision guard's verdict on each row from the separations it forms, its
+Jacobian, the residual norm, a canonicalizer that puts the stack of
+converged starts in the search's gauge and twin, and a finalizer that
+builds solution records.  One engine, ``_refine``, runs up to ``_LANES``
+starts of any spec in lockstep on stacked arrays, each taking the steps it
+would take alone.  A lane holds its start's unknowns, residual norm,
+damping, steps, guard flag and normal equations, but no residual past its
+next Jacobian; a start ends at the trial that lifts its damping past
+``lm_lambda_max``.  Per start, the engine records its reason, iterations,
+last residual norm and unknowns.  ``_multistart`` runs every search: it
+canonicalizes the converged rows once, deduplicates them on arrays and
+finalizes only the rows it keeps.
 ``newton_refine`` is the one place that builds a :class:`NewtonFailure`.
 """
 
@@ -55,6 +57,7 @@ from .system import (
     _realify_vector,
     _separations,
     _velocity_derivative,
+    _velocity_gaps,
     _velocity_np,
     complex_jacobian,
     complex_residual_vector,
@@ -119,9 +122,9 @@ class SolverOptions:
         if not self.start_min_gap < 2 * _START_RADIUS:
             raise ValueError("option start_min_gap must be less than the start disk's diameter "
                              f"{2 * _START_RADIUS}")
-        # The engine evaluates residuals only where the guard holds, and the residual
-        # functions raise CollisionError below COLLISION_GUARD; a smaller guard would
-        # let that escape the engine instead of a NewtonFailure.
+        # Below COLLISION_GUARD the residuals leave the trustworthy float range, so a
+        # smaller guard would let the engine step on residuals it cannot trust.  The
+        # engine's residuals do not raise there; they return each row's guard hit.
         if not self.collision_guard >= COLLISION_GUARD:
             raise ValueError(f"option collision_guard must be at least {COLLISION_GUARD:g}")
 
@@ -180,21 +183,23 @@ class _Canonical:
 class _Search:
     """One search, as the engine and ``_multistart`` run it.
 
-    ``residual``, ``jacobian``, ``norm`` and ``guard`` take stacks: one
-    unknown vector x per row of an (S, d) array, one residual per row of an
-    (S, m) array.  Unknowns and residuals are real, or complex with a
-    holomorphic residual; the starts' dtype sets which.  ``canonical`` runs
-    once per search on the stack of converged rows; ``_deduplicate`` picks
-    the distinct rows from its result, and ``finalize`` builds the records
-    (invariants, kind, flags) of those rows only.
+    ``residual``, ``jacobian`` and ``norm`` take stacks: one unknown vector x
+    per row of an (S, d) array, one residual per row of an (S, m) array.
+    ``residual`` also returns, per row, whether x is too close to a collision
+    (the collision guard), read off the separations the residual forms; the
+    residual of such a row is not used.  Unknowns and residuals are real, or
+    complex with a holomorphic residual; the starts' dtype sets which.
+    ``canonical`` runs once per search on the stack of converged rows;
+    ``_deduplicate`` picks the distinct rows from its result, and
+    ``finalize`` builds the records (invariants, kind, flags) of those rows
+    only.
     """
 
     regime: str
     sample: Callable[[np.random.Generator, int], np.ndarray]  # (rng, count) -> starts (count, d)
-    residual: Callable[[np.ndarray], np.ndarray]  # (S, d) -> (S, m)
+    residual: Callable[[np.ndarray], tuple]       # (S, d) -> (S, m) rows, (S,) guard hits
     jacobian: Callable[[np.ndarray], np.ndarray]  # (S, d) -> (S, m, d)
     norm: Callable[[np.ndarray], np.ndarray]      # (S, m) -> (S,)
-    guard: Callable[[np.ndarray], np.ndarray]     # (S, d) -> (S,), True when too close to a collision
     canonical: Callable[[np.ndarray], _Canonical]   # converged (S, d) -> canonical rows
     finalize: Callable[[_Canonical, np.ndarray], list]  # canonical rows, iterations (S,) -> records
 
@@ -222,12 +227,15 @@ _REASONS = ("converged", "diverged", "hit_collision_guard", "max_iterations")
 _CONVERGED, _DIVERGED, _HIT_GUARD, _MAX_ITERATIONS = range(len(_REASONS))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
     """Refine every row of ``starts``; returns arrays (reason, iterations, norm, x) in start order.
 
     Per start: the index of its end in ``_REASONS``, its accepted steps, its
     last residual norm and its last unknowns.  A start inside the guard ends
-    at once, with no iterations and norm inf; ``finish`` records the others.
+    when its lane takes it, with no iterations and norm inf; ``finish``
+    records the others.  Residuals are evaluated on rows past the guard too,
+    where they may overflow or divide by zero, so numpy's warnings are off.
 
     Up to ``_LANES`` starts are in flight, one per lane; no more lanes are
     allocated than there are starts to run.  A lane holds its start's
@@ -247,8 +255,8 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
     iterations = np.zeros(len(starts), dtype=int)
     norm = np.full(len(starts), math.inf)
     last = starts.copy()
-    pending = (~search.guard(starts)).nonzero()[0]
-    lanes = max(1, min(_LANES, pending.size))
+    pending = np.arange(len(starts))
+    lanes = min(_LANES, len(starts))
     owner = np.full(lanes, -1)          # row of the lane's start in ``starts``, -1 when free
     x = np.zeros((lanes, d), dtype=starts.dtype)
     nrm = np.zeros(lanes)
@@ -278,8 +286,10 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
         free = (owner < 0).nonzero()[0]
         if pending.size and free.size:
             take, pending = pending[: free.size], pending[free.size :]
+            F0, hit = search.residual(starts[take])
+            if np.count_nonzero(hit):       # these end at once; their lanes wait for the next round
+                take, F0 = take[~hit], F0[~hit]
             new = free[: take.size]
-            F0 = search.residual(starts[take])
             owner[new] = take
             x[new], nrm[new] = starts[take], search.norm(F0)
             damp[new], iters[new] = _LM_LAMBDA0, 0
@@ -318,14 +328,13 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
             if not run.size:
                 continue
         xt = x[run] + step
-        hit = search.guard(xt)
+        Ft, hit = search.residual(xt)
         if np.count_nonzero(hit):
             blocked[run[hit]] = True
             reject(run[hit])
-            xt, run = xt[~hit], run[~hit]
+            xt, Ft, run = xt[~hit], Ft[~hit], run[~hit]
             if not run.size:
                 continue
-        Ft = search.residual(xt)
         nt = search.norm(Ft)
         better = nt < nrm[run]          # never for a NaN or infinite norm
         if np.count_nonzero(better) < run.size:
@@ -405,7 +414,7 @@ def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     n = v.n
 
     def residual(x):
-        return physical_residual_vector(v, *_unpack_physical(x))
+        return physical_residual_vector(v, *_unpack_physical(x), guard=opts.collision_guard)
 
     def jacobian(x):
         return physical_jacobian(v, *_unpack_physical(x))
@@ -415,9 +424,6 @@ def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         gauge = np.abs(F[:, -1])
         # max(moduli, gauge) as Python's max takes it, NaN included.
         return np.where(gauge > moduli, gauge, moduli)
-
-    def guard(x):
-        return _min_gap(_unpack_physical(x)[0]) < opts.collision_guard
 
     def sample(rng, count):
         pos, theta = _draw_starts(rng, count, n, 1, 1, opts)
@@ -437,7 +443,7 @@ def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         return _Canonical(pos, np.conj(pos), lam, None, np.abs(E).max(axis=1),
                           _physical_signatures(pos))
 
-    return _Search("physical", sample, residual, jacobian, norm, guard, canonical,
+    return _Search("physical", sample, residual, jacobian, norm, canonical,
                    partial(_central_solutions, v, "physical", opts=opts))
 
 
@@ -479,17 +485,10 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     n = v.n
 
     def residual(x):
-        return complex_residual_vector(v, *_unpack_complex(x))
+        return complex_residual_vector(v, *_unpack_complex(x), guard=opts.collision_guard)
 
     def jacobian(x):
         return complex_jacobian(v, *_unpack_complex(x))
-
-    def guard(x):
-        z, w, lam = _unpack_complex(x)
-        gaps = _min_gap(np.concatenate([z, w]))
-        gz, gw = gaps[: len(z)], gaps[len(z) :]
-        gap = np.where(gw < gz, gw, gz)     # min(gz, gw) as Python's min takes it, NaN included
-        return (np.hypot(lam.real, lam.imag) < 1e-8) | (gap < opts.collision_guard)
 
     def sample(rng, count):
         pos, theta = _draw_starts(rng, count, n, 2, 1, opts)
@@ -510,7 +509,7 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         F = _complex_residual(g, z, w, lam)
         return _Canonical(z, w, lam, None, np.abs(F).max(axis=1), sig)
 
-    return _Search("complex", sample, residual, jacobian, _max_modulus, guard, canonical,
+    return _Search("complex", sample, residual, jacobian, _max_modulus, canonical,
                    partial(_central_solutions, v, "complex", opts=opts))
 
 
@@ -851,14 +850,12 @@ def _equilibria_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     n = v.n
 
     def residual(x):
-        return _realify_vector(_velocity_np(g, np.conj(_pinned(x, 1.0))))
+        V, gap = _velocity_gaps(g, np.conj(_pinned(x, 1.0)))
+        return _realify_vector(V), gap < opts.collision_guard
 
     def jacobian(x):
         Q = _velocity_derivative(g, np.conj(_pinned(x, 1.0)))[:, :, 2:]
         return _realify_columns(Q, -1j * Q, np.empty((len(x), 2 * n, 2 * n - 4)))
-
-    def guard(x):
-        return _min_gap(_pinned(x, 1.0)) < opts.collision_guard
 
     def sample(rng, count):
         pos, _ = _draw_starts(rng, count, n, 1, 0, opts)
@@ -867,7 +864,7 @@ def _equilibria_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     def canonical(x):
         return _velocity_canonical(g, _pinned(x, 1.0), None)
 
-    return _Search("physical", sample, residual, jacobian, _modulus_norm, guard, canonical,
+    return _Search("physical", sample, residual, jacobian, _modulus_norm, canonical,
                    partial(_velocity_solutions, v))
 
 
@@ -898,7 +895,8 @@ def _translation_search(v: VorticitySet, opts: SolverOptions) -> _Search:
 
     def residual(x):
         pos, phi = assemble(x)
-        return _realify_vector(_velocity_np(g, np.conj(pos)) - np.exp(1j * phi)[:, None])
+        V, gap = _velocity_gaps(g, np.conj(pos))
+        return _realify_vector(V - np.exp(1j * phi)[:, None]), gap < opts.collision_guard
 
     def jacobian(x):
         pos, phi = assemble(x)
@@ -909,9 +907,6 @@ def _translation_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         _realify_columns(Q[:, :, 2:], -1j * Q[:, :, 2:], J[:, :, 1:-1])
         J[:, :, -1] = _realify_vector(dphi)
         return J
-
-    def guard(x):
-        return _min_gap(assemble(x)[0]) < opts.collision_guard
 
     def sample(rng, count):
         pos, phi = _draw_starts(rng, count, n, 1, 1, opts)
@@ -927,7 +922,7 @@ def _translation_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         phi = np.where(half, phi + np.pi, phi)
         return _velocity_canonical(g, pos, np.exp(1j * phi))
 
-    return _Search("physical", sample, residual, jacobian, _modulus_norm, guard, canonical,
+    return _Search("physical", sample, residual, jacobian, _modulus_norm, canonical,
                    partial(_velocity_solutions, v))
 
 

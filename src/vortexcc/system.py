@@ -25,10 +25,13 @@ kernel, ``_min_gap`` and the collision checks take the separations of the
 n(n-1)/2 pairs j < k only (``_separations``), and so does the derivative
 kernel; the velocity kernel takes one reciprocal per pair and its negation
 for the pair's other order, the derivative kernel one square per pair for
-both orders.  Every real system, here or in ``solver``, holds complex
-entries as (Re, Im) pairs laid out by this module's helpers, the one place
-that knows the layout; ``asymptotics`` lays out its family files with them
-too, and balances families on ``_pairs`` and ``_separations``.
+both orders.  The residual kernels do not only raise on a collision: given
+a ``guard``, they return each row's collision flag with the residuals, read
+off the separations the velocity kernel forms, so the solver's collision
+guard costs no pass of its own.  Every real system, here or in ``solver``,
+holds complex entries as (Re, Im) pairs laid out by this module's helpers,
+the one place that knows the layout; ``asymptotics`` lays out its family
+files with them too, and balances families on ``_pairs`` and ``_separations``.
 """
 
 from __future__ import annotations
@@ -197,10 +200,24 @@ def _velocity_np(g: np.ndarray, wpos: np.ndarray, checked: tuple[str, ...] = ())
     raise CollisionError if a row has a pair closer than the guard (see
     :func:`_check_separated`).
     """
-    s, n = wpos.shape
     d = _separations(wpos)
     if checked:
         _check_separated(d, *checked)
+    return _pair_velocity(g, d)
+
+
+def _velocity_gaps(g: np.ndarray, wpos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, gap): the unchecked :func:`_velocity_np` of wpos and each row's smallest separation.
+
+    A row with a NaN separation has a NaN gap.
+    """
+    d = _separations(wpos)
+    return _pair_velocity(g, d), np.abs(d).min(axis=1)
+
+
+def _pair_velocity(g: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The velocity V (S, n) of strengths g (n,) from the pair separations d (S, P)."""
+    s, n = len(d), len(g)
     # One reciprocal per pair: 1 / w_kj is exactly -(1 / w_jk) wherever it is finite.
     r = (1.0 / d).T
     j, k = _pairs(n)
@@ -297,20 +314,28 @@ def complex_system_residual(conf: ComplexConfiguration, v: VorticitySet) -> Resi
 # theta, lam (S,) is one point.  The complex kernels pass z and w to the
 # velocity kernels as one (2S, N) point set: [z; w] in the residual, so a
 # collision in both is named in z, and [w; z] in the Jacobian, whose blocks
-# take dV/dw before dV/dz.  The residual kernels raise CollisionError below
-# the guard, checked over the pairs j < k of the differences the velocity
-# kernel forms anyway; the Jacobian kernels check nothing.  The public
-# functions take one point, or a stack; one point is passed to the kernels as
-# a stack of one.  The complex ones reject Λ = 0, where B and dB/dw divide by it.
+# take dV/dw before dV/dz.  The residual kernels check collisions over the
+# pairs j < k of the differences the velocity kernel forms anyway: by default
+# they raise CollisionError below COLLISION_GUARD; given a guard they return
+# each row's hit instead, for the engine, which rejects those rows.  The
+# Jacobian kernels check nothing.  The public functions take one point, or a
+# stack; one point is passed to the kernels as a stack of one.  The complex
+# ones reject Λ = 0, where B and dB/dw divide by it, unless the residual is
+# given a guard; then |Λ| < 1e-8 is a hit.
 # ---------------------------------------------------------------------------
 
 
-def _physical_residual(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Rows of :func:`physical_residual_vector`, shape (S, 2N+1)."""
-    # |conj z_jn| = |z_jn|, so the check on the w = conj(z) differences is the one on z.
-    E = np.exp(1j * theta)[:, None] * pos - _velocity_np(g, np.conj(pos), checked=("z",))
+def _physical_residual(g: np.ndarray, pos: np.ndarray, theta: np.ndarray, guard=None):
+    """Rows of :func:`physical_residual_vector`, shape (S, 2N+1); with a guard, (rows, hit)."""
+    # |conj z_jn| = |z_jn|, so the gaps of the w = conj(z) differences are those of z.
+    if guard is None:
+        V = _velocity_np(g, np.conj(pos), checked=("z",))
+    else:
+        V, gap = _velocity_gaps(g, np.conj(pos))
+    E = np.exp(1j * theta)[:, None] * pos - V
     gauge = pos[:, 1].imag - pos[:, 0].imag
-    return np.concatenate([_realify_vector(E), gauge[:, None]], axis=1)
+    F = np.concatenate([_realify_vector(E), gauge[:, None]], axis=1)
+    return F if guard is None else (F, gap < guard)
 
 
 def _physical_jacobian(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -329,17 +354,23 @@ def _physical_jacobian(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.
     return J
 
 
-def _complex_residual(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Rows of :func:`complex_residual_vector`, shape (S, 2N+1)."""
+def _complex_residual(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarray, guard=None):
+    """Rows of :func:`complex_residual_vector`, shape (S, 2N+1); with a guard, (rows, hit)."""
     s, n = z.shape
-    lam = lam[:, None]
     # z rows first: a collision in both coordinates is reported in z.
-    V = _velocity_np(g, np.concatenate([z, w]), checked=("z", "w"))
+    if guard is None:
+        V = _velocity_np(g, np.concatenate([z, w]), checked=("z", "w"))
+    else:
+        V, gaps = _velocity_gaps(g, np.concatenate([z, w]))
     F = np.empty((s, 2 * n + 1), dtype=complex)
-    F[:, :n] = lam * z - V[s:]
-    F[:, n : 2 * n] = w / lam - V[:s]
+    F[:, :n] = lam[:, None] * z - V[s:]
+    F[:, n : 2 * n] = w / lam[:, None] - V[:s]
     F[:, -1] = (z[:, 1] - z[:, 0]) - (w[:, 1] - w[:, 0])
-    return F
+    if guard is None:
+        return F
+    gz, gw = gaps[:s], gaps[s:]
+    gap = np.where(gw < gz, gw, gz)     # min(gz, gw) as Python's min takes it, NaN included
+    return F, (np.hypot(lam.real, lam.imag) < 1e-8) | (gap < guard)
 
 
 def _complex_jacobian(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -381,29 +412,46 @@ def _physical_args(v: VorticitySet, positions, theta):
     return _float_gammas(v), pos, thetas
 
 
-def _complex_args(v: VorticitySet, z, w, lam):
+def _complex_args(v: VorticitySet, z, w, lam, guard=None):
     zs = np.asarray(z, dtype=complex)
     ws = np.asarray(w, dtype=complex)
     _check_count(v, zs, ws)
     zs, ws = zs.reshape(-1, zs.shape[-1]), ws.reshape(-1, ws.shape[-1])
     lams = np.asarray(lam, dtype=complex).reshape(-1)
     _check_rows(zs, ws, lams)
-    if not lams.all():
+    if guard is None and not lams.all():
         raise ValueError(f"Λ must be nonzero; it is 0 in row {np.flatnonzero(lams == 0)[0]}")
     return _float_gammas(v), zs, ws, lams
 
 
-def _one_or_stack(out: np.ndarray, positions) -> np.ndarray:
-    """The kernel output for a single point, or all of it for a stack of points."""
-    return out[0] if np.ndim(positions) == 1 else out
+def _check_guard(guard) -> None:
+    """Raise ValueError unless ``guard`` is None or at least 0; written so that NaN fails."""
+    if guard is not None and not guard >= 0:
+        raise ValueError(f"guard must be None or non-negative, not {guard!r}")
 
 
-def physical_residual_vector(v: VorticitySet, positions, theta: float) -> np.ndarray:
+def _one_or_stack(out, positions):
+    """The kernel output for a single point, or all of it for a stack of points.
+
+    Each part of a (residual, hit) pair is taken alike.
+    """
+    if np.ndim(positions) > 1:
+        return out
+    return tuple(part[0] for part in out) if isinstance(out, tuple) else out[0]
+
+
+def physical_residual_vector(v: VorticitySet, positions, theta: float, *, guard=None):
     """Real residual of the physical central system, length 2N+1.
 
     Also takes a stack: positions (S, N) and theta (S,) give one residual per row.
+    Raises CollisionError for a pair closer than ``COLLISION_GUARD``.  With a
+    ``guard``, returns ``(residual, hit)`` instead and raises no CollisionError:
+    ``hit`` is True where the smallest pair separation is below ``guard``
+    (one bool, or one per row; a row with a NaN separation counts as
+    separated), and a row that hits holds what the float arithmetic gives.
     """
-    return _one_or_stack(_physical_residual(*_physical_args(v, positions, theta)), positions)
+    _check_guard(guard)
+    return _one_or_stack(_physical_residual(*_physical_args(v, positions, theta), guard), positions)
 
 
 def physical_jacobian(v: VorticitySet, positions, theta: float) -> np.ndarray:
@@ -411,12 +459,19 @@ def physical_jacobian(v: VorticitySet, positions, theta: float) -> np.ndarray:
     return _one_or_stack(_physical_jacobian(*_physical_args(v, positions, theta)), positions)
 
 
-def complex_residual_vector(v: VorticitySet, z, w, lam: complex) -> np.ndarray:
+def complex_residual_vector(v: VorticitySet, z, w, lam: complex, *, guard=None):
     """Complex residual of the conjugate-free system, length 2N+1.
 
     Also takes a stack: z, w (S, N) and lam (S,) give one residual per row.
+    Raises CollisionError for a pair of z or of w closer than
+    ``COLLISION_GUARD``, and ValueError where Λ = 0.  With a ``guard``, returns
+    ``(residual, hit)`` instead and raises neither: ``hit`` is True where
+    |Λ| < 1e-8 or where min(gap of z, gap of w), as Python's ``min`` takes it,
+    is below ``guard`` (a NaN minimum counts as separated).  A row that hits
+    holds what the float arithmetic gives.
     """
-    return _one_or_stack(_complex_residual(*_complex_args(v, z, w, lam)), z)
+    _check_guard(guard)
+    return _one_or_stack(_complex_residual(*_complex_args(v, z, w, lam, guard), guard), z)
 
 
 def complex_jacobian(v: VorticitySet, z, w, lam: complex) -> np.ndarray:

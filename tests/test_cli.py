@@ -185,6 +185,15 @@ def test_strength_beyond_the_float_range_exit_2(argv, capfd):
     assert capfd.readouterr() == ("", "error: vorticity entry 1 is beyond the float range\n")
 
 
+def test_solve_too_many_starts_exit_2(capfd):
+    # This printed numpy's allocation traceback and exited 1 once.  numpy
+    # refuses a block of 10**15 starts at once, without touching memory.
+    starts = str(10**15)
+    assert main(["solve", "--gamma", "1,1,1", "--starts", starts]) == 2
+    assert capfd.readouterr() == (
+        "", f"error: --starts {starts} is too many starts to hold in memory\n")
+
+
 def test_check_gamma_zero_exit_4(capsys):
     assert main(["check", "--gamma", "1,-1,2,3,-5"]) == 4
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexcc import quantities
 from vortexcc.quantities import (
     ExactComplex,
     Invariants,
@@ -20,6 +21,7 @@ from vortexcc.quantities import (
     invariants_of,
     is_exact_scalar,
     total_vorticity,
+    _moments,
 )
 
 
@@ -270,6 +272,52 @@ def test_invariants_of_stack_matches_row_calls(n):
                 assert repr(inv) == repr(row)
                 assert [type(getattr(inv, f)) for f in Invariants.__dataclass_fields__] == \
                     [type(getattr(row, f)) for f in Invariants.__dataclass_fields__]
+
+
+def _part_bytes(c):
+    """Bytes of the real and imaginary parts of c, with None for a NaN part."""
+    return tuple(None if np.isnan(x) else np.float64(x).tobytes() for x in (c.real, c.imag))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_invariants_match_the_row_loop_on_extreme_values(n, monkeypatch):
+    rng = np.random.default_rng(100 + n)
+    S = 300
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, -1e-300,
+                        5e-324, -5e-324, 2.5e-310, 1.0, -3.0])
+
+    def parts(shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+        pick = rng.random(shape) < 0.35
+        a[pick] = rng.choice(special, pick.sum())
+        return a
+
+    def stack():
+        z = np.empty((S, n), dtype=complex)
+        z.real, z.imag = parts((S, n)), parts((S, n))
+        return z
+
+    z = stack()
+    gammas = tuple(float(g) for g in rng.choice([1.0, -2.0, 0.5, 1e300, -1e-300, 5e-324, 3.7], n))
+    fields = ("M", "M_w", "I", "S")
+    with np.errstate(all="ignore"):    # inf and NaN parts: numpy warns, the arithmetic goes on
+        for w in (np.conj(z), stack()):
+            for v in (VorticitySet(gammas), VorticitySet(tuple(-g for g in gammas))):
+                for s, inv in enumerate(invariants_of(v, z, w)):
+                    row = _moments(v.gammas, tuple(z[s]), tuple(w[s]))
+                    for f in fields:
+                        assert type(getattr(inv, f)) is np.complex128
+                        assert _part_bytes(getattr(inv, f)) == _part_bytes(row[f]), (s, f)
+
+    # Exact strengths take the loop: a stacked pass that raises is never reached.
+    def refused(*args):
+        raise AssertionError("stacked pass used")
+
+    monkeypatch.setattr(quantities, "_moment_stack", refused)
+    z = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    invariants_of(VorticitySet(tuple(range(1, n + 1))), z, np.conj(z))
+    with pytest.raises(AssertionError, match="stacked pass used"):
+        invariants_of(VorticitySet(gammas), z, np.conj(z))
 
 
 def test_invariants_of_stack_checks_shapes():

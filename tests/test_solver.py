@@ -648,7 +648,8 @@ def test_native_complex_step_matches_realified_step(seed):
     # JᴴJ + λI is the complexification of the realified JᵀJ + λI, so the
     # complex search's step is the realified one up to rounding.
     search, x = _seeded_starts("complex", SolverOptions(), count=24, seed=seed)
-    J, F = search.jacobian(x), search.residual(x)
+    (F, hit), J = search.residual(x), search.jacobian(x)
+    assert not hit.any()
     # Lane 0: a zero column and no damping make both normal matrices singular.
     J[0, :, 0] = 0.0
     damp = np.geomspace(1e-3, 10.0, len(x))

@@ -354,6 +354,87 @@ def test_complex_systems_reject_zero_lambda():
                 call()
 
 
+def _guard_stacks(rng, n):
+    """z, w (12, n) and Λ (12,) with coincident points, pairs at exactly a guard, NaN rows and Λ near 0."""
+    z, w = (rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n)) for _ in range(2))
+    z[0, 1] = z[0, 0]                                   # coincident
+    z[1, 0], z[1, n - 1] = 0.0, COLLISION_GUARD         # exactly the default guard apart
+    z[2, 0], z[2, 1] = 1.0 + 0.5j, 1.25 + 0.5j          # exactly 0.25 apart
+    z[3, 0] = complex(np.nan, 0.0)
+    z[4, 1] = z[4, 0] + 1e-11
+    z[5, 1] = z[5, 0] + 0.2
+    w[3, 1] = w[3, 0]                                   # coincident, behind a NaN z gap
+    w[4, 0] = complex(0.0, np.nan)                     # Python's min keeps the z gap
+    w[7, 1] = w[7, 0] + 1e-11
+    w[8, 0], w[8, 1] = -0.5j, 0.25 - 0.5j
+    lam = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 12))
+    lam[6], lam[8], lam[9], lam[2] = 0.0, -0.0, 1e-9j, 1e-8
+    return z, w, lam
+
+
+def _collision_message(p):
+    """The CollisionError message for the one row p (1, n), by the full-array reference."""
+    hit = _full_first_collision(p)
+    return None if hit is None else "collision between vortices {} and {}".format(*hit[1])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_guard_mode_returns_the_engine_guard_and_the_default_residuals(n):
+    rng = np.random.default_rng(40 + n)
+    v = VorticitySet(tuple(rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)))
+    z, w, lam = _guard_stacks(rng, n)
+    theta = rng.uniform(0.0, 2.0 * np.pi, len(z))
+    # Rows that hit divide by zero or carry NaN; numpy may warn, the kernels raise nothing.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for guard in (COLLISION_GUARD, 0.25):
+            # The solver's guards before they were folded into the residuals.
+            physical_hit = _min_gap(z) < guard
+            gaps = _min_gap(np.concatenate([z, w]))
+            gap = np.array([min(a, b) for a, b in zip(gaps[: len(z)].tolist(), gaps[len(z) :].tolist())])
+            complex_hit = (np.hypot(lam.real, lam.imag) < 1e-8) | (gap < guard)
+
+            F, hit = physical_residual_vector(v, z, theta, guard=guard)
+            assert hit.dtype == bool and np.array_equal(hit, physical_hit)
+            G, ghit = complex_residual_vector(v, z, w, lam, guard=guard)
+            assert ghit.dtype == bool and np.array_equal(ghit, complex_hit)
+            for s in range(len(z)):
+                one, one_hit = physical_residual_vector(v, z[s], theta[s], guard=guard)
+                assert one.tobytes() == F[s].tobytes() and one_hit == hit[s]
+                one, one_hit = complex_residual_vector(v, z[s], w[s], lam[s], guard=guard)
+                assert one.tobytes() == G[s].tobytes() and one_hit == ghit[s]
+
+                # The default mode keeps its errors; where it returns, the rows agree bit for bit.
+                message = _collision_message(z[s : s + 1])
+                if message:
+                    with pytest.raises(CollisionError, match=f"^{message} in z-coordinates$"):
+                        physical_residual_vector(v, z[s], theta[s])
+                else:
+                    assert physical_residual_vector(v, z[s], theta[s]).tobytes() == F[s].tobytes()
+                w_message = _collision_message(w[s : s + 1])
+                if lam[s] == 0:
+                    with pytest.raises(ValueError, match="^Λ must be nonzero; it is 0 in row 0$"):
+                        complex_residual_vector(v, z[s], w[s], lam[s])
+                elif message or w_message:
+                    coordinate = "z" if message else "w"
+                    with pytest.raises(CollisionError,
+                                       match=f"^{message or w_message} in {coordinate}-coordinates$"):
+                        complex_residual_vector(v, z[s], w[s], lam[s])
+                else:
+                    assert complex_residual_vector(v, z[s], w[s], lam[s]).tobytes() == G[s].tobytes()
+            # The planted rows; no random pair comes near the default guard.
+            if guard == COLLISION_GUARD:
+                assert np.flatnonzero(physical_hit).tolist() == [0, 4]
+                assert np.flatnonzero(complex_hit).tolist() == [0, 4, 6, 7, 8, 9]
+            else:
+                assert physical_hit[[0, 1, 4, 5]].all() and (n > 2 or not physical_hit[2])
+    # A guard that no gap can be below would hide every collision.
+    for bad in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="^guard must be None or non-negative"):
+            physical_residual_vector(v, z, theta, guard=bad)
+        with pytest.raises(ValueError, match="^guard must be None or non-negative"):
+            complex_residual_vector(v, z, w, lam, guard=bad)
+
+
 def _dense_diffs(p):
     """Reference layout: D[s, j, n] = p[s, n] - p[s, j] with a harmless 1 on each diagonal."""
     d = p[:, None, :] - p[:, :, None]
