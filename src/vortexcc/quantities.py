@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from numbers import Integral, Rational
+from numbers import Complex, Integral, Rational, Real
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -132,7 +132,7 @@ class ExactComplex:
 
 @dataclass(frozen=True)
 class VorticitySet:
-    """Vortex strengths (Γ_1, ..., Γ_N); every strength is finite and nonzero, N >= 2.
+    """Vortex strengths (Γ_1, ..., Γ_N); every strength is real, finite and nonzero, N >= 2.
 
     Integer entries of any type (numpy integers included) are stored as
     Python ints, so exact arithmetic on them never wraps around.
@@ -145,9 +145,17 @@ class VorticitySet:
         if len(gs) < 2:
             raise ValueError("need at least two vortices")
         for i, g in enumerate(gs, start=1):
+            # A complex entry is refused, not read by its real part; the plain
+            # types skip the slow ``numbers`` checks.
+            if type(g) not in _PLAIN and isinstance(g, Complex) and not isinstance(g, Real):
+                raise ValueError(f"vorticity must be a real number (entry {i} is {g!r})")
             if g == 0:
                 raise ValueError(f"vorticity must be nonzero (entry {i} is zero)")
-            if not is_exact_scalar(g) and not math.isfinite(g):
+            try:
+                finite = is_exact_scalar(g) or math.isfinite(g)
+            except TypeError:
+                raise ValueError(f"vorticity must be a real number (entry {i} is {g!r})") from None
+            if not finite:
                 raise ValueError(f"vorticity must be finite (entry {i} is {g})")
         object.__setattr__(self, "gammas", gs)
 

@@ -57,7 +57,6 @@ from .system import (
     _realify_vector,
     _separations,
     _velocity_derivative,
-    _velocity_gaps,
     _velocity_np,
     complex_jacobian,
     complex_residual_vector,
@@ -439,7 +438,7 @@ def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         flip = _prefers_conjugate(pos, lam, opts)
         pos = np.where(flip[:, None], np.conj(pos), pos)
         lam = np.where(flip, np.conj(lam), lam)
-        E = lam[:, None] * pos - _velocity_np(g, np.conj(pos))
+        E = lam[:, None] * pos - _velocity_np(g, np.conj(pos))[0]
         return _Canonical(pos, np.conj(pos), lam, None, np.abs(E).max(axis=1),
                           _physical_signatures(pos))
 
@@ -506,7 +505,7 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         z, w = np.where(swap[:, None], tz, z), np.where(swap[:, None], tw, w)
         lam = np.where(swap, tlam, lam)
         sig = np.where(swap[:, None, None], tsig, sig)
-        F = _complex_residual(g, z, w, lam)
+        F = _complex_residual(g, z, w, lam)[0]
         return _Canonical(z, w, lam, None, np.abs(F).max(axis=1), sig)
 
     return _Search("complex", sample, residual, jacobian, _max_modulus, canonical,
@@ -806,7 +805,7 @@ def _vanishes(v: VorticitySet, terms: Callable) -> bool:
 def _velocity_canonical(g: np.ndarray, pos: np.ndarray, velocity: np.ndarray | None) -> _Canonical:
     """Canonical rows of roots of V_n = velocity; ``velocity=None`` marks equilibria."""
     w = np.conj(pos)
-    V = _velocity_np(g, w)
+    V = _velocity_np(g, w)[0]
     if velocity is not None:
         V = V - velocity[:, None]
     return _Canonical(pos, w, None, velocity, np.abs(V).max(axis=1), _physical_signatures(pos))
@@ -850,7 +849,7 @@ def _equilibria_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     n = v.n
 
     def residual(x):
-        V, gap = _velocity_gaps(g, np.conj(_pinned(x, 1.0)))
+        V, gap = _velocity_np(g, np.conj(_pinned(x, 1.0)))
         return _realify_vector(V), gap < opts.collision_guard
 
     def jacobian(x):
@@ -895,7 +894,7 @@ def _translation_search(v: VorticitySet, opts: SolverOptions) -> _Search:
 
     def residual(x):
         pos, phi = assemble(x)
-        V, gap = _velocity_gaps(g, np.conj(pos))
+        V, gap = _velocity_np(g, np.conj(pos))
         return _realify_vector(V - np.exp(1j * phi)[:, None]), gap < opts.collision_guard
 
     def jacobian(x):

@@ -5,8 +5,8 @@ The velocity seen by vortex n is ``V_n = sum_{j != n} Γ_j / w_jn``, which in
 the physical regime (``w = conj(z)``) is the usual point-vortex field.
 
 Every system here is built from two numpy kernels: the velocity
-``_velocity_np`` and its derivative ``_velocity_derivative``,
-``Q[n, m] = dV_n/dw_m``.  On top of them:
+``_velocity_np``, which also returns each row's smallest pair separation, and
+its derivative ``_velocity_derivative``, ``Q[n, m] = dV_n/dw_m``.  On top of them:
 
 * ``stationary_residual``: the reduced central-configuration equations
   ``Λ z_n = V_n`` (translation already removed).
@@ -18,28 +18,21 @@ Every system here is built from two numpy kernels: the velocity
 
 Analytic Jacobians for the first two are exported together with the packed
 numpy forms the solver consumes.  The kernels work on stacks of
-configurations, one per row; the public functions take one point or a stack.
-The complex kernels stack z and w into one point set of 2S rows, so each call
-makes one pass of the velocity kernels, not one per coordinate.  The velocity
-kernel, ``_min_gap`` and the collision checks take the separations of the
-n(n-1)/2 pairs j < k only (``_separations``), and so does the derivative
-kernel; the velocity kernel takes one reciprocal per pair and its negation
-for the pair's other order, the derivative kernel one square per pair for
-both orders.  The residual kernels do not only raise on a collision: given
-a ``guard``, they return each row's collision flag with the residuals, read
-off the separations the velocity kernel forms, so the solver's collision
-guard costs no pass of its own.  Every real system, here or in ``solver``,
-holds complex entries as (Re, Im) pairs laid out by this module's helpers,
-the one place that knows the layout; ``asymptotics`` lays out its family
-files with them too, and balances families on ``_pairs`` and ``_separations``.
+configurations, one per row, and take the separations of the n(n-1)/2 pairs
+j < k only (``_separations``).  They check nothing; the public functions own
+the collision rule (see the comment above the packed forms).  Every real
+system, here or in ``solver``, holds complex entries as (Re, Im) pairs laid
+out by this module's helpers, the one place that knows the layout;
+``asymptotics`` lays out its family files with them too, and balances
+families on ``_pairs`` and ``_separations``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -193,31 +186,15 @@ def _min_gap(p: np.ndarray) -> np.ndarray:
     return np.abs(_separations(p)).min(axis=1)
 
 
-def _velocity_np(g: np.ndarray, wpos: np.ndarray, checked: tuple[str, ...] = ()) -> np.ndarray:
-    """V[s, n] = sum_{j != n} Γ_j / w_jn for each row of wpos (S, n).
+def _velocity_np(g: np.ndarray, wpos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, gap) for the rows of wpos (S, n): V[s, n] = sum_{j != n} Γ_j / w_jn, and
+    each row's smallest pair separation, NaN for a row with a NaN separation.
 
-    With coordinate names in ``checked``, one per equal block of rows, first
-    raise CollisionError if a row has a pair closer than the guard (see
-    :func:`_check_separated`).
+    Nothing is checked: a row with coincident points holds what the float
+    arithmetic gives.
     """
     d = _separations(wpos)
-    if checked:
-        _check_separated(d, *checked)
-    return _pair_velocity(g, d)
-
-
-def _velocity_gaps(g: np.ndarray, wpos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V, gap): the unchecked :func:`_velocity_np` of wpos and each row's smallest separation.
-
-    A row with a NaN separation has a NaN gap.
-    """
-    d = _separations(wpos)
-    return _pair_velocity(g, d), np.abs(d).min(axis=1)
-
-
-def _pair_velocity(g: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The velocity V (S, n) of strengths g (n,) from the pair separations d (S, P)."""
-    s, n = len(d), len(g)
+    s, n = wpos.shape
     # One reciprocal per pair: 1 / w_kj is exactly -(1 / w_jk) wherever it is finite.
     r = (1.0 / d).T
     j, k = _pairs(n)
@@ -227,7 +204,7 @@ def _pair_velocity(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     T *= g[:, None, None]
     # The sum over the outer axis adds whole (S, n) slices from 0 in j order,
     # the order numpy's sum over the j axis of a dense (S, n, n) stack takes.
-    return T.sum(axis=0)
+    return T.sum(axis=0), np.abs(d).min(axis=1)
 
 
 def _velocity_derivative(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
@@ -247,21 +224,21 @@ def _velocity_derivative(g: np.ndarray, wpos: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _check_separated(d: np.ndarray, *coordinates: str) -> None:
-    """Raise CollisionError if a stack of :func:`_separations` has a pair closer than the guard.
+def _check_separated(p: np.ndarray, *coordinates: str) -> None:
+    """Raise CollisionError if a row of positions p (S, n) has a pair closer than the guard.
 
     The stack holds one equal block of rows per coordinate name, in order.  The
     error names the first such pair, in index order, of the first such row, and
     the coordinate of that row's block.  A row with a NaN separation counts as
     separated, as its smallest separation is NaN.
     """
-    dist = np.abs(d)
+    dist = np.abs(_separations(p))
     close = dist.min(axis=1) < COLLISION_GUARD
     if close.any():
         row = int(np.argmax(close))
         pair = np.argmax(dist[row] < COLLISION_GUARD)
-        coordinate = coordinates[row * len(coordinates) // len(d)]
-        j, k = _pairs((1 + math.isqrt(1 + 8 * d.shape[-1])) // 2)   # n from n(n-1)/2
+        coordinate = coordinates[row * len(coordinates) // len(p)]
+        j, k = _pairs(p.shape[-1])
         raise CollisionError(int(j[pair]) + 1, int(k[pair]) + 1, coordinate)
 
 
@@ -280,8 +257,8 @@ def _velocities(v: VorticitySet, z, w) -> tuple[np.ndarray, np.ndarray]:
     zs = np.array([complex(p) for p in z], dtype=complex)
     ws = np.array([complex(p) for p in w], dtype=complex)
     _check_count(v, zs, ws)
-    _check_separated(_separations(zs[None]), "z")
-    return zs, _velocity_np(_float_gammas(v), ws[None], checked=("w",))[0]
+    _check_separated(np.stack([zs, ws]), "z", "w")
+    return zs, _velocity_np(_float_gammas(v), ws[None])[0][0]
 
 
 def velocity_field(v: VorticitySet, z: Sequence, w: Sequence) -> list:
@@ -309,33 +286,27 @@ def complex_system_residual(conf: ComplexConfiguration, v: VorticitySet) -> Resi
 #              rows (Re E_1, Im E_1, ..., Re E_N, Im E_N, Im z_12).
 #   complex:   unknowns (z_1..z_N, w_1..w_N, Λ) as complex variables;
 #              rows (A_1..A_N, B_1..B_N, z_12 - w_12), all holomorphic.
-# The physical (Re, Im) pairs come from the layout helpers above.
-# The kernels work on stacks: each row of pos, z, w (S, N) and each entry of
-# theta, lam (S,) is one point.  The complex kernels pass z and w to the
-# velocity kernels as one (2S, N) point set: [z; w] in the residual, so a
-# collision in both is named in z, and [w; z] in the Jacobian, whose blocks
-# take dV/dw before dV/dz.  The residual kernels check collisions over the
-# pairs j < k of the differences the velocity kernel forms anyway: by default
-# they raise CollisionError below COLLISION_GUARD; given a guard they return
-# each row's hit instead, for the engine, which rejects those rows.  The
-# Jacobian kernels check nothing.  The public functions take one point, or a
-# stack; one point is passed to the kernels as a stack of one.  The complex
-# ones reject Λ = 0, where B and dB/dw divide by it, unless the residual is
-# given a guard; then |Λ| < 1e-8 is a hit.
+# The kernels take stacks, one point per row of pos, z, w (S, N) and entry of
+# theta, lam (S,), and check nothing.  The residual kernels return (rows, gap),
+# gap being each row's smallest pair separation (for the complex system, the
+# smaller of the z and w gaps).  The complex kernels pass z and w to the
+# velocity kernels as one (2S, N) stack: [z; w] in the residual, [w; z] in the
+# Jacobian, whose blocks take dV/dw before dV/dz.  The public residuals own the
+# collision rule: by default they raise CollisionError below COLLISION_GUARD,
+# z named before w, and the complex one a ValueError for Λ = 0 first; given a
+# guard they raise neither and return (residual, gap < guard), the complex
+# one also counting |Λ| < 1e-8 as a hit.  The Jacobians check no collision;
+# the complex one rejects Λ = 0.  One point is passed as a stack of one.
 # ---------------------------------------------------------------------------
 
 
-def _physical_residual(g: np.ndarray, pos: np.ndarray, theta: np.ndarray, guard=None):
-    """Rows of :func:`physical_residual_vector`, shape (S, 2N+1); with a guard, (rows, hit)."""
+def _physical_residual(g: np.ndarray, pos: np.ndarray, theta: np.ndarray):
+    """(rows, gap): the rows of :func:`physical_residual_vector`, shape (S, 2N+1), and each row's gap."""
     # |conj z_jn| = |z_jn|, so the gaps of the w = conj(z) differences are those of z.
-    if guard is None:
-        V = _velocity_np(g, np.conj(pos), checked=("z",))
-    else:
-        V, gap = _velocity_gaps(g, np.conj(pos))
+    V, gap = _velocity_np(g, np.conj(pos))
     E = np.exp(1j * theta)[:, None] * pos - V
     gauge = pos[:, 1].imag - pos[:, 0].imag
-    F = np.concatenate([_realify_vector(E), gauge[:, None]], axis=1)
-    return F if guard is None else (F, gap < guard)
+    return np.concatenate([_realify_vector(E), gauge[:, None]], axis=1), gap
 
 
 def _physical_jacobian(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -354,23 +325,17 @@ def _physical_jacobian(g: np.ndarray, pos: np.ndarray, theta: np.ndarray) -> np.
     return J
 
 
-def _complex_residual(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarray, guard=None):
-    """Rows of :func:`complex_residual_vector`, shape (S, 2N+1); with a guard, (rows, hit)."""
+def _complex_residual(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarray):
+    """(rows, gap): the rows of :func:`complex_residual_vector`, shape (S, 2N+1), and
+    each row's min(gap of z, gap of w) as Python's ``min`` takes it, NaN included."""
     s, n = z.shape
-    # z rows first: a collision in both coordinates is reported in z.
-    if guard is None:
-        V = _velocity_np(g, np.concatenate([z, w]), checked=("z", "w"))
-    else:
-        V, gaps = _velocity_gaps(g, np.concatenate([z, w]))
+    V, gaps = _velocity_np(g, np.concatenate([z, w]))
     F = np.empty((s, 2 * n + 1), dtype=complex)
     F[:, :n] = lam[:, None] * z - V[s:]
     F[:, n : 2 * n] = w / lam[:, None] - V[:s]
     F[:, -1] = (z[:, 1] - z[:, 0]) - (w[:, 1] - w[:, 0])
-    if guard is None:
-        return F
     gz, gw = gaps[:s], gaps[s:]
-    gap = np.where(gw < gz, gw, gz)     # min(gz, gw) as Python's min takes it, NaN included
-    return F, (np.hypot(lam.real, lam.imag) < 1e-8) | (gap < guard)
+    return F, np.where(gw < gz, gw, gz)
 
 
 def _complex_jacobian(g: np.ndarray, z: np.ndarray, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -425,8 +390,14 @@ def _complex_args(v: VorticitySet, z, w, lam, guard=None):
 
 
 def _check_guard(guard) -> None:
-    """Raise ValueError unless ``guard`` is None or at least 0; written so that NaN fails."""
-    if guard is not None and not guard >= 0:
+    """Raise ValueError unless ``guard`` is None or a real number at least 0.
+
+    A bool is refused, not read as 0 or 1; ``not guard >= 0`` makes NaN fail.
+    A float, the engine's guard, passes without the slow ``numbers`` check.
+    """
+    if guard is None or type(guard) is float and guard >= 0:
+        return
+    if isinstance(guard, bool) or not isinstance(guard, Real) or not guard >= 0:
         raise ValueError(f"guard must be None or non-negative, not {guard!r}")
 
 
@@ -451,7 +422,11 @@ def physical_residual_vector(v: VorticitySet, positions, theta: float, *, guard=
     separated), and a row that hits holds what the float arithmetic gives.
     """
     _check_guard(guard)
-    return _one_or_stack(_physical_residual(*_physical_args(v, positions, theta), guard), positions)
+    g, pos, thetas = _physical_args(v, positions, theta)
+    if guard is None:
+        _check_separated(pos, "z")
+    F, gap = _physical_residual(g, pos, thetas)
+    return _one_or_stack(F if guard is None else (F, gap < guard), positions)
 
 
 def physical_jacobian(v: VorticitySet, positions, theta: float) -> np.ndarray:
@@ -471,7 +446,12 @@ def complex_residual_vector(v: VorticitySet, z, w, lam: complex, *, guard=None):
     holds what the float arithmetic gives.
     """
     _check_guard(guard)
-    return _one_or_stack(_complex_residual(*_complex_args(v, z, w, lam, guard), guard), z)
+    g, zs, ws, lams = _complex_args(v, z, w, lam, guard)
+    if guard is None:
+        _check_separated(np.concatenate([zs, ws]), "z", "w")   # z rows first: z is named first
+        return _one_or_stack(_complex_residual(g, zs, ws, lams)[0], z)
+    F, gap = _complex_residual(g, zs, ws, lams)
+    return _one_or_stack((F, (np.hypot(lams.real, lams.imag) < 1e-8) | (gap < guard)), z)
 
 
 def complex_jacobian(v: VorticitySet, z, w, lam: complex) -> np.ndarray:

@@ -103,6 +103,14 @@ def test_vorticity_rejects_non_finite(bad):
         VorticitySet((1.0, 2.0, bad, 3.0, 5.0))
 
 
+@pytest.mark.parametrize("bad", [np.complex128(2 + 1j), 1j, 0j, "2", None], ids=repr)
+def test_vorticity_refuses_an_entry_that_is_not_a_real_number(bad):
+    # A complex strength was once read by its real part, with only a ComplexWarning;
+    # the others failed with a bare TypeError.
+    with pytest.raises(ValueError, match=r"^vorticity must be a real number \(entry 2 is "):
+        VorticitySet((1, bad, 3, 5, 7))
+
+
 def test_as_float_names_an_entry_beyond_the_float_range():
     # float() of such an entry raised OverflowError once.
     with pytest.raises(ValueError, match="^vorticity entry 2 is beyond the float range$"):

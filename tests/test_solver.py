@@ -915,7 +915,7 @@ def _central_solution_row(v, regime, z, w, lam, residual, signature, iters, opts
 
 
 def _velocity_solution_row(v, pos, velocity, iters):
-    V = solver._velocity_np(np.asarray(v.gammas), np.conj(pos)[None])[0]
+    V = solver._velocity_np(np.asarray(v.gammas), np.conj(pos)[None])[0][0]
     if velocity is not None:
         V = V - velocity
     w = conjugate_positions(tuple(pos))
@@ -938,7 +938,7 @@ def _finalize_row(name, v, x, iters, opts, branches):
         branches.add(branch)
         if flip:
             pos, lam = np.conj(pos), np.conj(lam)
-        E = lam * pos - solver._velocity_np(g, np.conj(pos)[None])[0]
+        E = lam * pos - solver._velocity_np(g, np.conj(pos)[None])[0][0]
         return _central_solution_row(v, "physical", pos, np.conj(pos), lam, E,
                                      _physical_signature_row(pos), iters, opts)
     if name == "complex":
@@ -955,7 +955,7 @@ def _finalize_row(name, v, x, iters, opts, branches):
         branches.add("twin" if swap else "kept")
         if swap:
             z, w, lam = twin
-        F = solver._complex_residual(g, z[None], w[None], np.array([lam]))[0]
+        F = solver._complex_residual(g, z[None], w[None], np.array([lam]))[0][0]
         return _central_solution_row(v, "complex", z, w, lam, F, _complex_signature_row(z, w),
                                      iters, opts)
     if name == "equilibria":

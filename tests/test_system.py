@@ -19,7 +19,6 @@ from vortexcc.system import (
     velocity_field,
     _check_separated,
     _min_gap,
-    _separations,
     _velocity_derivative,
     _velocity_np,
 )
@@ -354,6 +353,16 @@ def test_complex_systems_reject_zero_lambda():
                 call()
 
 
+def test_jacobians_check_nothing():
+    # The residuals own the collision rule; the Jacobians evaluate whatever rows they are given.
+    v = VorticitySet((1.0, 2.0, -1.5))
+    z = np.array([[0.0, 5e-11, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
+    theta = np.array([0.3, 1.1])
+    with np.errstate(all="ignore"):
+        for J in (physical_jacobian(v, z, theta), complex_jacobian(v, z, np.conj(z), np.exp(1j * theta))):
+            assert J.shape == (2, 7, 7)
+
+
 def _guard_stacks(rng, n):
     """z, w (12, n) and Λ (12,) with coincident points, pairs at exactly a guard, NaN rows and Λ near 0."""
     z, w = (rng.standard_normal((12, n)) + 1j * rng.standard_normal((12, n)) for _ in range(2))
@@ -428,7 +437,8 @@ def test_guard_mode_returns_the_engine_guard_and_the_default_residuals(n):
             else:
                 assert physical_hit[[0, 1, 4, 5]].all() and (n > 2 or not physical_hit[2])
     # A guard that no gap can be below would hide every collision.
-    for bad in (np.nan, -1.0):
+    # Nor is a bool read as 0 or 1, or a value that is not a real number read at all.
+    for bad in (np.nan, -1.0, True, np.True_, 1j, "0.1", np.array([0.1, 0.2])):
         with pytest.raises(ValueError, match="^guard must be None or non-negative"):
             physical_residual_vector(v, z, theta, guard=bad)
         with pytest.raises(ValueError, match="^guard must be None or non-negative"):
@@ -482,14 +492,16 @@ def test_pair_separations_match_full_reference():
                 else:
                     p[row, j] = complex(-0.0, p[row, j].imag)
             assert _min_gap(p).tobytes() == _full_min_gap(p).tobytes()
+            with np.errstate(all="ignore"):
+                assert _velocity_np(np.ones(n), p)[1].tobytes() == _min_gap(p).tobytes()
             # One coordinate name per row, so the error names the row too.
             names = tuple(str(r) for r in range(len(p)))
             expected = _full_first_collision(p)
             if expected is None:
-                _check_separated(_separations(p), *names)
+                _check_separated(p, *names)
                 continue
             with pytest.raises(CollisionError) as err:
-                _check_separated(_separations(p), *names)
+                _check_separated(p, *names)
             assert (int(err.value.coordinate), err.value.pair) == expected
 
 
@@ -543,7 +555,7 @@ def test_velocity_matches_dense_reference(rows):
             g = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
             g[rng.integers(n)] = rng.choice([0.0, -0.0, -1.5])
             with np.errstate(all="ignore"):
-                expected, got = _dense_velocity(g, p), _velocity_np(g, p)
+                expected, got = _dense_velocity(g, p), _velocity_np(g, p)[0]
             keep = np.isfinite(expected)
             assert got[keep].tobytes() == expected[keep].tobytes()
             finite, total = finite + keep.sum(), total + keep.size
@@ -586,7 +598,7 @@ def test_velocity_sum_matches_numpy_reduction():
             inv = 1.0 / _dense_diffs(p)
             inv[:, np.arange(n), np.arange(n)] = 0.0
             reference = (g[:, None] * inv).sum(axis=1)
-            assert _velocity_np(g, p).tobytes() == reference.tobytes()
+            assert _velocity_np(g, p)[0].tobytes() == reference.tobytes()
 
 
 def test_kernels_name_a_strength_beyond_the_float_range():
