@@ -354,8 +354,8 @@ def four_product(z: Sequence, w: Sequence, pair: tuple) -> complex:
     ws = [complex(p) for p in w]
     if len(zs) != 5 or len(ws) != 5:
         raise ValueError("four-products are defined for exactly 5 vortices")
-    if not (len(pair) == 2 and pair[0] != pair[1]
-            and all(isinstance(label, Integral) and 1 <= label <= 5 for label in pair)):
+    if not (len(pair) == 2 and pair[0] != pair[1] and all(
+            isinstance(p, Integral) and not isinstance(p, bool) and 1 <= p <= 5 for p in pair)):
         raise ValueError("pair must be two distinct labels in 1..5")
     j, n_ = pair
     k, m, l = sorted(set(range(1, 6)) - {j, n_})
@@ -374,12 +374,29 @@ def four_product(z: Sequence, w: Sequence, pair: tuple) -> complex:
 
 
 def save_family(path, parameters: Sequence, configurations: Sequence) -> None:
-    rows = list(zip(parameters, configurations))
-    z = np.array([z for _, (z, _) in rows], dtype=complex)
-    w = np.array([w for _, (_, w) in rows], dtype=complex)
-    table = np.column_stack([[float(t) for t, _ in rows], _realify_vector(z), _realify_vector(w)])
+    """Write a family file; ValueError, writing nothing, wherever ``load_family`` would refuse it."""
+    if len(parameters) != len(configurations):
+        raise ValueError(f"family not saved: {len(parameters)} parameters, "
+                         f"{len(configurations)} configurations")
+    if len({len(part) for member in configurations for part in member}) > 1:
+        raise ValueError("family not saved: every z and w needs the same length")
+    z = np.array([z for z, _ in configurations], dtype=complex)
+    w = np.array([w for _, w in configurations], dtype=complex)
+    table = np.column_stack([[float(t) for t in parameters], _realify_vector(z), _realify_vector(w)])
+    _check_family(table, "family not saved")
     header = "parameter, then interleaved re/im of z_1..z_N, then re/im of w_1..w_N"
     np.savetxt(path, table, header=header)
+
+
+def _check_family(data: np.ndarray, what: str) -> None:
+    """Raise ValueError, led by ``what``, unless ``data`` has rows of 1 + 4N finite columns, N >= 2."""
+    if not data.size:
+        raise ValueError(f"{what}: no data rows")
+    if data.shape[1] < 9 or (data.shape[1] - 1) % 4 != 0:
+        raise ValueError(f"{what}: need 1 + 4N columns, N >= 2")
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{what}: data row {np.argmax(bad) + 1} has a non-finite entry")
 
 
 def load_family(path):
@@ -387,13 +404,7 @@ def load_family(path):
     with warnings.catch_warnings():  # an empty file is reported below, as malformed
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         data = np.loadtxt(path, ndmin=2)
-    if not data.size:
-        raise ValueError("malformed family file: no data rows")
-    if data.shape[1] < 9 or (data.shape[1] - 1) % 4 != 0:
-        raise ValueError("malformed family file: need 1 + 4N columns")
-    bad = ~np.isfinite(data).all(axis=1)
-    if bad.any():
-        raise ValueError(f"malformed family file: data row {np.argmax(bad) + 1} has a non-finite entry")
+    _check_family(data, "malformed family file")
     n = (data.shape[1] - 1) // 4
     z, w = _complexify(data[:, 1 : 1 + 2 * n]), _complexify(data[:, 1 + 2 * n :])
     return tuple(data[:, 0]), tuple(zip(map(tuple, z), map(tuple, w)))

@@ -249,9 +249,10 @@ def angular_momentum(v: VorticitySet, subset: Iterable[int] | None = None):
     if subset is None:
         idx = range(1, v.n + 1)
     else:
-        idx = sorted(set(subset))
-        if any(i < 1 or i > v.n for i in idx):
+        idx = list(subset)      # a bool is not an index, though True == 1 would pass
+        if any(isinstance(i, bool) or not isinstance(i, Integral) or not 1 <= i <= v.n for i in idx):
             raise ValueError(f"subset indices must lie in 1..{v.n}")
+        idx = sorted(set(idx))
     idx = list(idx)
     if len(idx) < 2:
         raise ValueError("undefined subset momentum (need at least two indices)")

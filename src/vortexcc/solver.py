@@ -15,21 +15,18 @@ searches); trial steps that cross the collision guard are rejected.
 Failures are values, not exceptions.
 
 Each of the four searches (physical, complex, equilibria, rigid
-translation) is a small :class:`_Search` spec: a sampler that draws all
-starts of a search as one block, the residual, which also returns the
-collision guard's verdict on each row from the separations it forms, its
-Jacobian, the residual norm, a canonicalizer that puts the stack of
-converged starts in the search's gauge and twin, and a finalizer that
-builds solution records.  One engine, ``_refine``, runs up to ``_LANES``
-starts of any spec in lockstep on stacked arrays, each taking the steps it
-would take alone.  A lane holds its start's unknowns, residual norm,
-damping, steps, guard flag and normal equations, but no residual past its
-next Jacobian; a start ends at the trial that lifts its damping past
-``lm_lambda_max``.  Per start, the engine records its reason, iterations,
-last residual norm and unknowns.  ``_multistart`` runs every search: it
-canonicalizes the converged rows once, deduplicates them on arrays and
-finalizes only the rows it keeps.
-``newton_refine`` is the one place that builds a :class:`NewtonFailure`.
+translation) is a small :class:`_Search` spec: a sampler that draws all its
+starts as one block, the residual, which also returns the collision guard's
+verdict on each row, its Jacobian, a canonicalizer that puts the converged
+starts in the search's gauge and twin, and a finalizer that builds solution
+records.  ``system._residual_norm`` reads every residual norm off the row
+layout.  One engine, ``_refine``, runs up to ``_LANES`` starts of any spec
+in lockstep, each taking the steps it would take alone, and records per
+start its reason, iterations, last residual norm and unknowns.
+``_multistart`` canonicalizes the converged rows once, deduplicates them on
+arrays and finalizes only the rows it keeps.  ``_solve`` is the one front
+door of the three public searches, and ``newton_refine`` the one place that
+builds a :class:`NewtonFailure`.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import combinations
-from numbers import Integral, Real
+from numbers import Integral, Number, Real
 from typing import Callable
 
 import numpy as np
@@ -52,9 +49,9 @@ from .system import (
     _complexify,
     _diagonal,
     _min_gap,
-    _modulus_norm,
     _realify_columns,
     _realify_vector,
+    _residual_norm,
     _separations,
     _velocity_derivative,
     _velocity_np,
@@ -182,7 +179,7 @@ class _Canonical:
 class _Search:
     """One search, as the engine and ``_multistart`` run it.
 
-    ``residual``, ``jacobian`` and ``norm`` take stacks: one unknown vector x
+    ``residual`` and ``jacobian`` take stacks: one unknown vector x
     per row of an (S, d) array, one residual per row of an (S, m) array.
     ``residual`` also returns, per row, whether x is too close to a collision
     (the collision guard), read off the separations the residual forms; the
@@ -198,7 +195,6 @@ class _Search:
     sample: Callable[[np.random.Generator, int], np.ndarray]  # (rng, count) -> starts (count, d)
     residual: Callable[[np.ndarray], tuple]       # (S, d) -> (S, m) rows, (S,) guard hits
     jacobian: Callable[[np.ndarray], np.ndarray]  # (S, d) -> (S, m, d)
-    norm: Callable[[np.ndarray], np.ndarray]      # (S, m) -> (S,)
     canonical: Callable[[np.ndarray], _Canonical]   # converged (S, d) -> canonical rows
     finalize: Callable[[_Canonical, np.ndarray], list]  # canonical rows, iterations (S,) -> records
 
@@ -290,7 +286,7 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
                 take, F0 = take[~hit], F0[~hit]
             new = free[: take.size]
             owner[new] = take
-            x[new], nrm[new] = starts[take], search.norm(F0)
+            x[new], nrm[new] = starts[take], _residual_norm(F0)
             damp[new], iters[new] = _LM_LAMBDA0, 0
             top, F = np.concatenate((top, new)), np.concatenate((F, F0)) if top.size else F0
         elif free.size == lanes:
@@ -334,7 +330,7 @@ def _refine(search: _Search, starts: np.ndarray, options: SolverOptions):
             xt, Ft, run = xt[~hit], Ft[~hit], run[~hit]
             if not run.size:
                 continue
-        nt = search.norm(Ft)
+        nt = _residual_norm(Ft)
         better = nt < nrm[run]          # never for a NaN or infinite norm
         if np.count_nonzero(better) < run.size:
             reject(run[~better])
@@ -401,7 +397,7 @@ def _multistart(search: _Search, starts: int, seed: int, opts: SolverOptions) ->
 
 def _pack_physical(start) -> np.ndarray:
     positions, theta = start
-    return np.append(_realify_vector(np.asarray(positions, dtype=complex)), float(theta))
+    return np.append(_realify_vector(np.asarray(positions, dtype=complex)), _number(theta, "θ", Real))
 
 
 def _unpack_physical(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,12 +414,6 @@ def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     def jacobian(x):
         return physical_jacobian(v, *_unpack_physical(x))
 
-    def norm(F):
-        moduli = _modulus_norm(F[:, :-1])
-        gauge = np.abs(F[:, -1])
-        # max(moduli, gauge) as Python's max takes it, NaN included.
-        return np.where(gauge > moduli, gauge, moduli)
-
     def sample(rng, count):
         pos, theta = _draw_starts(rng, count, n, 1, 1, opts)
         return np.concatenate([_realify_vector(pos[:, 0]), theta], axis=1)
@@ -439,11 +429,10 @@ def _physical_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         pos = np.where(flip[:, None], np.conj(pos), pos)
         lam = np.where(flip, np.conj(lam), lam)
         E = lam[:, None] * pos - _velocity_np(g, np.conj(pos))[0]
-        return _Canonical(pos, np.conj(pos), lam, None, np.abs(E).max(axis=1),
-                          _physical_signatures(pos))
+        return _Canonical(pos, np.conj(pos), lam, None, _residual_norm(E), _physical_signatures(pos))
 
-    return _Search("physical", sample, residual, jacobian, norm, canonical,
-                   partial(_central_solutions, v, "physical", opts=opts))
+    return _Search("physical", sample, residual, jacobian, canonical,
+                   partial(_solutions, v, "physical", opts=opts))
 
 
 def _prefers_conjugate(pos: np.ndarray, lam: np.ndarray, opts: SolverOptions) -> np.ndarray:
@@ -466,17 +455,13 @@ def _physical_signatures(pos: np.ndarray) -> np.ndarray:
 
 def _pack_complex(start) -> np.ndarray:
     z, w, lam = start
-    return np.concatenate([np.asarray(z, dtype=complex), np.asarray(w, dtype=complex), [complex(lam)]])
+    return np.concatenate([np.asarray(z, dtype=complex), np.asarray(w, dtype=complex),
+                           [_number(lam, "Λ", Number)]])
 
 
 def _unpack_complex(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = (x.shape[-1] - 1) // 2
     return x[..., :n], x[..., n : 2 * n], x[..., -1]
-
-
-def _max_modulus(F: np.ndarray) -> np.ndarray:
-    """Max modulus over the entries of each complex residual row."""
-    return np.abs(F).max(axis=1)
 
 
 def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
@@ -506,10 +491,10 @@ def _complex_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         lam = np.where(swap, tlam, lam)
         sig = np.where(swap[:, None, None], tsig, sig)
         F = _complex_residual(g, z, w, lam)[0]
-        return _Canonical(z, w, lam, None, np.abs(F).max(axis=1), sig)
+        return _Canonical(z, w, lam, None, _residual_norm(F), sig)
 
-    return _Search("complex", sample, residual, jacobian, _max_modulus, canonical,
-                   partial(_central_solutions, v, "complex", opts=opts))
+    return _Search("complex", sample, residual, jacobian, canonical,
+                   partial(_solutions, v, "complex", opts=opts))
 
 
 def _canonical_complex_pairs(z: np.ndarray, w: np.ndarray):
@@ -582,34 +567,31 @@ def _signature_tuples(signature: np.ndarray) -> list:
     return [tuple(map(tuple, row)) for row in signature]
 
 
-def _central_solutions(v: VorticitySet, regime: str, c: _Canonical, iters: np.ndarray,
-                       opts: SolverOptions) -> list:
-    """Records of converged central solutions, one per row, with kind and consistency flags.
+def _solutions(v: VorticitySet, regime: str, c: _Canonical, iters: np.ndarray,
+               opts: SolverOptions) -> list:
+    """Records of converged solutions, one per row.
 
-    Physical solutions have Λ = e^{iθ}, so only complex ones can be flagged
-    ``nonunit_lambda``.
+    Central rows, which carry Λ, get their kind and consistency flags;
+    physical ones have Λ = e^{iθ}, so only complex ones can be flagged
+    ``nonunit_lambda``.  Rows without Λ are roots of V_n = velocity.
     """
-    lams, iters, norms = c.lam.tolist(), iters.tolist(), c.norm.tolist()
-    nonunit = np.abs(np.hypot(c.lam.real, c.lam.imag) - 1.0) > 1e-6
-    signatures = _signature_tuples(c.signature)
+    central = c.lam is not None
+    lams = c.lam.tolist() if central else [None] * len(c.z)
+    velocities = [None] * len(c.z) if c.velocity is None else c.velocity.tolist()
+    iters, norms, signatures = iters.tolist(), c.norm.tolist(), _signature_tuples(c.signature)
+    nonunit = (np.abs(np.hypot(c.lam.real, c.lam.imag) - 1.0) > 1e-6).tolist() if central else ()
+    kind, flags = KIND_EQUILIBRIUM if c.velocity is None else KIND_RIGID_TRANSLATION, ()
     records = []
     for s, inv in enumerate(invariants_of(v, c.z, c.w, lam=lams)):
-        kind, flags = _classify(lams[s], inv, opts)
-        flags += _solution_assertions(inv)
-        if nonunit[s]:
-            flags += ("nonunit_lambda",)
+        if central:
+            kind, flags = _classify(lams[s], inv, opts)
+            flags += _solution_assertions(inv)
+            if nonunit[s]:
+                flags += ("nonunit_lambda",)
         records.append(CentralConfigSolution(
-            regime=regime,
-            z=tuple(c.z[s]),
-            w=tuple(c.w[s]),
-            lam=lams[s],
-            residual_norm=norms[s],
-            invariants=inv,
-            kind=kind,
-            signature=signatures[s],
-            flags=flags,
-            iterations=iters[s],
-        ))
+            regime=regime, z=tuple(c.z[s]), w=tuple(c.w[s]), lam=lams[s], residual_norm=norms[s],
+            invariants=inv, kind=kind, signature=signatures[s], flags=flags, iterations=iters[s],
+            translation_velocity=velocities[s]))
     return records
 
 
@@ -683,7 +665,8 @@ def newton_refine(v: VorticitySet, start, regime: str = "physical",
 
     Physical starts are ``(positions, theta)``; complex starts are
     ``(z, w, lam)``.  Raises ValueError unless positions, or z and w, hold
-    one entry per vortex, and unless every entry of the start is finite.
+    one entry per vortex, θ is a real number and Λ a number (a bool, a str
+    or an array is neither), and every entry of the start is finite.
     """
     opts = options or SolverOptions()
     search = _central_search(v.as_float(), regime, opts)
@@ -707,6 +690,30 @@ def _integer(value, name: str, least: int) -> int:
     return operator.index(value)
 
 
+def _number(value, name: str, kind: type):
+    """``value``, or a 0-d array's entry, as a Python float (kind Real) or complex (kind Number)."""
+    value = np.asarray(value)[()]       # a bool becomes np.bool_, which is not a number
+    if not isinstance(value, kind):
+        raise ValueError(f"start {name} must be a {'real ' if kind is Real else ''}number, "
+                         f"not {type(value).__name__}")
+    return float(value) if kind is Real else complex(value)
+
+
+def _solve(make: Callable, v: VorticitySet, starts, seed, options, gate=None) -> SolveReport:
+    """Front door of the three public multistart searches; ``make(v, opts)`` builds the search.
+
+    Checks ``starts``, then ``seed``.  A ``gate`` (terms, reason) runs the
+    search only if the sum of ``terms(Γ)`` vanishes; otherwise the report is
+    empty and carries ``reason``.  The search runs on ``v.as_float()``.
+    """
+    opts = options or SolverOptions()
+    starts = _integer(starts, "starts", 1)
+    seed = _integer(seed, "seed", 0)
+    if gate and not _vanishes(v, gate[0]):
+        return SolveReport((), 0, 0, seed, "physical", reason=gate[1])
+    return _multistart(make(v.as_float(), opts), starts, seed, opts)
+
+
 def solve_central_multistart(
     v: VorticitySet,
     regime: str = "physical",
@@ -721,10 +728,7 @@ def solve_central_multistart(
     the sorted squared-distance signature together with Λ.  Counts are
     "found", not proven complete.
     """
-    opts = options or SolverOptions()
-    starts = _integer(starts, "starts", 1)
-    seed = _integer(seed, "seed", 0)
-    return _multistart(_central_search(v.as_float(), regime, opts), starts, seed, opts)
+    return _solve(lambda u, opts: _central_search(u, regime, opts), v, starts, seed, options)
 
 
 def _lambda_match(a: complex | None, b: complex | None, tol: float) -> bool:
@@ -808,30 +812,7 @@ def _velocity_canonical(g: np.ndarray, pos: np.ndarray, velocity: np.ndarray | N
     V = _velocity_np(g, w)[0]
     if velocity is not None:
         V = V - velocity[:, None]
-    return _Canonical(pos, w, None, velocity, np.abs(V).max(axis=1), _physical_signatures(pos))
-
-
-def _velocity_solutions(v: VorticitySet, c: _Canonical, iters: np.ndarray) -> list:
-    """Records of roots of V_n = velocity, one per row."""
-    kind = KIND_EQUILIBRIUM if c.velocity is None else KIND_RIGID_TRANSLATION
-    velocities = [None] * len(c.z) if c.velocity is None else c.velocity.tolist()
-    iters, norms = iters.tolist(), c.norm.tolist()
-    signatures = _signature_tuples(c.signature)
-    return [
-        CentralConfigSolution(
-            regime="physical",
-            z=tuple(c.z[s]),
-            w=tuple(c.w[s]),
-            lam=None,
-            residual_norm=norms[s],
-            invariants=inv,
-            kind=kind,
-            signature=signatures[s],
-            iterations=iters[s],
-            translation_velocity=velocities[s],
-        )
-        for s, inv in enumerate(invariants_of(v, c.z, c.w))
-    ]
+    return _Canonical(pos, w, None, velocity, _residual_norm(V), _physical_signatures(pos))
 
 
 def _pinned(x: np.ndarray, second) -> np.ndarray:
@@ -863,8 +844,8 @@ def _equilibria_search(v: VorticitySet, opts: SolverOptions) -> _Search:
     def canonical(x):
         return _velocity_canonical(g, _pinned(x, 1.0), None)
 
-    return _Search("physical", sample, residual, jacobian, _modulus_norm, canonical,
-                   partial(_velocity_solutions, v))
+    return _Search("physical", sample, residual, jacobian, canonical,
+                   partial(_solutions, v, "physical", opts=opts))
 
 
 def solve_equilibria(v: VorticitySet, starts: int = 200, seed: int = 0,
@@ -875,13 +856,8 @@ def solve_equilibria(v: VorticitySet, starts: int = 200, seed: int = 0,
     root set of V is translation-, rotation- and dilation-invariant, so the
     second vortex can be pinned completely).
     """
-    opts = options or SolverOptions()
-    starts = _integer(starts, "starts", 1)
-    seed = _integer(seed, "seed", 0)
-    if not _vanishes(v, lambda g: [a * b for a, b in combinations(g, 2)]):
-        return SolveReport((), 0, 0, seed, "physical",
-                           reason="necessary condition L=0 fails")
-    return _multistart(_equilibria_search(v.as_float(), opts), starts, seed, opts)
+    return _solve(_equilibria_search, v, starts, seed, options, gate=(
+        lambda g: [a * b for a, b in combinations(g, 2)], "necessary condition L=0 fails"))
 
 
 def _translation_search(v: VorticitySet, opts: SolverOptions) -> _Search:
@@ -921,8 +897,8 @@ def _translation_search(v: VorticitySet, opts: SolverOptions) -> _Search:
         phi = np.where(half, phi + np.pi, phi)
         return _velocity_canonical(g, pos, np.exp(1j * phi))
 
-    return _Search("physical", sample, residual, jacobian, _modulus_norm, canonical,
-                   partial(_velocity_solutions, v))
+    return _Search("physical", sample, residual, jacobian, canonical,
+                   partial(_solutions, v, "physical", opts=opts))
 
 
 def solve_rigid_translation(v: VorticitySet, starts: int = 200, seed: int = 0,
@@ -933,10 +909,6 @@ def solve_rigid_translation(v: VorticitySet, starts: int = 200, seed: int = 0,
     positive; the common velocity is parametrized as V = e^{iφ} so |V| = 1
     fixes the dilation.
     """
-    opts = options or SolverOptions()
-    starts = _integer(starts, "starts", 1)
-    seed = _integer(seed, "seed", 0)
-    if not _vanishes(v, list):  # Γ: the strengths are the terms
-        return SolveReport((), 0, 0, seed, "physical",
-                           reason="necessary condition Γ=0 fails")
-    return _multistart(_translation_search(v.as_float(), opts), starts, seed, opts)
+    # The strengths are the terms of Γ.
+    return _solve(_translation_search, v, starts, seed, options,
+                  gate=(list, "necessary condition Γ=0 fails"))

@@ -154,9 +154,17 @@ def _realify_columns(dx: np.ndarray, dy: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def _modulus_norm(F: np.ndarray) -> np.ndarray:
-    """Max modulus over the complex entries of each realified residual row."""
-    return np.hypot(F[:, 0::2], F[:, 1::2]).max(axis=1)
+def _residual_norm(F: np.ndarray) -> np.ndarray:
+    """Largest modulus in each residual row of F (S, m): complex entries as they are,
+    real ones as (Re, Im) pairs.  An unpaired last entry, the physical gauge row, is
+    its own modulus, compared as Python's ``max`` compares, NaN included."""
+    if F.dtype.kind == "c":
+        return np.abs(F).max(axis=1)
+    if F.shape[1] % 2 == 0:
+        return np.hypot(F[:, 0::2], F[:, 1::2]).max(axis=1)
+    moduli = np.hypot(F[:, 0:-1:2], F[:, 1:-1:2]).max(axis=1)
+    gauge = np.abs(F[:, -1])
+    return np.where(gauge > moduli, gauge, moduli)
 
 
 @cache

@@ -268,6 +268,15 @@ def test_four_product_validation():
             four_product(conf.z, conf.w, pair)
 
 
+def test_four_product_refuses_a_bool_label():
+    # Regression: (True, 2) was read as (1, 2).
+    _, conf, _ = roberts_family(0.5, "real")
+    for pair in ((True, 2), (3, False), (np.True_, 2)):
+        with pytest.raises(ValueError, match="pair must be two distinct labels in 1..5"):
+            four_product(conf.z, conf.w, pair)
+    assert four_product(conf.z, conf.w, (np.int64(1), 2)) == four_product(conf.z, conf.w, (1, 2))
+
+
 # ---------------------------------------------------------------------------
 # Family files
 # ---------------------------------------------------------------------------
@@ -305,6 +314,33 @@ def test_family_file_rejects_malformed(tmp_path):
             path.write_text("\n".join([header, *rows]) + "\n")
             with pytest.raises(ValueError, match=r"^malformed family file: data row 3 has a non-finite entry$"):
                 load_family(path)
+
+
+def test_save_family_refuses_what_load_family_refuses(tmp_path):
+    # Regression: a short parameter list wrote only as many rows, a NaN was
+    # written into a file load_family refuses, and z and w of different widths
+    # failed with numpy's "inhomogeneous shape" message.
+    params, configs = roberts_degeneration("a0", 6)
+    params, configs = list(params), list(configs)
+    z, w = configs[0]
+    nan_z = (complex(float("nan"), 0.0),) + tuple(z[1:])
+    ragged = "family not saved: every z and w needs the same length"
+    cases = [
+        (params[:3], configs, "family not saved: 3 parameters, 6 configurations"),
+        (params, configs[:5], "family not saved: 6 parameters, 5 configurations"),
+        ([math.inf] + params[1:], configs, "family not saved: data row 1 has a non-finite entry"),
+        (params, configs[:2] + [(nan_z, w)] + configs[3:],
+         "family not saved: data row 3 has a non-finite entry"),
+        (params[:1], [(z, w[:3])], ragged),
+        (params[:2], [(z, w), (z[:3], w[:3])], ragged),
+        (params[:1], [(z[:1], w[:1])], r"family not saved: need 1 \+ 4N columns, N >= 2"),
+        ([], [], "family not saved: no data rows"),
+    ]
+    path = tmp_path / "family.txt"
+    for parameters, configurations, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            save_family(path, parameters, configurations)
+        assert not path.exists()
 
 
 def test_parameter_sequences():

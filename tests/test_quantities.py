@@ -43,6 +43,15 @@ def test_angular_momentum_full_set_default():
     assert angular_momentum(v) == angular_momentum(v, {1, 2, 3}) == 2 + 3 + 6
 
 
+def test_angular_momentum_refuses_labels_that_are_not_integers():
+    # Regression: [True, 2] gave L_12 and [1.5, 2] raised a bare TypeError.
+    v = VorticitySet((1, 2, 3))
+    for subset in ([True, 2], [1, True, 2], [1.5, 2], ["1", 2], [0, 2], [2, 4]):
+        with pytest.raises(ValueError, match=r"^subset indices must lie in 1\.\.3$"):
+            angular_momentum(v, subset)
+    assert angular_momentum(v, [np.int64(1), 2]) == angular_momentum(v, [1, 2]) == 2
+
+
 def test_angular_momentum_rejects_small_subsets():
     v = VorticitySet((1, 2, 3))
     with pytest.raises(ValueError, match="undefined subset momentum"):

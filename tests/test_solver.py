@@ -225,6 +225,42 @@ def test_newton_refine_rejects_non_finite_starts():
             newton_refine(v, start, regime=regime)
 
 
+def test_newton_refine_refuses_a_theta_or_lambda_that_is_not_a_number():
+    # Regression: θ = "0.1" and Λ = "1" converged, θ = True was read as 1, and an
+    # array or a complex θ raised a bare TypeError.
+    c = np.sqrt(2) / 2
+    z = np.array([-c, c + 1e-3])
+    for theta in ("0.1", True, np.True_, np.array(True), np.array([0.1, 0.2]), 0.1 + 1j,
+                  np.complex128(0.1), None):
+        with pytest.raises(ValueError, match="start θ must be a real number"):
+            newton_refine(TWO, (z, theta))
+    for lam in ("1", True, np.array([1.0, 2.0]), None):
+        with pytest.raises(ValueError, match="start Λ must be a number"):
+            newton_refine(TWO, (z, z.conj(), lam), regime="complex")
+    # int, float, numpy scalars and 0-d arrays stay numbers.
+    for theta in (0, 0.1, np.float32(0.1), np.int64(0), np.array(0.1)):
+        assert isinstance(newton_refine(TWO, (z, theta)), CentralConfigSolution)
+    for lam in (1, 1.0, 1 + 0j, np.complex128(1.0), np.array(1 + 0j)):
+        assert isinstance(newton_refine(TWO, (z, z.conj(), lam), regime="complex"),
+                          CentralConfigSolution)
+
+
+def test_multistart_entry_points_check_starts_then_seed_then_regime_or_gate():
+    with pytest.raises(ValueError, match="starts must be positive"):
+        solve_central_multistart(THREE, regime="imaginary", starts=0, seed=-1)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        solve_central_multistart(THREE, regime="imaginary", seed=-1)
+    with pytest.raises(ValueError, match="unknown regime 'imaginary'"):
+        solve_central_multistart(THREE, regime="imaginary")
+    for solve, reason in ((solve_equilibria, "necessary condition L=0 fails"),
+                          (solve_rigid_translation, "necessary condition Γ=0 fails")):
+        with pytest.raises(ValueError, match="starts must be positive"):
+            solve(THREE, starts=0, seed=-1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            solve(THREE, seed=-1)
+        assert solve(THREE, starts=7, seed=2) == solver.SolveReport((), 0, 0, 2, "physical", reason)
+
+
 def test_newton_refine_perturbed_equilateral():
     z = np.exp(2j * np.pi * np.arange(3) / 3)
     rng = np.random.default_rng(4)

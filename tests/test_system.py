@@ -614,3 +614,24 @@ def test_kernels_name_a_strength_beyond_the_float_range():
                  lambda: complex_jacobian(v, z, w, 1.0)):
         with pytest.raises(ValueError, match="^vorticity entry 2 is beyond the float range$"):
             call()
+
+
+def test_residual_norm_reads_the_row_layout():
+    from vortexcc.system import _residual_norm
+
+    rng = np.random.default_rng(3)
+    nan = float("nan")
+    F = rng.normal(size=(6, 7)) * 10.0 ** rng.integers(-3, 4, size=(6, 7))
+    F[1, -1] = 1e6              # the gauge row is the largest entry
+    F[2, -1] = nan              # a NaN gauge loses to the pairs, as in Python's max
+    F[3, 2] = nan               # a NaN pair wins
+    F[4, :] = 0.0
+    for rows in (F, F[:, :-1]):
+        expected = []
+        for row in rows.tolist():
+            moduli = np.max([np.hypot(a, b) for a, b in zip(row[0::2], row[1::2])])
+            expected.append(max(moduli, abs(row[-1])) if len(row) % 2 else moduli)
+        assert _residual_norm(rows).tobytes() == np.array(expected).tobytes()
+    # Complex rows are taken as they are, the last entry included.
+    C = F[:, :-1:2] + 1j * F[:, 1::2]
+    assert _residual_norm(C).tobytes() == np.abs(C).max(axis=1).tobytes()
